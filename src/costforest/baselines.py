@@ -9,12 +9,12 @@ error-count impurity, which ignores the money columns entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ensemble
-from .combiners import GaConfig
+from .combiners import GaConfig, _sigmoid
 from .cost_model import CostedDataset, CostMatrixRow
 from .csdt import CsdtConfig, CsdtModel, grow, predict_proba_many
 from .ensemble import EcsdtConfig, EnsembleModel
@@ -44,15 +44,6 @@ class LogisticModel:
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def logistic_loss_grad(
@@ -142,17 +133,7 @@ class BmrWrapper:
 
 def gini_tree(train: CostedDataset, config: CsdtConfig | None = None) -> CsdtModel:
     """Plain error-count decision tree (the DT baseline)."""
-    base = config or CsdtConfig()
-    cfg = CsdtConfig(
-        max_depth=base.max_depth,
-        min_samples_split=base.min_samples_split,
-        min_gain=base.min_gain,
-        candidate_thresholds=base.candidate_thresholds,
-        n_quantiles=base.n_quantiles,
-        pruning=base.pruning,
-        impurity="gini",
-    )
-    return grow(train, cfg)
+    return grow(train, replace(config or CsdtConfig(), impurity="gini"))
 
 
 @dataclass
@@ -180,18 +161,9 @@ def plain_forest(
     tree: CsdtConfig | None = None,
 ) -> ForestModel:
     """Classical random forest: bootstrap, per-node features, majority vote."""
-    base = tree or CsdtConfig()
     cfg = EcsdtConfig(
         inducer=InducerConfig(kind="random_forest", T=T, seed=seed),
-        tree=CsdtConfig(
-            max_depth=base.max_depth,
-            min_samples_split=base.min_samples_split,
-            min_gain=base.min_gain,
-            candidate_thresholds=base.candidate_thresholds,
-            n_quantiles=base.n_quantiles,
-            pruning=base.pruning,
-            impurity="gini",
-        ),
+        tree=replace(tree or CsdtConfig(), impurity="gini"),
         combiner="mv",
         ga=GaConfig(),
     )

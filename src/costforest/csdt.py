@@ -22,6 +22,7 @@ import numpy as np
 
 from .cost_model import CostedDataset, total_cost
 from .errors import ConfigError, ValidationError
+from .inducers import node_feature_subset
 
 FORMAT_VERSION = "1"
 
@@ -67,9 +68,12 @@ TreeNode = Union[Leaf, Internal]
 class CsdtConfig:
     """Growth and pruning hyperparameters.
 
+    A node searches all its candidate features in one pass.
     candidate_thresholds "exact_midpoints" tries every midpoint of
     consecutive distinct values; "quantiles" caps per-node work at
-    ``n_quantiles`` cut points.
+    ``n_quantiles`` cut points per feature. A threshold always puts the cut
+    exactly where it was scored: a midpoint that rounds up to the upper
+    value is replaced by the lower value.
     """
 
     max_depth: int = 10
@@ -168,55 +172,75 @@ def _make_leaf(y: np.ndarray, cost0: np.ndarray, cost1: np.ndarray) -> Leaf:
     )
 
 
-def _candidate_positions(
-    sorted_vals: np.ndarray, config: CsdtConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cut positions p (left = first p+1 sorted examples) and their thresholds."""
-    n = sorted_vals.size
-    boundaries = np.flatnonzero(sorted_vals[:-1] != sorted_vals[1:])
-    if boundaries.size == 0:
-        return boundaries, np.empty(0)
+def _cut_levels(config: CsdtConfig) -> np.ndarray | None:
+    """Quantile levels of the candidate cuts, or None for exact midpoints."""
     if config.candidate_thresholds == "exact_midpoints":
-        thresholds = 0.5 * (sorted_vals[boundaries] + sorted_vals[boundaries + 1])
-        return boundaries, thresholds
-    qs = np.linspace(0.0, 1.0, config.n_quantiles + 1)[1:-1]
-    cuts = np.quantile(sorted_vals, qs)
-    pos = np.searchsorted(sorted_vals, cuts, side="right") - 1
-    valid = (pos >= 0) & (pos < n - 1)
-    pos, cuts = pos[valid], cuts[valid]
-    pos, first = np.unique(pos, return_index=True)
-    return pos, cuts[first]
+        return None
+    return np.linspace(0.0, 1.0, config.n_quantiles + 1)[1:-1]
 
 
 def _best_split(
     X: np.ndarray,
     cost0: np.ndarray,
     cost1: np.ndarray,
-    features: np.ndarray,
-    config: CsdtConfig,
+    levels: np.ndarray | None,
 ) -> tuple[float, int, float] | None:
-    """Max-gain (gain, feature, threshold) over candidates, or None if no candidate."""
-    n = X.shape[0]
+    """Max-gain (gain, column, threshold) over every column of a node's block.
+
+    ``X`` holds the node's (n, F) candidate columns. A cut at position p
+    sends the first p + 1 rows of a column's stable sort left, so only the
+    last row of a run of equal values is a cut. With ``levels`` None every
+    run end is a candidate, with the midpoint as threshold. Otherwise the
+    candidates are the run ends that the column's quantiles at ``levels``
+    fall in, each keeping its first quantile as threshold. Every threshold
+    sends exactly the rows it was scored with to the left. Ties go to the
+    first column, then the first position. Returns None if no column has
+    a cut.
+    """
+    n, n_cols = X.shape
+    cols = np.arange(n_cols)
+    order = np.argsort(X, axis=0, kind="stable")
+    sv = X[order, cols]
+    cum0 = np.cumsum(cost0[order], axis=0)
+    cum1 = np.cumsum(cost1[order], axis=0)
+    left0, left1 = cum0[:-1], cum1[:-1]
+    n_left = np.arange(1, n)[:, None]
+    i_left = np.minimum(left0, left1)
+    i_right = np.minimum(cum0[-1] - left0, cum1[-1] - left1)
     parent = min(cost0.sum(), cost1.sum())
-    best: tuple[float, int, float] | None = None
-    for f in features:
-        vals = X[:, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        pos, thresholds = _candidate_positions(sv, config)
-        if pos.size == 0:
-            continue
-        cum0 = np.cumsum(cost0[order])
-        cum1 = np.cumsum(cost1[order])
-        left0, left1 = cum0[pos], cum1[pos]
-        i_left = np.minimum(left0, left1)
-        i_right = np.minimum(cum0[-1] - left0, cum1[-1] - left1)
-        n_left = pos + 1
-        gains = parent - (n_left / n) * i_left - ((n - n_left) / n) * i_right
-        idx = int(np.argmax(gains))
-        if best is None or gains[idx] > best[0]:
-            best = (float(gains[idx]), int(f), float(thresholds[idx]))
-    return best
+    gains = parent - (n_left / n) * i_left - ((n - n_left) / n) * i_right
+    run_end = sv[:-1] != sv[1:]
+    if levels is None:
+        valid = run_end
+    else:
+        cuts = np.quantile(sv, levels, axis=0)
+        # np.quantile's linear method puts cut j of a column between the
+        # values at rows lo[j] and hi[j]; only an overflowing difference of
+        # the two leaves it non-finite, and then it sends no row or every
+        # row left. A finite cut sends rows up to lo left when it is below
+        # the value at hi, else rows up to the end of that value's run.
+        lo = np.floor((n - 1) * levels).astype(np.intp)
+        hi = np.minimum(lo + 1, n - 1)
+        ends = np.full((n, n_cols), n - 1)
+        ends[:-1] = np.where(run_end, n_left - 1, n - 1)
+        run_last = np.minimum.accumulate(ends[::-1], axis=0)[::-1]
+        pos = np.where(cuts < sv[hi], lo[:, None], run_last[hi])
+        pos[~np.isfinite(cuts)] = n - 1
+        valid = np.zeros((n, n_cols), dtype=bool)
+        valid[pos, cols] = True
+        valid = valid[:-1]
+    gains[~valid] = -np.inf
+    col, p = divmod(int(np.argmax(gains.T)), n - 1)
+    if not valid[p, col]:
+        return None
+    if levels is None:
+        lower, upper = sv[p, col], sv[p + 1, col]
+        threshold = 0.5 * (lower + upper)
+        if not threshold < upper:  # the midpoint of adjacent doubles can round up
+            threshold = lower
+    else:
+        threshold = cuts[np.argmax(pos[:, col] == p), col]
+    return float(gains[p, col]), col, float(threshold)
 
 
 def grow(
@@ -241,6 +265,7 @@ def grow(
                 f"node_features must be in [1, {train.k}], got {node_features}"
             )
     cost0, cost1 = _prediction_costs(train, config.impurity)
+    levels = _cut_levels(config)
     all_features = np.arange(train.k)
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
@@ -253,17 +278,18 @@ def grow(
         ):
             return _make_leaf(y_sub, c0, c1)
         if node_features is not None and node_features < train.k:
-            features = np.sort(rng.choice(train.k, size=node_features, replace=False))
+            features = node_feature_subset(train.k, node_features, rng)
         else:
             features = all_features
-        found = _best_split(train.X[idx], c0, c1, features, config)
+        block = train.X[idx[:, None], features]
+        found = _best_split(block, c0, c1, levels)
         if found is None or found[0] <= config.min_gain:
             return _make_leaf(y_sub, c0, c1)
-        _, f, threshold = found
-        left_mask = train.X[idx, f] <= threshold
+        _, col, threshold = found
+        left_mask = block[:, col] <= threshold
         left = build(idx[left_mask], depth + 1)
         right = build(idx[~left_mask], depth + 1)
-        return Internal(SplitRule(f, threshold), left, right)
+        return Internal(SplitRule(int(features[col]), threshold), left, right)
 
     model = CsdtModel(root=build(np.arange(train.n), 0), config=config, k=train.k)
     if config.pruning:

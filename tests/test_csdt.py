@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import four_example_set, strict_random_dataset
 from costforest import CostedDataset, ValidationError, total_cost
+from costforest import csdt, ensemble
+from costforest.combiners import GaConfig
 from costforest.csdt import (
     CsdtConfig,
     CsdtModel,
@@ -21,6 +25,8 @@ from costforest.csdt import (
     split_gain,
     training_cost,
 )
+from costforest.ensemble import EcsdtConfig
+from costforest.inducers import InducerConfig
 
 EXACT = CsdtConfig(candidate_thresholds="exact_midpoints")
 
@@ -164,6 +170,20 @@ class TestGrow:
         )
         model = grow(ds, EXACT)
         assert isinstance(model.root, Leaf)
+
+    def test_adjacent_double_midpoint_keeps_split(self):
+        # 0.5 * (a + b) == b for these adjacent doubles, so the midpoint
+        # would send every row left
+        a, b = 1 + 2.0**-52, 1 + 2.0**-51
+        assert 0.5 * (a + b) == b
+        ds = CostedDataset(
+            np.array([[a], [a], [b], [b]]), np.array([0, 0, 1, 1]),
+            np.tile([0.0, 1, 1, 0], (4, 1)),
+        )
+        model = grow(ds, CsdtConfig(candidate_thresholds="exact_midpoints", pruning=False))
+        assert model.root.rule == SplitRule(0, a)
+        assert model.depth() == 1
+        assert training_cost(model, ds) == 0.0
 
 
 class TestPredict:
@@ -335,3 +355,172 @@ class TestSerialization:
     def test_version_check(self, tmp_path):
         with pytest.raises(ValidationError, match="format version"):
             model_from_dict({"format_version": "999", "kind": "csdt"})
+
+
+# --- split search kernel against the per-feature loop it replaced ----------
+
+def _reference_positions(sorted_vals, levels):
+    """Cut positions and thresholds of one sorted feature, as the loop found them."""
+    n = sorted_vals.size
+    boundaries = np.flatnonzero(sorted_vals[:-1] != sorted_vals[1:])
+    if boundaries.size == 0:
+        return boundaries, np.empty(0)
+    if levels is None:
+        lower, upper = sorted_vals[boundaries], sorted_vals[boundaries + 1]
+        mid = 0.5 * (lower + upper)
+        # the loop used mid alone; a midpoint equal to upper cuts elsewhere
+        return boundaries, np.where(mid < upper, mid, lower)
+    cuts = np.quantile(sorted_vals, levels)
+    pos = np.searchsorted(sorted_vals, cuts, side="right") - 1
+    valid = (pos >= 0) & (pos < n - 1)
+    pos, cuts = pos[valid], cuts[valid]
+    pos, first = np.unique(pos, return_index=True)
+    return pos, cuts[first]
+
+
+def reference_best_split(X, cost0, cost1, features, levels):
+    """Max-gain (gain, feature, threshold): one sort and scan per feature."""
+    n = X.shape[0]
+    parent = min(cost0.sum(), cost1.sum())
+    best = None
+    for f in features:
+        vals = X[:, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        pos, thresholds = _reference_positions(sv, levels)
+        if pos.size == 0:
+            continue
+        cum0 = np.cumsum(cost0[order])
+        cum1 = np.cumsum(cost1[order])
+        left0, left1 = cum0[pos], cum1[pos]
+        i_left = np.minimum(left0, left1)
+        i_right = np.minimum(cum0[-1] - left0, cum1[-1] - left1)
+        n_left = pos + 1
+        gains = parent - (n_left / n) * i_left - ((n - n_left) / n) * i_right
+        idx = int(np.argmax(gains))
+        if best is None or gains[idx] > best[0]:
+            best = (float(gains[idx]), int(f), float(thresholds[idx]))
+    return best
+
+
+def _random_column(rng, n, y):
+    kind = rng.integers(0, 6)
+    if kind == 0:  # integers, many ties
+        return rng.integers(0, rng.integers(1, 6), n).astype(float)
+    if kind == 1:
+        return np.full(n, rng.normal())
+    if kind == 2:
+        return rng.normal(size=n)
+    if kind == 3:
+        return np.round(rng.normal(size=n), 1)
+    if kind == 4:  # differences overflow to inf
+        return rng.choice([-1.7e308, 0.0, 1.7e308], n)
+    # two adjacent doubles that follow the label; their midpoint may round up
+    a = rng.normal()
+    b = np.nextafter(a, np.inf)
+    return np.where((y == 1) ^ (rng.random(n) < 0.1), b, a)
+
+
+def _random_node(rng):
+    """A node dataset, its candidate features and its cut levels."""
+    n = int(rng.choice([2, 3, 5, 17, 60, 300]))
+    k = int(rng.integers(1, 8))
+    y = rng.integers(0, 2, n)
+    X = np.column_stack([_random_column(rng, n, y) for _ in range(k)])
+    costs = rng.exponential(size=(n, 4)) * (rng.random((n, 4)) < 0.7)
+    ds = CostedDataset(X, y, costs, strict=False)
+    if rng.random() < 0.5:
+        features = np.arange(k)
+    else:
+        features = np.sort(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False))
+    mode = "exact_midpoints" if rng.random() < 0.5 else "quantiles"
+    config = CsdtConfig(candidate_thresholds=mode, n_quantiles=int(rng.integers(2, 121)))
+    return ds, features, csdt._cut_levels(config)
+
+
+def _kernel(X, cost0, cost1, features, levels):
+    """The kernel on the features' block, answering as the reference does."""
+    found = csdt._best_split(X[:, features], cost0, cost1, levels)
+    if found is None:
+        return None
+    gain, col, threshold = found
+    return gain, int(features[col]), threshold
+
+
+# np.quantile warns on the columns whose differences overflow
+overflow_warnings_ok = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning",
+)
+
+
+class TestSplitKernel:
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_feature_loop(self, seed):
+        rng = np.random.default_rng([seed, 2015])
+        found = 0
+        for _ in range(600):
+            ds, features, levels = _random_node(rng)
+            cost0, cost1 = ds.costs_if_predicted()
+            if rng.random() < 0.3:  # unit costs: many tied gains
+                cost0, cost1 = (ds.y == 1).astype(float), (ds.y == 0).astype(float)
+            expected = reference_best_split(ds.X, cost0, cost1, features, levels)
+            assert _kernel(ds.X, cost0, cost1, features, levels) == expected
+            found += expected is not None
+        assert found > 300
+
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gain_matches_split_gain(self, seed):
+        rng = np.random.default_rng([seed, 1505])
+        for _ in range(300):
+            ds, features, levels = _random_node(rng)
+            cost0, cost1 = ds.costs_if_predicted()
+            found = _kernel(ds.X, cost0, cost1, features, levels)
+            if found is None:
+                continue
+            gain, f, threshold = found
+            scale = cost0.sum() + cost1.sum()
+            assert gain == pytest.approx(
+                split_gain(ds, SplitRule(f, threshold)), rel=1e-9, abs=1e-12 * scale
+            )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EcsdtConfig(inducer=InducerConfig(kind="random_patches", T=5, seed=1)),
+            EcsdtConfig(
+                inducer=InducerConfig(kind="bagging", T=6, seed=2),
+                tree=CsdtConfig(max_depth=3),
+                combiner="stacking",
+                ga=GaConfig(population=8, generations=5),
+            ),
+            EcsdtConfig(
+                inducer=InducerConfig(kind="random_forest", T=5, seed=3),
+                tree=CsdtConfig(candidate_thresholds="exact_midpoints"),
+                combiner="mv",
+            ),
+            EcsdtConfig(
+                inducer=InducerConfig(kind="random_patches", T=5, seed=4),
+                tree=CsdtConfig(impurity="gini"),
+            ),
+        ],
+        ids=["patches-wv", "bagging-stacking", "rf-exact", "gini-patches"],
+    )
+    def test_models_identical_to_per_feature_loop(self, config, monkeypatch):
+        rng = np.random.default_rng(29)
+        ds = strict_random_dataset(rng, 500, 6)
+        X = ds.X.copy()
+        X[:, :3] = np.round(X[:, :3] * 2)  # tied values
+        ds = CostedDataset(X, ds.y, ds.costs)
+
+        def dump():
+            return json.dumps(ensemble.model_to_dict(ensemble.train(ds, config)), sort_keys=True)
+
+        fast = dump()
+        monkeypatch.setattr(
+            csdt, "_best_split",
+            lambda X, c0, c1, levels: reference_best_split(X, c0, c1, range(X.shape[1]), levels),
+        )
+        assert dump() == fast
