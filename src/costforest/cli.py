@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -71,20 +72,15 @@ def _reject_unknown(node: dict, allowed: dict, path: Path, prefix: str) -> None:
             _reject_unknown(value, sub, path, prefix=f"{dotted}.")
 
 
-_TREE_KEYS = {
-    "max_depth": None, "min_samples_split": None, "min_gain": None,
-    "candidate_thresholds": None, "n_quantiles": None, "pruning": None,
-    "impurity": None,
-}
-_GA_KEYS = {
-    "population": None, "generations": None, "crossover_rate": None,
-    "mutation_rate": None, "mutation_sigma": None, "beta_bounds": None,
-    "elitism": None, "tournament": None, "seed": None,
-}
+def _keys(cls) -> dict:
+    """Allowed config keys of a dataclass: its field names, with no nested keys."""
+    return dict.fromkeys(f.name for f in fields(cls))
+
+
 _TRAIN_CONFIG_KEYS = {
-    "inducer": {"kind": None, "T": None, "n_examples": None, "n_features": None, "seed": None},
-    "tree": _TREE_KEYS,
-    "combiner": {"kind": None, "ga": _GA_KEYS},
+    "inducer": _keys(InducerConfig),
+    "tree": _keys(CsdtConfig),
+    "combiner": {"kind": None, "ga": _keys(GaConfig)},
 }
 _BENCHMARK_KEYS = {
     "repetitions": None,
@@ -92,14 +88,24 @@ _BENCHMARK_KEYS = {
     "datasets": None,    # list: element keys checked separately
     "algorithms": None,
 }
-_PARAMS_KEYS = {
-    "fraud": {"admin_cost": None, "amount_col": None},
-    "churn": {"admin_cost": None, "gamma_col": None, "offer_col": None, "clv_col": None},
-    "credit": {
-        "loss_given_default": None, "pi_0": None, "pi_1": None, "mean_profit": None,
-        "mean_credit_line": None, "credit_line_col": None, "profit_col": None,
-    },
-    "marketing": {"admin_cost": None, "income_col": None},
+# domain -> (parameter class, cost builder, the parameter fields that name
+# the builder's input columns, in argument order)
+_COST_DOMAINS = {
+    "fraud": (
+        cost_builders.FraudCostParams, cost_builders.build_fraud_costs, ("amount_col",),
+    ),
+    "churn": (
+        cost_builders.ChurnCostParams, cost_builders.build_churn_costs,
+        ("gamma_col", "offer_col", "clv_col"),
+    ),
+    "credit": (
+        cost_builders.CreditCostParams, cost_builders.build_credit_costs,
+        ("credit_line_col", "profit_col"),
+    ),
+    "marketing": (
+        cost_builders.MarketingCostParams, cost_builders.build_marketing_costs,
+        ("income_col",),
+    ),
 }
 
 
@@ -130,45 +136,16 @@ def _add_schema_flags(parser) -> None:
 
 
 def _cmd_build_costs(args) -> int:
-    domain = args.domain
-    params = _load_config(args.params, _PARAMS_KEYS[domain])
+    params_cls, build, column_fields = _COST_DOMAINS[args.domain]
+    params = _load_config(args.params, _keys(params_cls))
+    del params["version"]
+    try:
+        p = params_cls(**params)
+    except TypeError as exc:
+        raise ConfigError(f"{args.params}: {exc}") from None
     table = read_table(args.data)
-    strict = not args.relaxed
-    if domain == "fraud":
-        p = cost_builders.FraudCostParams(
-            admin_cost=params["admin_cost"],
-            amount_col=params.get("amount_col", "amount"),
-        )
-        costs = cost_builders.build_fraud_costs(table.column(p.amount_col), p, strict)
-    elif domain == "churn":
-        p = cost_builders.ChurnCostParams(
-            admin_cost=params["admin_cost"],
-            gamma_col=params.get("gamma_col", "gamma"),
-            offer_col=params.get("offer_col", "offer_cost"),
-            clv_col=params.get("clv_col", "clv"),
-        )
-        costs = cost_builders.build_churn_costs(
-            table.column(p.gamma_col), table.column(p.offer_col),
-            table.column(p.clv_col), p, strict,
-        )
-    elif domain == "credit":
-        p = cost_builders.CreditCostParams(
-            loss_given_default=params["loss_given_default"],
-            pi_0=params["pi_0"], pi_1=params["pi_1"],
-            mean_profit=params["mean_profit"],
-            mean_credit_line=params["mean_credit_line"],
-            credit_line_col=params.get("credit_line_col", "credit_line"),
-            profit_col=params.get("profit_col", "profit"),
-        )
-        costs = cost_builders.build_credit_costs(
-            table.column(p.credit_line_col), table.column(p.profit_col), p, strict
-        )
-    else:
-        p = cost_builders.MarketingCostParams(
-            admin_cost=params["admin_cost"],
-            income_col=params.get("income_col", "income"),
-        )
-        costs = cost_builders.build_marketing_costs(table.column(p.income_col), p, strict)
+    columns = [table.column(getattr(p, name)) for name in column_fields]
+    costs = build(*columns, p, not args.relaxed)
     cost_names = ["c_tp", "c_fp", "c_fn", "c_tn"]
     clash = [c for c in cost_names if c in table.columns]
     if clash:
@@ -262,7 +239,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_ALGO_KEYS = {"family", "name", "learner", "sampling", "config"}
 _DS_KEYS = {"name", "csv", "label_col", "cost_cols", "drop_cols", "strict", "split"}
 
 
@@ -291,16 +267,10 @@ def _cmd_benchmark(args) -> int:
         datasets.append((entry["name"], bundle))
     algorithms = []
     for entry in data.get("algorithms", []):
-        unknown = set(entry) - _ALGO_KEYS
-        if unknown:
-            raise ConfigError(f"{args.spec}: unknown algorithm keys {sorted(unknown)}")
-        algorithms.append(AlgorithmSpec(
-            family=entry["family"],
-            name=entry["name"],
-            learner=entry["learner"],
-            sampling=entry.get("sampling", "t"),
-            config=entry.get("config", {}),
-        ))
+        try:
+            algorithms.append(AlgorithmSpec(**entry))
+        except TypeError as exc:
+            raise ConfigError(f"{args.spec}: {exc}") from None
     spec = ExperimentSpec(
         algorithms=algorithms,
         datasets=datasets,
@@ -354,7 +324,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-costs", help="append domain cost columns to a CSV")
-    p.add_argument("--domain", required=True, choices=["fraud", "churn", "credit", "marketing"])
+    p.add_argument("--domain", required=True, choices=list(_COST_DOMAINS))
     p.add_argument("--params", required=True, help="JSON parameter file")
     p.add_argument("--data", required=True, help="input CSV")
     p.add_argument("--out", required=True, help="output CSV")

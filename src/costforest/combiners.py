@@ -1,7 +1,8 @@
 """Combining base-classifier votes: majority, weighted, and stacking.
 
-Weighted voting weighs each base classifier by its out-of-bag savings
-(negative savings clamp to zero so a losing tree never inverts votes).
+Weighted voting weighs each base classifier by its out-of-bag savings (wv)
+or accuracy (wv-acc); negative scores clamp to zero so a losing tree never
+inverts votes.
 Stacking learns a sigmoid-linear second level whose weights minimize the
 example-dependent expected-cost objective; that objective is non-convex, so
 a real-coded genetic algorithm searches for the weights.
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_model import CostedDataset, savings
+from .cost_model import CostedDataset
 from .errors import ConfigError, ValidationError
 from .rng import STREAM_GA, make_rng
 
@@ -145,44 +146,18 @@ def weighted_vote(base_predictions, weights: WeightVector) -> np.ndarray:
     return (_signed_margins(votes, weights.alphas) > 0).astype(np.int64)
 
 
-def weights_from_savings(raw_savings) -> WeightVector:
-    """Clamp negative savings to zero and normalize; all-zero falls back to uniform."""
-    raw = np.asarray(raw_savings, dtype=np.float64)
+def weights_from_scores(scores) -> WeightVector:
+    """Voting weights proportional to per-tree scores (OOB savings or accuracy).
+
+    Negative scores clamp to zero so a losing tree never inverts votes; an
+    all-nonpositive vector falls back to uniform weights.
+    """
+    raw = np.asarray(scores, dtype=np.float64)
     clamped = np.maximum(raw, 0.0)
     total = clamped.sum()
     if total <= 0.0:
         return WeightVector(np.full(raw.size, 1.0 / raw.size))
     return WeightVector(clamped / total)
-
-
-def _oob_predictions(base_models, oob_sets) -> list[np.ndarray]:
-    if len(base_models) != len(oob_sets):
-        raise ValidationError("one OOB set per base model required")
-    preds = []
-    for model, oob in zip(base_models, oob_sets):
-        if oob is None or oob.n == 0:
-            raise ValidationError("empty OOB set; re-draw the sample")
-        preds.append(model.predict_many(oob.X))
-    return preds
-
-
-def savings_weights(base_models, oob_sets) -> WeightVector:
-    """Voting weights proportional to each model's out-of-bag savings."""
-    preds = _oob_predictions(base_models, oob_sets)
-    raw = [savings(oob, p) for oob, p in zip(oob_sets, preds)]
-    return weights_from_savings(raw)
-
-
-def accuracy_weights(base_models, oob_sets) -> WeightVector:
-    """Voting weights proportional to 1 - out-of-bag misclassification rate."""
-    preds = _oob_predictions(base_models, oob_sets)
-    raw = np.array(
-        [1.0 - float((p != oob.y).mean()) for oob, p in zip(oob_sets, preds)]
-    )
-    total = raw.sum()
-    if total <= 0.0:
-        return WeightVector(np.full(raw.size, 1.0 / raw.size))
-    return WeightVector(raw / total)
 
 
 def _stacking_cost_terms(dataset: CostedDataset) -> tuple[np.ndarray, float]:

@@ -14,7 +14,7 @@ learner into a plain error-count tree: the cost-insensitive baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Union
 
@@ -297,13 +297,25 @@ def grow(
     return model
 
 
-def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+def _route(
+    node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray, value: str
+) -> None:
+    """Write the leaf attribute ``value`` of the leaf each row reaches into ``out``."""
     if isinstance(node, Leaf):
-        out[idx] = node.predicted_class
+        out[idx] = getattr(node, value)
         return
     left = X[idx, node.rule.feature_index] <= node.rule.threshold
-    _route(node.left, X, idx[left], out)
-    _route(node.right, X, idx[~left], out)
+    _route(node.left, X, idx[left], out, value)
+    _route(node.right, X, idx[~left], out, value)
+
+
+def _route_all(model: CsdtModel, X: np.ndarray, value: str, dtype) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.k:
+        raise ValidationError(f"X has shape {X.shape}, expected (n, {model.k})")
+    out = np.empty(X.shape[0], dtype=dtype)
+    _route(model.root, X, np.arange(X.shape[0]), out, value)
+    return out
 
 
 def predict(model: CsdtModel, features: np.ndarray) -> int:
@@ -318,31 +330,12 @@ def predict(model: CsdtModel, features: np.ndarray) -> int:
 
 
 def predict_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.k:
-        raise ValidationError(f"X has shape {X.shape}, expected (n, {model.k})")
-    out = np.empty(X.shape[0], dtype=np.int64)
-    _route(model.root, X, np.arange(X.shape[0]), out)
-    return out
-
-
-def _route_proba(node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    if isinstance(node, Leaf):
-        out[idx] = node.probability
-        return
-    left = X[idx, node.rule.feature_index] <= node.rule.threshold
-    _route_proba(node.left, X, idx[left], out)
-    _route_proba(node.right, X, idx[~left], out)
+    return _route_all(model, X, "predicted_class", np.int64)
 
 
 def predict_proba_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
     """Positive-class probability per row (leaf frequency, Laplace smoothed)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.k:
-        raise ValidationError(f"X has shape {X.shape}, expected (n, {model.k})")
-    out = np.empty(X.shape[0], dtype=np.float64)
-    _route_proba(model.root, X, np.arange(X.shape[0]), out)
-    return out
+    return _route_all(model, X, "probability", np.float64)
 
 
 def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
@@ -437,24 +430,12 @@ def _node_from_dict(data: dict) -> TreeNode:
     )
 
 
-def config_to_dict(config: CsdtConfig) -> dict:
-    return {
-        "max_depth": config.max_depth,
-        "min_samples_split": config.min_samples_split,
-        "min_gain": config.min_gain,
-        "candidate_thresholds": config.candidate_thresholds,
-        "n_quantiles": config.n_quantiles,
-        "pruning": config.pruning,
-        "impurity": config.impurity,
-    }
-
-
 def model_to_dict(model: CsdtModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "csdt",
         "k": model.k,
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
         "root": _node_to_dict(model.root),
     }
 

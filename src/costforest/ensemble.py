@@ -1,16 +1,16 @@
 """The full ensemble: induce subsamples, train base trees, combine.
 
 Training follows one recipe for every inducer/combiner pairing: draw the T
-subsamples, grow a cost-sensitive tree on each, score each tree's savings on
-its out-of-bag rows, then fit the chosen combiner. Out-of-bag savings are
-recorded even when the combiner ignores them, so reports can always show
-per-tree quality.
+subsamples, grow a cost-sensitive tree on each, score each tree's savings and
+accuracy on its out-of-bag rows with one prediction, then fit the chosen
+combiner. Out-of-bag savings are recorded even when the combiner ignores
+them, so reports can always show per-tree quality.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -104,20 +104,23 @@ def _train_one(
     return model, None
 
 
-def _oob_savings(
+def _oob_scores(
     train_set: CostedDataset,
     model: CsdtModel,
     subset: np.ndarray | None,
     oob_rows: np.ndarray,
-) -> float:
+) -> tuple[float, float]:
+    """A tree's savings and accuracy on its out-of-bag rows, from one prediction."""
     oob = train_set.subset(oob_rows)
     view = oob.X if subset is None else oob.X[:, subset]
+    preds = model.predict_many(view)
+    accuracy = 1.0 - float((preds != oob.y).mean())
     try:
-        return savings(oob, model.predict_many(view))
+        return savings(oob, preds), accuracy
     except ValidationError:
         # costless-class cost of this OOB draw is zero: no savings to measure,
         # record a neutral zero so the tree earns no voting weight from it
-        return 0.0
+        return 0.0, accuracy
 
 
 def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> EnsembleModel:
@@ -128,6 +131,7 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     base_models: list[CsdtModel] = []
     subsets: list[np.ndarray | None] = []
     oob_savings = np.empty(len(samples))
+    oob_accuracy = np.empty(len(samples))
     for j, sample in enumerate(samples):
         if sample.oob_indices.size == 0:
             # one re-draw on a fresh substream, then give up
@@ -145,7 +149,9 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
         model, subset = _train_one(train_set, sample, config, j)
         base_models.append(model)
         subsets.append(subset)
-        oob_savings[j] = _oob_savings(train_set, model, subset, sample.oob_indices)
+        oob_savings[j], oob_accuracy[j] = _oob_scores(
+            train_set, model, subset, sample.oob_indices
+        )
 
     ensemble = EnsembleModel(
         base_models=base_models,
@@ -156,19 +162,9 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
         k=train_set.k,
     )
     if config.combiner == "wv":
-        ensemble.weights = combiners.weights_from_savings(oob_savings)
+        ensemble.weights = combiners.weights_from_scores(oob_savings)
     elif config.combiner == "wv-acc":
-        errors = []
-        for model, subset, sample in zip(base_models, subsets, samples):
-            oob = train_set.subset(sample.oob_indices)
-            view = oob.X if subset is None else oob.X[:, subset]
-            errors.append(float((model.predict_many(view) != oob.y).mean()))
-        raw = 1.0 - np.asarray(errors)
-        total = raw.sum()
-        ensemble.weights = (
-            WeightVector(raw / total) if total > 0
-            else WeightVector(np.full(raw.size, 1.0 / raw.size))
-        )
+        ensemble.weights = combiners.weights_from_scores(oob_accuracy)
     elif config.combiner == "stacking":
         # second level trains on in-sample base votes over the full training set
         votes = ensemble.base_votes(train_set.X)
@@ -182,31 +178,6 @@ def predict(model: EnsembleModel, data: CostedDataset | np.ndarray) -> np.ndarra
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def _config_to_dict(config: EcsdtConfig) -> dict:
-    return {
-        "inducer": {
-            "kind": config.inducer.kind,
-            "T": config.inducer.T,
-            "n_examples": config.inducer.n_examples,
-            "n_features": config.inducer.n_features,
-            "seed": config.inducer.seed,
-        },
-        "tree": csdt.config_to_dict(config.tree),
-        "combiner": config.combiner,
-        "ga": {
-            "population": config.ga.population,
-            "generations": config.ga.generations,
-            "crossover_rate": config.ga.crossover_rate,
-            "mutation_rate": config.ga.mutation_rate,
-            "mutation_sigma": config.ga.mutation_sigma,
-            "beta_bounds": list(config.ga.beta_bounds),
-            "elitism": config.ga.elitism,
-            "tournament": config.ga.tournament,
-            "seed": config.ga.seed,
-        },
-    }
 
 
 def _config_from_dict(data: dict) -> EcsdtConfig:
@@ -226,7 +197,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "kind": "ecsdt",
         "k": model.k,
         "combiner": model.combiner,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "oob_savings": model.oob_savings.tolist(),
         "feature_subsets": [
             None if s is None else [int(i) for i in s] for s in model.feature_subsets

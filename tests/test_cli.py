@@ -132,6 +132,19 @@ class TestBuildCosts:
         assert main(["build-costs", "--domain", "fraud", "--params", params,
                      "--data", data, "--out", str(tmp_path / "c.csv")]) == 2
 
+    def test_missing_param_exit_1(self, tmp_path, capsys):
+        data = write(tmp_path / "raw.csv", "f1,amount,y\n1,100,1\n")
+        params = write(tmp_path / "p.json", json.dumps({"version": "1"}))
+        assert main(["build-costs", "--domain", "fraud", "--params", params,
+                     "--data", data, "--out", str(tmp_path / "c.csv")]) == 1
+        assert "admin_cost" in capsys.readouterr().err
+
+    def test_wrong_param_type_exit_1(self, tmp_path):
+        data = write(tmp_path / "raw.csv", "f1,amount,y\n1,100,1\n")
+        params = write(tmp_path / "p.json", json.dumps({"version": "1", "admin_cost": "3"}))
+        assert main(["build-costs", "--domain", "fraud", "--params", params,
+                     "--data", data, "--out", str(tmp_path / "c.csv")]) == 1
+
 
 class TestResample:
     def test_undersample_balances(self, tmp_path):
@@ -191,6 +204,13 @@ class TestBenchmark:
         report = json.loads(out1.read_text())
         assert len(report["cells"]) == 6
         assert set(report["friedman_rank"]) == {"DT-t", "CSDT-t", "CSB-mv-t"}
+
+    def test_algorithm_missing_key_exit_1(self, tmp_path):
+        spec_path = self._spec(tmp_path)
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        del spec["algorithms"][0]["family"]
+        write(tmp_path / "spec.json", json.dumps(spec))
+        assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
 
     def test_csv_output(self, tmp_path):
         spec = self._spec(tmp_path)

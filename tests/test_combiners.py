@@ -7,19 +7,16 @@ from costforest.combiners import (
     GaConfig,
     StackingWeights,
     WeightVector,
-    accuracy_weights,
     as_vote_matrix,
     fit_stacking,
     ga_minimize,
     majority_vote,
-    savings_weights,
     stacking_cost,
     stacking_predict,
     weighted_vote,
-    weights_from_savings,
+    weights_from_scores,
 )
 from costforest.cost_model import AugmentedExample, CostMatrixRow
-from costforest.csdt import CsdtConfig, grow
 
 
 def two_example_fraud():
@@ -73,28 +70,16 @@ class TestWeightVector:
 
 class TestSavingsWeights:
     def test_already_normalized(self):
-        w = weights_from_savings([0.6, 0.3, 0.1])
+        w = weights_from_scores([0.6, 0.3, 0.1])
         assert w.alphas.tolist() == pytest.approx([0.6, 0.3, 0.1])
 
     def test_negative_clamped(self):
-        w = weights_from_savings([0.5, -0.5, 0.5])
+        w = weights_from_scores([0.5, -0.5, 0.5])
         assert w.alphas.tolist() == pytest.approx([0.5, 0.0, 0.5])
 
     def test_all_nonpositive_uniform(self):
-        w = weights_from_savings([-0.2, 0.0, -1.0])
+        w = weights_from_scores([-0.2, 0.0, -1.0])
         assert w.alphas.tolist() == pytest.approx([1 / 3] * 3)
-
-    def test_from_models_and_oob(self):
-        ds = strict_random_dataset(np.random.default_rng(0), 40, 2)
-        model = grow(ds, CsdtConfig(max_depth=3))
-        w = savings_weights([model, model], [ds, ds])
-        assert w.alphas.sum() == pytest.approx(1.0)
-
-    def test_empty_oob_rejected(self):
-        ds = strict_random_dataset(np.random.default_rng(0), 10, 2)
-        model = grow(ds, CsdtConfig(max_depth=2))
-        with pytest.raises(ValidationError, match="OOB"):
-            savings_weights([model], [None])
 
 
 class TestWeightedVote:
@@ -132,37 +117,18 @@ class TestWeightedVote:
 
 
 class TestAccuracyWeights:
-    class _Fixed:
-        def __init__(self, preds):
-            self._preds = np.asarray(preds)
-
-        def predict_many(self, X):
-            return self._preds
-
-    def _oob(self, y):
-        n = len(y)
-        return CostedDataset(
-            np.zeros((n, 1)), np.asarray(y),
-            np.tile([0.0, 5, 10, 0], (n, 1)),
-        )
+    """weights_from_scores on OOB accuracies (1 - error rate), as wv-acc uses it."""
 
     def test_error_rates(self):
-        oob = self._oob([1] * 10)
-        m1 = self._Fixed([1] * 9 + [0])  # error 0.1
-        m2 = self._Fixed([1] * 7 + [0] * 3)  # error 0.3
-        w = accuracy_weights([m1, m2], [oob, oob])
+        w = weights_from_scores([1 - 0.1, 1 - 0.3])
         assert w.alphas.tolist() == pytest.approx([0.5625, 0.4375])
 
     def test_equal_errors_uniform(self):
-        oob = self._oob([1, 0])
-        m = self._Fixed([1, 1])
-        w = accuracy_weights([m, m, m], [oob, oob, oob])
+        w = weights_from_scores([0.5, 0.5, 0.5])
         assert w.alphas.tolist() == pytest.approx([1 / 3] * 3)
 
     def test_perfect_uniform(self):
-        oob = self._oob([1, 0])
-        m = self._Fixed([1, 0])
-        w = accuracy_weights([m, m], [oob, oob])
+        w = weights_from_scores([1.0, 1.0])
         assert w.alphas.tolist() == pytest.approx([0.5, 0.5])
 
 

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from conftest import four_example_set, gaussian_cost_dataset, strict_random_dataset
-from costforest import ConfigError, savings
-from costforest.combiners import GaConfig
+from costforest import ConfigError, ValidationError, savings
+from costforest.combiners import GaConfig, weights_from_scores
 from costforest.csdt import CsdtConfig
 from costforest.ensemble import (
     EcsdtConfig,
@@ -16,7 +17,7 @@ from costforest.ensemble import (
     save,
     train,
 )
-from costforest.inducers import InducerConfig
+from costforest.inducers import InducerConfig, draw_samples
 
 FAST_TREE = CsdtConfig(max_depth=4, candidate_thresholds="exact_midpoints")
 
@@ -39,6 +40,10 @@ class TestTrain:
     def test_t_too_small_rejected(self, four_examples):
         with pytest.raises(ConfigError, match="T >= 3"):
             train(four_examples, small_config(T=2))
+
+    def test_sample_without_oob_rows_rejected(self, four_examples):
+        with pytest.raises(ValidationError, match="twice"):
+            train(four_examples, small_config(T=3, n_examples=400))
 
     def test_deterministic_serialization(self):
         ds = strict_random_dataset(np.random.default_rng(0), 60, 3)
@@ -72,6 +77,26 @@ class TestTrain:
         ds = strict_random_dataset(np.random.default_rng(4), 60, 3)
         model = train(ds, small_config("stacking", T=3, seed=6))
         assert model.stacking.betas.shape == (3,)
+
+
+class TestAccuracyWeightedVote:
+    def test_weights_from_oob_accuracy(self):
+        ds = strict_random_dataset(np.random.default_rng(12), 80, 6)
+        cfg = small_config("wv-acc", kind="random_patches", T=5, seed=21)
+        model = train(ds, cfg)
+        accuracies = []
+        for j, sample in enumerate(draw_samples(ds.n, ds.k, cfg.inducer)):
+            assert np.array_equal(model.feature_subsets[j], sample.feature_indices)
+            oob = ds.subset(sample.oob_indices)
+            preds = model.base_models[j].predict_many(oob.X[:, sample.feature_indices])
+            accuracies.append(1.0 - np.mean(preds != oob.y))
+        assert len(set(accuracies)) > 1
+        assert np.array_equal(model.weights.alphas, weights_from_scores(accuracies).alphas)
+
+    def test_redrawn_sample_scored_on_its_own_oob_rows(self, four_examples):
+        # seed 4 draws all four rows for tree 1, whose re-draw leaves some out
+        model = train(four_examples, small_config("wv-acc", T=3, seed=4, n_examples=4))
+        assert np.isfinite(model.weights.alphas).all()
 
 
 class TestPredict:
@@ -180,6 +205,40 @@ class TestSerialization:
             loaded = load(path)
             assert np.array_equal(predict(loaded, ds), predict(model, ds))
             assert model_to_dict(loaded) == model_to_dict(model)
+
+    def test_config_block_pinned(self, tmp_path):
+        ds = strict_random_dataset(np.random.default_rng(12), 40, 5)
+        cfg = EcsdtConfig(
+            inducer=InducerConfig(
+                kind="random_patches", T=3, n_examples=0.5, n_features=3, seed=4
+            ),
+            tree=FAST_TREE,
+            combiner="wv",
+            ga=GaConfig(beta_bounds=(-2.0, 3.0)),
+        )
+        expected = json.dumps({
+            "inducer": {
+                "kind": "random_patches", "T": 3, "n_examples": 0.5, "n_features": 3,
+                "seed": 4,
+            },
+            "tree": {
+                "max_depth": 4, "min_samples_split": 2, "min_gain": 0.0,
+                "candidate_thresholds": "exact_midpoints", "n_quantiles": 100,
+                "pruning": True, "impurity": "cost",
+            },
+            "combiner": "wv",
+            "ga": {
+                "population": 64, "generations": 200, "crossover_rate": 0.8,
+                "mutation_rate": 0.1, "mutation_sigma": 0.5, "beta_bounds": [-2.0, 3.0],
+                "elitism": 2, "tournament": 3, "seed": 0,
+            },
+        }, sort_keys=True)
+        model = train(ds, cfg)
+        assert json.dumps(model_to_dict(model)["config"], sort_keys=True) == expected
+        save(model, tmp_path / "m.json")
+        on_disk = json.loads((tmp_path / "m.json").read_text())["config"]
+        assert json.dumps(on_disk, sort_keys=True) == expected
+        assert load(tmp_path / "m.json").config == cfg
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         ds = strict_random_dataset(np.random.default_rng(11), 50, 3)
