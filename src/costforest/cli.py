@@ -184,14 +184,16 @@ def _train_config_from_file(path: str, seed: int | None) -> EcsdtConfig:
     if seed is not None:
         ga_cfg["seed"] = seed
     try:
-        return EcsdtConfig(
+        config = EcsdtConfig(
             inducer=InducerConfig(**inducer_cfg),
             tree=CsdtConfig(**data.get("tree", {})),
             combiner=combiner.get("kind", "wv"),
             ga=GaConfig(**ga_cfg),
         )
+        config.validate()  # a wrongly typed value fails its comparison here
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    return config
 
 
 def _cmd_train(args) -> int:
@@ -239,7 +241,8 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_DS_KEYS = {"name", "csv", "label_col", "cost_cols", "drop_cols", "strict", "split"}
+_SCHEMA_KEYS = _keys(CsvSchema)
+_DS_KEYS = {"name", "csv", "split", *_SCHEMA_KEYS}
 
 
 def _cmd_benchmark(args) -> int:
@@ -250,21 +253,19 @@ def _cmd_benchmark(args) -> int:
         unknown = set(entry) - _DS_KEYS
         if unknown:
             raise ConfigError(f"{args.spec}: unknown dataset keys {sorted(unknown)}")
-        schema = CsvSchema(
-            label_col=entry.get("label_col", "y"),
-            cost_cols=tuple(entry.get("cost_cols", ["c_tp", "c_fp", "c_fn", "c_tn"])),
-            drop_cols=tuple(entry.get("drop_cols", [])),
-            strict=entry.get("strict", True),
-        )
+        missing = {"name", "csv"} - set(entry)
+        if missing:
+            raise ConfigError(f"{args.spec}: dataset entry lacks keys {sorted(missing)}")
+        try:
+            schema = CsvSchema(**{
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in entry.items() if key in _SCHEMA_KEYS
+            })
+            split_spec = SplitSpec(**{"seed": seed, **entry.get("split", {})})
+        except TypeError as exc:
+            raise ConfigError(f"{args.spec}: {exc}") from None
         dataset = dataset_from_table(read_table(entry["csv"]), schema)
-        split_cfg = entry.get("split", {})
-        bundle = split(dataset, SplitSpec(
-            train_frac=split_cfg.get("train_frac", 0.5),
-            valid_frac=split_cfg.get("valid_frac", 0.25),
-            test_frac=split_cfg.get("test_frac", 0.25),
-            seed=split_cfg.get("seed", seed),
-        ))
-        datasets.append((entry["name"], bundle))
+        datasets.append((entry["name"], split(dataset, split_spec)))
     algorithms = []
     for entry in data.get("algorithms", []):
         try:

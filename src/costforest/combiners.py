@@ -88,13 +88,22 @@ class GaConfig:
             raise ConfigError("elitism must be in [1, population)")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function of ``z``, written into ``out`` (which may be ``z``).
+
+    With e = exp(-|z|) it is 1 / (1 + e) where z >= 0 and e / (1 + e)
+    elsewhere, so no exp can overflow; a NaN passes through with its sign.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    nonneg = z >= 0
+    e = np.empty_like(z) if out is None else out
+    np.copyto(e, z)
+    np.negative(e, out=e, where=nonneg)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    np.divide(e, denom, out=e)
+    np.divide(1.0, denom, out=e, where=nonneg)
+    return e
 
 
 def as_vote_matrix(base_predictions) -> np.ndarray:
@@ -255,6 +264,7 @@ def fit_stacking(
     intercept -0.5, so all-positive votes score just above one half).
     """
     ga = ga or GaConfig()
+    ga.validate()  # before the population sizes a buffer
     votes = as_vote_matrix(base_predictions)
     T = votes.shape[0]
     if votes.shape[1] != dataset.n:
@@ -263,10 +273,15 @@ def fit_stacking(
         )
     slope, offset = _stacking_cost_terms(dataset)
     votes_f = votes.astype(np.float64)
+    # one (population, n) buffer serves every batch: the whole population
+    # first, then each generation's children
+    z_buffer = np.empty((ga.population, dataset.n))
 
     def objective(pop: np.ndarray) -> np.ndarray:
-        scores = _sigmoid(pop[:, :1] + pop[:, 1:] @ votes_f)
-        return scores @ slope + offset
+        z = z_buffer[: pop.shape[0]]
+        np.matmul(pop[:, 1:], votes_f, out=z)
+        z += pop[:, :1]
+        return _sigmoid(z, out=z) @ slope + offset
 
     uniform = np.concatenate([[-0.5], np.full(T, 1.0 / T)])
     result = ga_minimize(objective, T + 1, ga, seeds=[np.zeros(T + 1), uniform])

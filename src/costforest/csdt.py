@@ -71,9 +71,11 @@ class CsdtConfig:
     A node searches all its candidate features in one pass.
     candidate_thresholds "exact_midpoints" tries every midpoint of
     consecutive distinct values; "quantiles" caps per-node work at
-    ``n_quantiles`` cut points per feature. A threshold always puts the cut
-    exactly where it was scored: a midpoint that rounds up to the upper
-    value is replaced by the lower value.
+    ``n_quantiles`` cut points per feature, numpy's "linear" quantiles of
+    the node's column; a zero quantile threshold is always +0.0, even where
+    the column holds -0.0. A threshold always puts the cut exactly where it
+    was scored: a midpoint that rounds up to the upper value is replaced by
+    the lower value.
     """
 
     max_depth: int = 10
@@ -213,18 +215,27 @@ def _best_split(
     if levels is None:
         valid = run_end
     else:
-        cuts = np.quantile(sv, levels, axis=0)
-        # np.quantile's linear method puts cut j of a column between the
-        # values at rows lo[j] and hi[j]; only an overflowing difference of
-        # the two leaves it non-finite, and then it sends no row or every
-        # row left. A finite cut sends rows up to lo left when it is below
-        # the value at hi, else rows up to the end of that value's run.
-        lo = np.floor((n - 1) * levels).astype(np.intp)
+        # numpy's "linear" quantile, interpolated on the sorted block with
+        # the arithmetic of numpy's _lerp: cut j of a column lies between
+        # the values at rows lo[j] and hi[j]. Adding 0.0 makes a zero cut
+        # +0.0 whichever signed zero the rows hold.
+        virtual = (n - 1) * levels
+        lo = np.floor(virtual).astype(np.intp)
         hi = np.minimum(lo + 1, n - 1)
+        gamma = (virtual - lo)[:, None]
+        below, above = sv[lo], sv[hi]
+        diff = above - below
+        cuts = below + diff * gamma
+        np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
+        cuts += 0.0
+        # Only an overflowing difference leaves a cut non-finite, and then
+        # it sends no row or every row left. A finite cut sends rows up to
+        # lo left when it is below the value at hi, else rows up to the end
+        # of that value's run.
         ends = np.full((n, n_cols), n - 1)
         ends[:-1] = np.where(run_end, n_left - 1, n - 1)
         run_last = np.minimum.accumulate(ends[::-1], axis=0)[::-1]
-        pos = np.where(cuts < sv[hi], lo[:, None], run_last[hi])
+        pos = np.where(cuts < above, lo[:, None], run_last[hi])
         pos[~np.isfinite(cuts)] = n - 1
         valid = np.zeros((n, n_cols), dtype=bool)
         valid[pos, cols] = True

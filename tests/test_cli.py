@@ -108,6 +108,12 @@ class TestExitCodes:
         cfg = write(tmp_path / "cfg.json", json.dumps(TRAIN_CONFIG))
         assert main(["train", "--config", cfg, "--train", data, "--model-out", "x"]) == 2
 
+    def test_wrongly_typed_value_exit_1(self, tmp_path, capsys):
+        cfg = write(tmp_path / "t.json", json.dumps({"version": "1", "inducer": {"T": "5"}}))
+        data = write(tmp_path / "d.csv", FOUR_ROWS)
+        assert main(["train", "--config", cfg, "--train", data, "--model-out", "x"]) == 1
+        assert "t.json" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps(TRAIN_CONFIG))
         assert main(["train", "--config", cfg, "--train", str(tmp_path / "no.csv"),
@@ -209,6 +215,37 @@ class TestBenchmark:
         spec_path = self._spec(tmp_path)
         spec = json.loads((tmp_path / "spec.json").read_text())
         del spec["algorithms"][0]["family"]
+        write(tmp_path / "spec.json", json.dumps(spec))
+        assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
+
+    @pytest.mark.parametrize("key", ["csv", "name"])
+    def test_dataset_missing_key_exit_1(self, tmp_path, capsys, key):
+        spec_path = self._spec(tmp_path)
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        del spec["datasets"][0][key]
+        write(tmp_path / "spec.json", json.dumps(spec))
+        assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    def test_dataset_defaults_from_dataclasses(self, tmp_path):
+        """Spelling out the CsvSchema and SplitSpec defaults changes nothing."""
+        spec_path = self._spec(tmp_path)
+        implicit = tmp_path / "implicit.json"
+        assert main(["benchmark", "--spec", spec_path, "--out", str(implicit)]) == 0
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        for entry in spec["datasets"]:
+            entry.update(label_col="y", cost_cols=["c_tp", "c_fp", "c_fn", "c_tn"],
+                         drop_cols=[], strict=True)
+            entry["split"].update(train_frac=0.5, valid_frac=0.25, test_frac=0.25)
+        write(tmp_path / "spec.json", json.dumps(spec))
+        explicit = tmp_path / "explicit.json"
+        assert main(["benchmark", "--spec", spec_path, "--out", str(explicit)]) == 0
+        assert explicit.read_bytes() == implicit.read_bytes()
+
+    def test_unknown_split_key_exit_1(self, tmp_path):
+        spec_path = self._spec(tmp_path)
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        spec["datasets"][0]["split"]["train_fraction"] = 0.6
         write(tmp_path / "spec.json", json.dumps(spec))
         assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import strict_random_dataset
-from costforest import CostedDataset, ValidationError
+from costforest import ConfigError, CostedDataset, ValidationError, combiners
 from costforest.combiners import (
     GaConfig,
     StackingWeights,
     WeightVector,
+    _sigmoid,
     as_vote_matrix,
     fit_stacking,
     ga_minimize,
@@ -249,3 +250,67 @@ class TestFitStacking:
         fitted = fit_stacking(ds, votes, GaConfig(seed=7, generations=30))
         assert fitted.trace is not None
         assert (np.diff(fitted.trace) <= 0).all()
+
+    def test_invalid_ga_config_rejected_before_fitting(self):
+        ds = two_example_fraud()
+        with pytest.raises(ConfigError, match="population"):
+            fit_stacking(ds, np.array([[1, 0]]), GaConfig(population=-1))
+
+    def test_buffered_objective_bit_identical(self, monkeypatch):
+        """The in-place objective gives every individual the unbuffered cost."""
+        rng = np.random.default_rng(44)
+        ds = strict_random_dataset(rng, 800, 3)
+        agree = rng.random((25, ds.n)) < 0.7
+        votes = np.where(agree, ds.y, 1 - ds.y)
+        ga = GaConfig(seed=5, generations=40)
+        fast = fit_stacking(ds, votes, ga)
+
+        slope, offset = combiners._stacking_cost_terms(ds)
+        votes_f = votes.astype(np.float64)
+        batch_sizes = set()
+
+        def unbuffered(pop):
+            batch_sizes.add(pop.shape[0])
+            return _masked_sigmoid(pop[:, :1] + pop[:, 1:] @ votes_f) @ slope + offset
+
+        ga_minimize_ = combiners.ga_minimize
+        monkeypatch.setattr(
+            combiners, "ga_minimize",
+            lambda objective, dim, config, seeds=(): ga_minimize_(unbuffered, dim, config, seeds),
+        )
+        slow = fit_stacking(ds, votes, ga)
+        assert batch_sizes == {ga.population, ga.population - ga.elitism}
+        assert np.array_equal(fast.betas, slow.betas)
+        assert fast.intercept == slow.intercept
+        assert np.array_equal(fast.trace, slow.trace)
+
+
+def _masked_sigmoid(z):
+    """The boolean-masked logistic function the exp(-|z|) form replaced."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, -np.nan]),
+            np.random.default_rng(1).normal(scale=20.0, size=1000),
+            np.random.default_rng(2).normal(scale=5.0, size=(64, 300)),
+        ],
+        ids=["special", "random-1d", "random-2d"],
+    )
+    def test_bit_equal_to_masked_formula(self, z):
+        expected = _masked_sigmoid(z).view(np.uint64)
+        assert np.array_equal(_sigmoid(z).view(np.uint64), expected)
+        out = np.empty_like(z)
+        assert _sigmoid(z, out=out) is out
+        assert np.array_equal(out.view(np.uint64), expected)
+        in_place = z.copy()
+        assert _sigmoid(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place.view(np.uint64), expected)

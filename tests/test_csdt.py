@@ -359,6 +359,11 @@ class TestSerialization:
 
 # --- split search kernel against the per-feature loop it replaced ----------
 
+def _quantile_cuts(sorted_vals, levels):
+    """The kernel's cuts: np.quantile's, with a zero cut always +0.0."""
+    return np.quantile(sorted_vals, levels) + 0.0
+
+
 def _reference_positions(sorted_vals, levels):
     """Cut positions and thresholds of one sorted feature, as the loop found them."""
     n = sorted_vals.size
@@ -370,7 +375,7 @@ def _reference_positions(sorted_vals, levels):
         mid = 0.5 * (lower + upper)
         # the loop used mid alone; a midpoint equal to upper cuts elsewhere
         return boundaries, np.where(mid < upper, mid, lower)
-    cuts = np.quantile(sorted_vals, levels)
+    cuts = _quantile_cuts(sorted_vals, levels)
     pos = np.searchsorted(sorted_vals, cuts, side="right") - 1
     valid = (pos >= 0) & (pos < n - 1)
     pos, cuts = pos[valid], cuts[valid]
@@ -455,6 +460,30 @@ overflow_warnings_ok = pytest.mark.filterwarnings(
 
 
 class TestSplitKernel:
+    def test_zero_quantile_cut_is_positive_zero(self, monkeypatch):
+        # the first cut lies between two zero rows: np.quantile returns -0.0
+        # or 0.0 there, depending on which zeros its partition puts at those
+        # rows; the kernel always writes +0.0, and both send the same rows left
+        zeros = [-0.0, -0.0, 0.0, -0.0, -0.0, -0.0]
+        X = np.array([-3.0, -2.0, -1.0, *zeros, 1.0, 2.0, 3.0])[:, None]
+        y = (X[:, 0] <= 0).astype(int)
+        ds = CostedDataset(X, y, np.tile([0.0, 1.0, 5.0, 0.0], (y.size, 1)))
+        config = CsdtConfig(n_quantiles=3, max_depth=1)
+        model = grow(ds, config)
+        assert model.root.rule == SplitRule(0, 0.0)
+        assert not np.signbit(model.root.rule.threshold)
+        assert '"threshold": 0.0' in json.dumps(model_to_dict(model))
+
+        monkeypatch.setitem(globals(), "_quantile_cuts", np.quantile)
+        monkeypatch.setattr(
+            csdt, "_best_split",
+            lambda X, c0, c1, levels: reference_best_split(X, c0, c1, range(X.shape[1]), levels),
+        )
+        with_np_quantile = grow(ds, config)
+        assert with_np_quantile.root.rule == SplitRule(0, 0.0)
+        probes = np.vstack([X, [[-0.0], [0.0], [5e-324], [-5e-324]]])
+        assert np.array_equal(predict_many(model, probes), predict_many(with_np_quantile, probes))
+
     @overflow_warnings_ok
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_feature_loop(self, seed):
