@@ -163,7 +163,7 @@ def _cmd_resample(args) -> int:
     schema = _schema_from_args(args)
     table = read_table(args.data)
     dataset = dataset_from_table(table, schema)
-    method = {"u": "undersample", "r": "rejection", "o": "oversample"}[args.method]
+    method = sampling.SAMPLING_CODES[args.method]
     if method == "undersample":
         idx = sampling.undersample_indices(dataset, seed=args.seed)
     elif method == "rejection":
@@ -248,6 +248,10 @@ _DS_KEYS = {"name", "csv", "split", *_SCHEMA_KEYS}
 def _cmd_benchmark(args) -> int:
     data = _load_config(args.spec, _BENCHMARK_KEYS)
     seed = args.seed if args.seed is not None else data.get("seed", 0)
+    for key in ("datasets", "algorithms"):
+        entries = data.get(key, [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ConfigError(f"{args.spec}: '{key}' must be a list of objects")
     datasets = []
     for entry in data.get("datasets", []):
         unknown = set(entry) - _DS_KEYS
@@ -262,22 +266,21 @@ def _cmd_benchmark(args) -> int:
                 for key, value in entry.items() if key in _SCHEMA_KEYS
             })
             split_spec = SplitSpec(**{"seed": seed, **entry.get("split", {})})
+            split_spec.validate()  # a wrongly typed fraction fails its comparison here
         except TypeError as exc:
             raise ConfigError(f"{args.spec}: {exc}") from None
         dataset = dataset_from_table(read_table(entry["csv"]), schema)
         datasets.append((entry["name"], split(dataset, split_spec)))
-    algorithms = []
-    for entry in data.get("algorithms", []):
-        try:
-            algorithms.append(AlgorithmSpec(**entry))
-        except TypeError as exc:
-            raise ConfigError(f"{args.spec}: {exc}") from None
-    spec = ExperimentSpec(
-        algorithms=algorithms,
-        datasets=datasets,
-        repetitions=data.get("repetitions", 50),
-        seed=seed,
-    )
+    try:
+        spec = ExperimentSpec(
+            algorithms=[AlgorithmSpec(**entry) for entry in data.get("algorithms", [])],
+            datasets=datasets,
+            repetitions=data.get("repetitions", 50),
+            seed=seed,
+        )
+        spec.validate()
+    except TypeError as exc:
+        raise ConfigError(f"{args.spec}: {exc}") from None
     report = run_experiment(spec, jobs=args.jobs)
     out = Path(args.out)
     if out.suffix == ".csv":
@@ -334,7 +337,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resample", help="write a u/r/o training variant of a CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True, choices=["u", "r", "o"])
+    p.add_argument(
+        "--method", required=True,
+        choices=[code for code, method in sampling.SAMPLING_CODES.items() if method],
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_schema_flags(p)

@@ -171,11 +171,8 @@ def weights_from_scores(scores) -> WeightVector:
 
 def _stacking_cost_terms(dataset: CostedDataset) -> tuple[np.ndarray, float]:
     """J = f_s . slope + offset: per-example slopes and the constant offset."""
-    c_tp, c_fp, c_fn, c_tn = dataset.costs.T
-    pos = dataset.y == 1
-    slope = np.where(pos, c_tp - c_fn, c_fp - c_tn)
-    offset = float(np.where(pos, c_fn, c_tn).sum())
-    return slope, offset
+    cost0, cost1 = dataset.costs_if_predicted()
+    return cost1 - cost0, float(cost0.sum())
 
 
 def stacking_cost(

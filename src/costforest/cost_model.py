@@ -223,10 +223,15 @@ def total_cost(dataset: CostedDataset, predictions: np.ndarray) -> float:
     return float(np.where(preds == 1, cost1, cost0).sum())
 
 
+def misclassification_weights(dataset: CostedDataset) -> np.ndarray:
+    """Per-example cost of a wrong prediction: w_i = y_i * c_fn_i + (1 - y_i) * c_fp_i."""
+    _, c_fp, c_fn, _ = dataset.costs.T
+    return np.where(dataset.y == 1, c_fn, c_fp)
+
+
 def misclassified_cost(dataset: CostedDataset) -> float:
     """Cost of getting every example wrong: c_fn on positives, c_fp on negatives."""
-    c_tp, c_fp, c_fn, c_tn = dataset.costs.T
-    return float(np.where(dataset.y == 1, c_fn, c_fp).sum())
+    return float(misclassification_weights(dataset).sum())
 
 
 def normalized_cost(dataset: CostedDataset, predictions: np.ndarray) -> float:
@@ -253,9 +258,14 @@ def savings(dataset: CostedDataset, predictions: np.ndarray) -> float:
     """Fractional cost reduction relative to the costless class.
 
     1 means zero cost, 0 matches the best constant prediction, negative means
-    the classifier loses more money than predicting a constant.
+    the classifier loses more money than predicting a constant. A positive
+    cost too small to show in the quotient still keeps it below 1.
     """
     cost_l, _ = costless_class_cost(dataset)
     if cost_l <= 0.0:
         raise ValidationError("savings undefined: costless-class cost is zero")
-    return (cost_l - total_cost(dataset, predictions)) / cost_l
+    cost = total_cost(dataset, predictions)
+    result = (cost_l - cost) / cost_l
+    if result == 1.0 and cost > 0.0:
+        return float(np.nextafter(1.0, 0.0))
+    return result

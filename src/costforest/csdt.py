@@ -3,8 +3,9 @@
 Nodes are split to maximize the decrease in cost-based impurity, where the
 impurity of a subset is the cost of its cheapest constant prediction, and
 leaves predict that cheapest constant. After growth the tree is pruned
-bottom-up by collapsing any subtree whose constant replacement does not cost
-more on the pruning set.
+greedily: the internal node whose constant replacement lowers the pruning-set
+cost the most (or leaves it equal) is collapsed, and the search repeats until
+every collapse would cost more.
 
 Setting ``impurity="gini"`` swaps the money columns for unit costs
 (tp = tn = 0, fp = fn = 1) in every internal computation, which turns the
@@ -324,6 +325,9 @@ def _route_all(model: CsdtModel, X: np.ndarray, value: str, dtype) -> np.ndarray
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.k:
         raise ValidationError(f"X has shape {X.shape}, expected (n, {model.k})")
+    if not np.isfinite(X).all():
+        # NaN fails every <= test and would silently route right
+        raise ValidationError("features contain non-finite values")
     out = np.empty(X.shape[0], dtype=dtype)
     _route(model.root, X, np.arange(X.shape[0]), out, value)
     return out
@@ -334,10 +338,7 @@ def predict(model: CsdtModel, features: np.ndarray) -> int:
     x = np.asarray(features, dtype=np.float64)
     if x.shape != (model.k,):
         raise ValidationError(f"feature vector has shape {x.shape}, expected ({model.k},)")
-    node = model.root
-    while isinstance(node, Internal):
-        node = node.left if x[node.rule.feature_index] <= node.rule.threshold else node.right
-    return node.predicted_class
+    return int(predict_many(model, x[None, :])[0])
 
 
 def predict_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
@@ -423,7 +424,7 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(data: dict) -> TreeNode:
+def _node_from_dict(data: dict, k: int) -> TreeNode:
     if "leaf" in data:
         leaf = data["leaf"]
         return Leaf(
@@ -433,12 +434,17 @@ def _node_from_dict(data: dict) -> TreeNode:
             n=int(leaf["n"]),
             n_pos=int(leaf["n_pos"]),
         )
-    rule = data["rule"]
-    return Internal(
-        rule=SplitRule(int(rule["feature"]), float(rule["threshold"])),
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
-    )
+    if not {"rule", "left", "right"} <= set(data):
+        raise ValidationError(
+            f"tree node with keys {sorted(data)} is neither a leaf nor a rule "
+            "with both children"
+        )
+    rule = SplitRule(int(data["rule"]["feature"]), float(data["rule"]["threshold"]))
+    if not 0 <= rule.feature_index < k:
+        raise ValidationError(f"split feature {rule.feature_index} is outside [0, {k})")
+    if not np.isfinite(rule.threshold):
+        raise ValidationError(f"split threshold {rule.threshold} is not finite")
+    return Internal(rule, _node_from_dict(data["left"], k), _node_from_dict(data["right"], k))
 
 
 def model_to_dict(model: CsdtModel) -> dict:
@@ -452,17 +458,23 @@ def model_to_dict(model: CsdtModel) -> dict:
 
 
 def model_from_dict(data: dict) -> CsdtModel:
+    if not isinstance(data, dict):
+        raise ValidationError(f"a model must be a JSON object, got {type(data).__name__}")
     if data.get("format_version") != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported model format version {data.get('format_version')!r}"
         )
     if data.get("kind") != "csdt":
         raise ValidationError(f"not a csdt model file: kind={data.get('kind')!r}")
-    return CsdtModel(
-        root=_node_from_dict(data["root"]),
-        config=CsdtConfig(**data["config"]),
-        k=int(data["k"]),
-    )
+    try:
+        k = int(data["k"])
+        return CsdtModel(
+            root=_node_from_dict(data["root"], k),
+            config=CsdtConfig(**data["config"]),
+            k=k,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed csdt model: {type(exc).__name__}: {exc}") from None
 
 
 def save(model: CsdtModel, path: str | Path) -> None:

@@ -180,16 +180,11 @@ def split(dataset: CostedDataset, spec: SplitSpec | None = None) -> DatasetBundl
             f"split of N={n} leaves an empty part: sizes "
             f"({n_train}, {n_valid}, {n_test})"
         )
-    perm = make_rng(spec.seed, STREAM_SPLIT).permutation(n)
-    return DatasetBundle(
-        train=dataset.subset(np.sort(perm[:n_train])),
-        valid=dataset.subset(np.sort(perm[n_train:n_train + n_valid])),
-        test=dataset.subset(np.sort(perm[n_train + n_valid:])),
-    )
+    return DatasetBundle(*(dataset.subset(rows) for rows in split_indices(n, spec)))
 
 
 def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index sets behind :func:`split`, for disjointness/coverage checks."""
+    """The sorted train/valid/test row indices behind :func:`split`."""
     n_train, n_valid, _ = split_sizes(n, spec)
     perm = make_rng(spec.seed, STREAM_SPLIT).permutation(n)
     return (

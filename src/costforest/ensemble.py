@@ -21,7 +21,7 @@ from .cost_model import CostedDataset, savings
 from .csdt import CsdtConfig, CsdtModel
 from .errors import ConfigError, ValidationError
 from .inducers import BaseSample, InducerConfig, draw_samples
-from .rng import STREAM_NODES, STREAM_SAMPLES, make_rng
+from .rng import STREAM_NODES, make_rng
 
 FORMAT_VERSION = "1"
 
@@ -133,19 +133,6 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     oob_savings = np.empty(len(samples))
     oob_accuracy = np.empty(len(samples))
     for j, sample in enumerate(samples):
-        if sample.oob_indices.size == 0:
-            # one re-draw on a fresh substream, then give up
-            redraw = make_rng(config.inducer.seed, STREAM_SAMPLES, j, 1)
-            rows = np.sort(redraw.integers(0, train_set.n, size=sample.example_indices.size))
-            mask = np.ones(train_set.n, dtype=bool)
-            mask[rows] = False
-            sample = BaseSample(rows, np.flatnonzero(mask), sample.feature_indices,
-                                sample.node_features)
-            if sample.oob_indices.size == 0:
-                raise ValidationError(
-                    f"base sample {j} covers every row twice in a row; "
-                    "reduce n_examples"
-                )
         model, subset = _train_one(train_set, sample, config, j)
         base_models.append(model)
         subsets.append(subset)
@@ -213,31 +200,67 @@ def model_to_dict(model: EnsembleModel) -> dict:
 
 
 def model_from_dict(data: dict) -> EnsembleModel:
+    if not isinstance(data, dict):
+        raise ValidationError(f"a model must be a JSON object, got {type(data).__name__}")
     if data.get("format_version") != FORMAT_VERSION:
         raise ValidationError(
             f"unsupported model format version {data.get('format_version')!r}"
         )
     if data.get("kind") != "ecsdt":
         raise ValidationError(f"not an ensemble model file: kind={data.get('kind')!r}")
-    weights = data.get("weights")
-    stacking = data.get("stacking")
-    return EnsembleModel(
-        base_models=[csdt.model_from_dict(d) for d in data["base_models"]],
-        feature_subsets=[
-            None if s is None else np.asarray(s, dtype=np.int64)
-            for s in data["feature_subsets"]
-        ],
-        oob_savings=np.asarray(data["oob_savings"], dtype=np.float64),
-        combiner=data["combiner"],
-        config=_config_from_dict(data["config"]),
-        k=int(data["k"]),
-        weights=None if weights is None else WeightVector(np.asarray(weights)),
-        stacking=None if stacking is None else StackingWeights(
-            betas=np.asarray(stacking["betas"]),
-            intercept=float(stacking["intercept"]),
-            threshold=float(stacking["threshold"]),
-        ),
-    )
+    try:
+        weights = data.get("weights")
+        stacking = data.get("stacking")
+        model = EnsembleModel(
+            base_models=[csdt.model_from_dict(d) for d in data["base_models"]],
+            feature_subsets=[
+                None if s is None else np.asarray(s, dtype=np.int64)
+                for s in data["feature_subsets"]
+            ],
+            oob_savings=np.asarray(data["oob_savings"], dtype=np.float64),
+            combiner=data["combiner"],
+            config=_config_from_dict(data["config"]),
+            k=int(data["k"]),
+            weights=None if weights is None else WeightVector(np.asarray(weights)),
+            stacking=None if stacking is None else StackingWeights(
+                betas=np.asarray(stacking["betas"]),
+                intercept=float(stacking["intercept"]),
+                threshold=float(stacking["threshold"]),
+            ),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed ensemble model: {type(exc).__name__}: {exc}") from None
+    _check_consistent(model)
+    return model
+
+
+def _check_consistent(model: EnsembleModel) -> None:
+    """Reject a loaded model whose parts disagree on T, k or the combiner."""
+    lengths = {
+        "feature_subsets": len(model.feature_subsets),
+        "oob_savings": model.oob_savings.size,
+        "weights": None if model.weights is None else model.weights.alphas.size,
+        "betas": None if model.stacking is None else model.stacking.betas.size,
+    }
+    wrong = {name: size for name, size in lengths.items() if size not in (None, model.T)}
+    if wrong:
+        raise ValidationError(f"model has {model.T} base models but lengths {wrong}")
+    for j, (tree, subset) in enumerate(zip(model.base_models, model.feature_subsets)):
+        if subset is not None and (
+            subset.ndim != 1 or ((subset < 0) | (subset >= model.k)).any()
+        ):
+            raise ValidationError(f"feature subset {j} is not a list of indices in [0, {model.k})")
+        width = model.k if subset is None else subset.size
+        if tree.k != width:
+            raise ValidationError(f"base model {j} reads {tree.k} features but is given {width}")
+    if (
+        model.combiner not in combiners.COMBINER_KINDS
+        or (model.combiner in ("wv", "wv-acc")) != (model.weights is not None)
+        or (model.combiner == "stacking") != (model.stacking is not None)
+    ):
+        raise ValidationError(
+            f"combiner {model.combiner!r} does not match the stored combiner parameters"
+        )
 
 
 def save(model: EnsembleModel, path: str | Path) -> None:

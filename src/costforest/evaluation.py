@@ -27,10 +27,18 @@ from .ensemble import EcsdtConfig
 from .errors import ConfigError, ValidationError
 from .inducers import InducerConfig
 from .rng import STREAM_CELLS, mix64
+from .sampling import SAMPLING_CODES
 
 FAMILIES = ("ci", "cps", "bmr", "cst", "ecsdt")
-LEARNERS = ("dt", "lr", "rf", "csdt", "ecsdt")
-SAMPLING_CODES = {"t": None, "u": "undersample", "r": "rejection", "o": "oversample"}
+# learner -> the AlgorithmSpec.config keys that _fit_predict reads for it
+LEARNER_CONFIG_KEYS = {
+    "dt": {"tree"},
+    "lr": {"lr"},
+    "rf": {"T", "tree"},
+    "csdt": {"tree"},
+    "ecsdt": {"inducer", "T", "n_examples", "n_features", "tree", "combiner", "ga"},
+}
+LEARNERS = tuple(LEARNER_CONFIG_KEYS)
 
 
 def f1_score(labels: np.ndarray, predictions: np.ndarray) -> float:
@@ -101,6 +109,14 @@ class AlgorithmSpec:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.learner not in LEARNERS:
             raise ConfigError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
+        if not isinstance(self.config, dict):
+            raise ConfigError(f"config of {self.name!r} must be an object")
+        unknown = set(self.config) - LEARNER_CONFIG_KEYS[self.learner]
+        if unknown:
+            raise ConfigError(
+                f"config of {self.name!r} has keys {sorted(unknown)} that learner "
+                f"{self.learner!r} does not read"
+            )
         if self.sampling not in SAMPLING_CODES:
             raise ConfigError(
                 f"sampling must be one of {tuple(SAMPLING_CODES)}, got {self.sampling!r}"
@@ -188,12 +204,8 @@ def _fit_predict(
 ) -> np.ndarray:
     """Train one entrant on (possibly resampled) data, predict the test set."""
     method = SAMPLING_CODES[algo.sampling]
-    if method == "undersample":
-        train = sampling.undersample(train, seed=seed)
-    elif method == "rejection":
-        train = sampling.rejection_sample(train, seed=seed)
-    elif method == "oversample":
-        train = sampling.oversample(train)
+    if method is not None:
+        train = sampling.resample(train, sampling.SamplingSpec(method, seed))
 
     cfg = algo.config
     if algo.learner == "lr":

@@ -3,7 +3,8 @@
 Four schemes: bagging (bootstrap), pasting (without replacement), random
 forests (bootstrap plus per-node feature sampling, done by the tree), and
 random patches (bootstrap of both examples and features). Every sample keeps
-its out-of-bag complement: the rows never drawn into it.
+its out-of-bag complement: the rows never drawn into it. A bootstrap that
+draws every row is re-drawn once, so each sample has out-of-bag rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .rng import STREAM_SAMPLES, make_rng
 
 KINDS = ("bagging", "pasting", "random_forest", "random_patches")
@@ -94,9 +95,10 @@ def draw_samples(dataset_size: int, k: int, config: InducerConfig) -> list[BaseS
     """The T per-tree samples for a dataset of given size and feature count."""
     config.validate()
     n_e = config.resolved_n_examples(dataset_size)
-    if config.kind == "pasting" and n_e > dataset_size:
+    if config.kind == "pasting" and n_e >= dataset_size:
+        # n_e > N cannot be drawn; n_e = N leaves no out-of-bag row
         raise ConfigError(
-            f"pasting draws without replacement: n_examples={n_e} > N={dataset_size}"
+            f"pasting draws without replacement: n_examples={n_e} must be < N={dataset_size}"
         )
     samples = []
     for j in range(config.T):
@@ -107,6 +109,17 @@ def draw_samples(dataset_size: int, k: int, config: InducerConfig) -> list[BaseS
             rows = np.sort(rng.choice(dataset_size, size=n_e, replace=False))
         else:
             rows = np.sort(rng.integers(0, dataset_size, size=n_e))
+        oob = _oob(dataset_size, rows)
+        if oob.size == 0:
+            # one re-draw of the rows on a fresh substream, then give up
+            redraw = make_rng(config.seed, STREAM_SAMPLES, j, 1)
+            rows = np.sort(redraw.integers(0, dataset_size, size=n_e))
+            oob = _oob(dataset_size, rows)
+            if oob.size == 0:
+                raise ValidationError(
+                    f"base sample {j} covers every row twice in a row; "
+                    "reduce n_examples"
+                )
         if config.kind == "random_forest":
             node_features = config.resolved_n_features(k)
         elif config.kind == "random_patches":
@@ -116,7 +129,7 @@ def draw_samples(dataset_size: int, k: int, config: InducerConfig) -> list[BaseS
         samples.append(
             BaseSample(
                 example_indices=rows,
-                oob_indices=_oob(dataset_size, rows),
+                oob_indices=oob,
                 feature_indices=feature_indices,
                 node_features=node_features,
             )

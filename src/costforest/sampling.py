@@ -12,11 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import CostedDataset
+from .cost_model import CostedDataset, misclassification_weights
 from .errors import ValidationError
 from .rng import STREAM_RESAMPLE, make_rng
 
 METHODS = ("undersample", "rejection", "oversample")
+# one-letter training-set codes of the benchmark grid and the CLI; "t" trains
+# on the data as given
+SAMPLING_CODES = {"t": None, "u": "undersample", "r": "rejection", "o": "oversample"}
 
 
 @dataclass(frozen=True)
@@ -27,12 +30,6 @@ class SamplingSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown sampling method {self.method!r}, want one of {METHODS}")
-
-
-def misclassification_weights(dataset: CostedDataset) -> np.ndarray:
-    """w_i = y_i * c_fn_i + (1 - y_i) * c_fp_i."""
-    _, c_fp, c_fn, _ = dataset.costs.T
-    return np.where(dataset.y == 1, c_fn, c_fp)
 
 
 def undersample_indices(dataset: CostedDataset, seed: int = 0) -> np.ndarray:

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .cost_model import CostedDataset
 from .errors import ConfigError, ValidationError
 from .rng import STREAM_TRIALS, make_rng
 
@@ -135,20 +134,29 @@ def _summarize(lhs: np.ndarray, rhs: np.ndarray, diffs: np.ndarray) -> Inequalit
     )
 
 
-def _draw_votes(
-    rng: np.random.Generator, T: int, n: int, rho: float, y: np.ndarray, correlated: bool
-) -> np.ndarray:
-    """(T, n) predicted labels: correct with probability rho per example."""
-    if correlated:
-        correct = np.tile(rng.random(n) < rho, (T, 1))
+def _trial_costs(
+    rng: np.random.Generator, params: TheoryParams, y: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """One trial on labels ``y``: draw costs, then the (T, n) votes, from ``rng``.
+
+    Each vote is correct with probability rho, independently per base
+    classifier unless ``params.correlated``. Returns the majority vote's
+    total cost, each base classifier's total cost and the costless-class
+    cost.
+    """
+    n = y.size
+    c_tp, c_fp, c_fn, c_tn = params.cost_generator.draw(rng, n).T
+    cost0 = np.where(y == 1, c_fn, c_tn)
+    cost1 = np.where(y == 1, c_tp, c_fp)
+    if params.correlated:
+        correct = np.tile(rng.random(n) < params.rho, (params.T, 1))
     else:
-        correct = rng.random((T, n)) < rho
-    return np.where(correct, y[None, :], 1 - y[None, :])
-
-
-def _costs_of_votes(votes: np.ndarray, cost0: np.ndarray, cost1: np.ndarray) -> np.ndarray:
-    """Total cost per base classifier for a (T, n) vote matrix."""
-    return np.where(votes == 1, cost1[None, :], cost0[None, :]).sum(axis=1)
+        correct = rng.random((params.T, n)) < params.rho
+    votes = np.where(correct, y[None, :], 1 - y[None, :])
+    majority = (votes.sum(axis=0) * 2 > params.T).astype(np.int64)
+    ens_cost = float(np.where(majority == 1, cost1, cost0).sum())
+    base_costs = np.where(votes == 1, cost1, cost0).sum(axis=1)
+    return ens_cost, base_costs, min(cost0.sum(), cost1.sum())
 
 
 def simulate_lemma1(params: TheoryParams) -> dict[int, InequalityReport]:
@@ -167,16 +175,8 @@ def simulate_lemma1(params: TheoryParams) -> dict[int, InequalityReport]:
         diffs = np.empty(params.n_trials)
         for t in range(params.n_trials):
             rng = make_rng(params.seed, STREAM_TRIALS, a, t)
-            n = params.n_examples
-            y = np.full(n, a, dtype=np.int64)
-            costs = params.cost_generator.draw(rng, n)
-            c_tp, c_fp, c_fn, c_tn = costs.T
-            cost0 = np.where(y == 1, c_fn, c_tn)
-            cost1 = np.where(y == 1, c_tp, c_fp)
-            votes = _draw_votes(rng, params.T, n, params.rho, y, params.correlated)
-            majority = (votes.sum(axis=0) * 2 > params.T).astype(np.int64)
-            ens_cost = float(np.where(majority == 1, cost1, cost0).sum())
-            base_costs = _costs_of_votes(votes, cost0, cost1)
+            y = np.full(params.n_examples, a, dtype=np.int64)
+            ens_cost, base_costs, _ = _trial_costs(rng, params, y)
             ens[t] = ens_cost
             avg[t] = float(base_costs.mean())
             diffs[t] = math.fsum((base_costs - ens_cost).tolist()) / params.T
@@ -202,15 +202,7 @@ def simulate_theorem1(params: TheoryParams) -> InequalityReport:
         y = (rng.random(n) < params.pos_fraction).astype(np.int64)
         if y.min() == y.max():  # force both classes so savings is defined
             y[0] = 1 - y[0]
-        costs = params.cost_generator.draw(rng, n)
-        c_tp, c_fp, c_fn, c_tn = costs.T
-        cost0 = np.where(y == 1, c_fn, c_tn)
-        cost1 = np.where(y == 1, c_tp, c_fp)
-        cost_l = min(cost0.sum(), cost1.sum())
-        votes = _draw_votes(rng, params.T, n, params.rho, y, params.correlated)
-        majority = (votes.sum(axis=0) * 2 > params.T).astype(np.int64)
-        ens_cost = float(np.where(majority == 1, cost1, cost0).sum())
-        base_costs = _costs_of_votes(votes, cost0, cost1)
+        ens_cost, base_costs, cost_l = _trial_costs(rng, params, y)
         ens_sav = (cost_l - ens_cost) / cost_l
         base_sav = (cost_l - base_costs) / cost_l
         ens[t] = ens_sav

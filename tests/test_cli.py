@@ -120,6 +120,59 @@ class TestExitCodes:
                      "--model-out", "x"]) == 2
 
 
+class TestPredictInputChecks:
+    def _model(self, tmp_path, config=TRAIN_CONFIG):
+        data = write(tmp_path / "d.csv", FOUR_ROWS)
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        model = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--train", data, "--model-out", str(model)]) == 0
+        return data, model
+
+    def test_nan_features_exit_2(self, tmp_path, capsys):
+        _, model = self._model(tmp_path)
+        data = write(tmp_path / "nan.csv", FOUR_ROWS.replace("4,1,0,5,10,0", "nan,1,0,5,10,0"))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", data, "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d["base_models"][0].update(
+            root={"rule": {"feature": 99, "threshold": 0.5},
+                  "left": d["base_models"][0]["root"], "right": d["base_models"][0]["root"]}),
+         "outside [0, 1)"),
+        (lambda d: d["base_models"][0].update(
+            root={"rule": {"feature": 0, "threshold": 0.5}}), "neither a leaf"),
+        (lambda d: d.update(oob_savings=[0.0]), "oob_savings"),
+    ])
+    def test_malformed_model_exit_2(self, tmp_path, capsys, corrupt, message):
+        data, model = self._model(tmp_path)
+        payload = json.loads(model.read_text())
+        corrupt(payload)
+        model.write_text(json.dumps(payload))
+        out = str(tmp_path / "p.csv")
+        assert main(["predict", "--model", str(model), "--data", data, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_feature_subset_out_of_range_exit_2(self, tmp_path, capsys):
+        rows = "f1,f2,f3,y,c_tp,c_fp,c_fn,c_tn\n" + "".join(
+            f"{i},{i % 3},{i % 2},{int(i > 4)},0,5,10,0\n" for i in range(10)
+        )
+        data = write(tmp_path / "d3.csv", rows)
+        config = {**TRAIN_CONFIG, "inducer": {"kind": "random_patches", "T": 3, "seed": 1,
+                                              "n_features": 3}}
+        cfg = write(tmp_path / "cfg.json", json.dumps(config))
+        model = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--train", data, "--model-out", str(model)]) == 0
+        payload = json.loads(model.read_text())
+        j = next(j for j, s in enumerate(payload["feature_subsets"]) if len(s) == 2)
+        payload["feature_subsets"][j] = [0, 7]
+        model.write_text(json.dumps(payload))
+        out = str(tmp_path / "p.csv")
+        assert main(["predict", "--model", str(model), "--data", data, "--out", out]) == 2
+        assert f"feature subset {j}" in capsys.readouterr().err
+
+
 class TestBuildCosts:
     def test_fraud_appends_columns(self, tmp_path):
         data = write(tmp_path / "raw.csv", "f1,amount,y\n1,100,1\n2,50,0\n")
@@ -248,6 +301,23 @@ class TestBenchmark:
         spec["datasets"][0]["split"]["train_fraction"] = 0.6
         write(tmp_path / "spec.json", json.dumps(spec))
         assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda spec: spec.update(repetitions="2"), "'<' not supported"),
+        (lambda spec: spec["datasets"][0]["split"].update(train_frac="x"), "not supported"),
+        (lambda spec: spec.update(datasets=[5]), "'datasets' must be a list of objects"),
+        (lambda spec: spec.update(datasets={"a": 1}), "'datasets' must be a list of objects"),
+        (lambda spec: spec.update(algorithms=["dt"]), "'algorithms' must be a list"),
+        (lambda spec: spec["algorithms"][2]["config"].update(t=3), "['t']"),
+        (lambda spec: spec["algorithms"][0].update(config=[]), "must be an object"),
+    ])
+    def test_malformed_spec_exit_1(self, tmp_path, capsys, edit, message):
+        spec_path = self._spec(tmp_path)
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        edit(spec)
+        write(tmp_path / "spec.json", json.dumps(spec))
+        assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_csv_output(self, tmp_path):
         spec = self._spec(tmp_path)

@@ -195,6 +195,15 @@ class TestSavings:
         with pytest.raises(ValidationError):
             savings(ds, np.array([0]))
 
+    def test_tiny_positive_cost_stays_below_one(self):
+        # the cost vanishes in cost_l - cost; savings must still say it is not 0
+        ds = CostedDataset(
+            np.zeros((2, 1)), np.array([1, 0]),
+            np.array([[1.9e-153, 5.0, 10.0, 0.0], [0.0, 5.0, 10.0, 0.0]]),
+        )
+        assert total_cost(ds, ds.y) == 1.9e-153
+        assert savings(ds, ds.y) == np.nextafter(1.0, 0.0)
+
 
 @settings(max_examples=100, deadline=None)
 @given(costed_datasets(), st.randoms(use_true_random=False))

@@ -205,6 +205,17 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict_many(model, np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, four_examples, bad):
+        # a NaN fails every <= test: routed, it would silently land right
+        model = grow(four_examples, EXACT)
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_many(model, np.array([[1.0], [bad]]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict(model, np.array([bad]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            model.predict_proba_many(np.array([[bad]]))
+
 
 class TestPrune:
     def test_same_class_leaves_collapse(self):
@@ -355,6 +366,27 @@ class TestSerialization:
     def test_version_check(self, tmp_path):
         with pytest.raises(ValidationError, match="format version"):
             model_from_dict({"format_version": "999", "kind": "csdt"})
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda d: d["root"]["rule"].update(feature=99), "outside"),
+        (lambda d: d["root"]["rule"].update(feature=-1), "outside"),
+        (lambda d: d["root"]["rule"].update(threshold=float("nan")), "not finite"),
+        (lambda d: d["root"]["rule"].update(threshold=float("inf")), "not finite"),
+        (lambda d: d["root"].pop("left"), "neither a leaf"),
+        (lambda d: d["root"].update(right=[1, 2]), "neither a leaf"),
+        (lambda d: d["root"]["rule"].pop("threshold"), "KeyError"),
+        (lambda d: d["root"]["left"]["leaf"].pop("n_pos"), "KeyError"),
+        (lambda d: d.pop("k"), "KeyError"),
+        (lambda d: d["config"].update(depth=3), "TypeError"),
+        (lambda d: d["root"]["rule"].update(feature="x"), "ValueError"),
+    ])
+    def test_malformed_model_rejected(self, four_examples, corrupt, match):
+        data = json.loads(json.dumps(model_to_dict(grow(four_examples, EXACT))))
+        assert "rule" in data["root"]
+        model_from_dict(data)
+        corrupt(data)
+        with pytest.raises(ValidationError, match=match):
+            model_from_dict(data)
 
 
 # --- split search kernel against the per-feature loop it replaced ----------

@@ -45,6 +45,12 @@ class TestTrain:
         with pytest.raises(ValidationError, match="twice"):
             train(four_examples, small_config(T=3, n_examples=400))
 
+    @pytest.mark.parametrize("n_examples", [4, 1.0])
+    def test_pasting_every_row_rejected(self, four_examples, n_examples):
+        # without replacement, N of N rows leaves no out-of-bag row
+        with pytest.raises(ConfigError, match="must be < N=4"):
+            train(four_examples, small_config(kind="pasting", T=3, n_examples=n_examples))
+
     def test_deterministic_serialization(self):
         ds = strict_random_dataset(np.random.default_rng(0), 60, 3)
         cfg = small_config("wv", T=5, seed=42)
@@ -239,6 +245,46 @@ class TestSerialization:
         on_disk = json.loads((tmp_path / "m.json").read_text())["config"]
         assert json.dumps(on_disk, sort_keys=True) == expected
         assert load(tmp_path / "m.json").config == cfg
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda d: d["feature_subsets"][0].append(d["k"] + 3), "subset 0"),
+        (lambda d: d["feature_subsets"][1].__setitem__(0, -1), "subset 1"),
+        (lambda d: d["feature_subsets"][2].append(d["feature_subsets"][2][0]), "base model 2"),
+        (lambda d: d["feature_subsets"].__setitem__(0, None), "base model 0"),
+        (lambda d: d["feature_subsets"].pop(), "feature_subsets"),
+        (lambda d: d["base_models"].pop(), "lengths"),
+        (lambda d: d["oob_savings"].pop(), "oob_savings"),
+        (lambda d: d["weights"].append(0.0), "weights"),
+        (lambda d: d.update(weights=None), "combiner"),
+        (lambda d: d.update(combiner="stacking"), "combiner"),
+        (lambda d: d["base_models"][0]["root"].update(rule={"feature": 99, "threshold": 0.0},
+                                                      left={}, right={}), "outside"),
+        (lambda d: d.pop("k"), "KeyError"),
+        (lambda d: d["config"].pop("inducer"), "KeyError"),
+        (lambda d: d["base_models"].__setitem__(0, []), "JSON object"),
+    ])
+    def test_malformed_model_rejected(self, tmp_path, corrupt, match):
+        ds = strict_random_dataset(np.random.default_rng(10), 60, 4)
+        model = train(ds, small_config("wv", kind="random_patches", T=3, seed=13))
+        data = json.loads(json.dumps(model_to_dict(model)))
+        assert all(s is not None for s in data["feature_subsets"])
+        corrupt(data)
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=match):
+            load(tmp_path / "m.json")
+
+    def test_non_object_file_rejected(self, tmp_path):
+        (tmp_path / "m.json").write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="JSON object"):
+            load(tmp_path / "m.json")
+
+    def test_stacking_betas_length_checked(self, tmp_path):
+        ds = strict_random_dataset(np.random.default_rng(10), 60, 4)
+        data = model_to_dict(train(ds, small_config("stacking", T=3, seed=13)))
+        data["stacking"]["betas"].append(1.0)
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match="betas"):
+            load(tmp_path / "m.json")
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         ds = strict_random_dataset(np.random.default_rng(11), 50, 3)

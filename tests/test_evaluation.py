@@ -172,3 +172,10 @@ class TestRunExperiment:
             ExperimentSpec([], [], repetitions=1).validate()
         with pytest.raises(ConfigError):
             ExperimentSpec(tiny_algorithms(), tiny_bundles(), repetitions=0).validate()
+
+    @pytest.mark.parametrize("learner, key", [
+        ("dt", "T"), ("lr", "tree"), ("rf", "lr"), ("csdt", "combiner"), ("ecsdt", "t"),
+    ])
+    def test_config_key_the_learner_never_reads_rejected(self, learner, key):
+        with pytest.raises(ConfigError, match=repr(key)):
+            AlgorithmSpec("ci", "x", learner, config={key: 3}).validate()

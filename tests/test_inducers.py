@@ -9,7 +9,7 @@ from costforest.inducers import (
     draw_samples,
     node_feature_subset,
 )
-from costforest.rng import make_rng
+from costforest.rng import STREAM_SAMPLES, make_rng
 
 
 class TestConfig:
@@ -55,6 +55,26 @@ class TestDrawSamples:
     def test_pasting_too_many(self):
         with pytest.raises(ConfigError):
             draw_samples(10, 2, InducerConfig(kind="pasting", T=3, n_examples=20))
+
+    def test_pasting_every_row_rejected(self):
+        # N of N rows without replacement can never leave an out-of-bag row
+        with pytest.raises(ConfigError, match="must be < N=10"):
+            draw_samples(10, 2, InducerConfig(kind="pasting", T=3, n_examples=10))
+
+    def test_sample_covering_every_row_redrawn_once(self):
+        # seed 4 draws all four rows for samples 1 and 7: their rows are drawn
+        # again on substream (seed, STREAM_SAMPLES, j, 1), their features kept
+        cfg = InducerConfig(kind="random_patches", T=10, n_examples=4, n_features=3, seed=4)
+        samples = draw_samples(4, 3, cfg)
+        for j, s in enumerate(samples):
+            first = make_rng(4, STREAM_SAMPLES, j)
+            rows = np.sort(first.integers(0, 4, size=4))
+            assert np.array_equal(s.feature_indices, np.unique(first.integers(0, 3, size=3)))
+            if j in (1, 7):
+                assert np.unique(rows).size == 4
+                rows = np.sort(make_rng(4, STREAM_SAMPLES, j, 1).integers(0, 4, size=4))
+            assert np.array_equal(s.example_indices, rows)
+            assert s.oob_indices.size > 0
 
     def test_bootstrap_distinct_fraction(self):
         samples = draw_samples(1000, 2, InducerConfig(kind="bagging", T=200, seed=3))
