@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ensemble
 from .combiners import GaConfig, _sigmoid
-from .cost_model import CostedDataset, CostMatrixRow
+from .cost_model import CostedDataset
 from .csdt import CsdtConfig, CsdtModel, grow, predict_proba_many
 from .ensemble import EcsdtConfig, EnsembleModel
 from .errors import ValidationError
@@ -89,23 +89,6 @@ def train_logistic(train: CostedDataset, config: LrConfig | None = None) -> Logi
         w -= config.learning_rate * grad_w
         b -= config.learning_rate * grad_b
     return LogisticModel(weights=w, intercept=b, mean=mean, std=std)
-
-
-def bmr_threshold(costs: CostMatrixRow) -> float:
-    """Probability above which predicting positive has the lower expected cost."""
-    denom = (costs.c_fp - costs.c_tn) + (costs.c_fn - costs.c_tp)
-    if denom == 0:
-        return 0.5
-    return (costs.c_fp - costs.c_tn) / denom
-
-
-def bmr_predict(p_hat: float, costs: CostMatrixRow) -> int:
-    """Predict the class with the lower expected cost; equal risk -> positive."""
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValidationError(f"p_hat must be in [0, 1], got {p_hat}")
-    risk_pos = p_hat * costs.c_tp + (1 - p_hat) * costs.c_fp
-    risk_neg = p_hat * costs.c_fn + (1 - p_hat) * costs.c_tn
-    return 1 if risk_pos <= risk_neg else 0
 
 
 def bmr_predict_dataset(p_hats: np.ndarray, dataset: CostedDataset) -> np.ndarray:

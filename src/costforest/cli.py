@@ -245,6 +245,12 @@ _SCHEMA_KEYS = _keys(CsvSchema)
 _DS_KEYS = {"name", "csv", "split", *_SCHEMA_KEYS}
 
 
+def _check_seed(seed) -> None:
+    """A spec seed feeds rng.mix64's bit arithmetic, so it must be an integer."""
+    if not isinstance(seed, int):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+
+
 def _cmd_benchmark(args) -> int:
     data = _load_config(args.spec, _BENCHMARK_KEYS)
     seed = args.seed if args.seed is not None else data.get("seed", 0)
@@ -267,11 +273,13 @@ def _cmd_benchmark(args) -> int:
             })
             split_spec = SplitSpec(**{"seed": seed, **entry.get("split", {})})
             split_spec.validate()  # a wrongly typed fraction fails its comparison here
+            _check_seed(split_spec.seed)
         except TypeError as exc:
             raise ConfigError(f"{args.spec}: {exc}") from None
         dataset = dataset_from_table(read_table(entry["csv"]), schema)
         datasets.append((entry["name"], split(dataset, split_spec)))
     try:
+        _check_seed(seed)
         spec = ExperimentSpec(
             algorithms=[AlgorithmSpec(**entry) for entry in data.get("algorithms", [])],
             datasets=datasets,

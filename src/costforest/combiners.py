@@ -169,26 +169,6 @@ def weights_from_scores(scores) -> WeightVector:
     return WeightVector(clamped / total)
 
 
-def _stacking_cost_terms(dataset: CostedDataset) -> tuple[np.ndarray, float]:
-    """J = f_s . slope + offset: per-example slopes and the constant offset."""
-    cost0, cost1 = dataset.costs_if_predicted()
-    return cost1 - cost0, float(cost0.sum())
-
-
-def stacking_cost(
-    dataset: CostedDataset, base_predictions, weights: StackingWeights
-) -> float:
-    """Expected-cost objective of the sigmoid-linear combiner on a dataset."""
-    votes = as_vote_matrix(base_predictions)
-    if votes.shape[1] != dataset.n:
-        raise ValidationError(
-            f"votes cover {votes.shape[1]} examples, dataset has {dataset.n}"
-        )
-    f_s = weights.scores(votes)
-    slope, offset = _stacking_cost_terms(dataset)
-    return float(f_s @ slope + offset)
-
-
 def stacking_predict(base_predictions, weights: StackingWeights) -> np.ndarray:
     """Predict 1 wherever the second-level score reaches the threshold."""
     return (weights.scores(base_predictions) >= weights.threshold).astype(np.int64)
@@ -256,6 +236,12 @@ def fit_stacking(
 ) -> StackingWeights:
     """Search stacking weights minimizing the expected-cost objective.
 
+    The objective is J = sum_i f_s(v_i) (cost1_i - cost0_i) + sum_i cost0_i,
+    with v_i row i's vote column. Rows with equal vote columns share one
+    score, so J is evaluated once per distinct column, weighted by the summed
+    slopes of its rows; only the order of the sum differs from the per-row
+    form, so the GA trace may differ from it in the last ulp.
+
     The individual is (intercept, beta_1..beta_T). The initial population
     includes the zero vector and the uniform vector (beta_j = 1/T with
     intercept -0.5, so all-positive votes score just above one half).
@@ -268,17 +254,25 @@ def fit_stacking(
         raise ValidationError(
             f"votes cover {votes.shape[1]} examples, dataset has {dataset.n}"
         )
-    slope, offset = _stacking_cost_terms(dataset)
-    votes_f = votes.astype(np.float64)
-    # one (population, n) buffer serves every batch: the whole population
+    cost0, cost1 = dataset.costs_if_predicted()
+    offset = float(cost0.sum())
+    # one byte string per vote column (bits packed in order, so the byte order
+    # is the votes' lexicographic order); np.unique on these is ~35x faster
+    # than np.unique(votes.T, axis=0) on 100 x 3000 votes, same patterns
+    packed = np.packbits(votes.astype(np.uint8), axis=0)
+    keys = np.ascontiguousarray(packed.T).view(f"V{packed.shape[0]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    pattern_slope = np.bincount(inverse, weights=cost1 - cost0)
+    patterns_f = votes[:, first].astype(np.float64)
+    # one (population, m) buffer serves every batch: the whole population
     # first, then each generation's children
-    z_buffer = np.empty((ga.population, dataset.n))
+    z_buffer = np.empty((ga.population, patterns_f.shape[1]))
 
     def objective(pop: np.ndarray) -> np.ndarray:
         z = z_buffer[: pop.shape[0]]
-        np.matmul(pop[:, 1:], votes_f, out=z)
+        np.matmul(pop[:, 1:], patterns_f, out=z)
         z += pop[:, :1]
-        return _sigmoid(z, out=z) @ slope + offset
+        return _sigmoid(z, out=z) @ pattern_slope + offset
 
     uniform = np.concatenate([[-0.5], np.full(T, 1.0 / T)])
     result = ga_minimize(objective, T + 1, ga, seeds=[np.zeros(T + 1), uniform])

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .cost_model import CostedDataset, total_cost
+from .cost_model import CostedDataset
 from .errors import ConfigError, ValidationError
 from .inducers import node_feature_subset
 
@@ -138,29 +138,6 @@ def _prediction_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray
         pos = (dataset.y == 1).astype(np.float64)
         return pos, 1.0 - pos  # unit costs: errors count 1, correct answers 0
     return dataset.costs_if_predicted()
-
-
-def cost_impurity(subset: CostedDataset | None) -> float:
-    """Cost of the cheapest constant prediction on the subset (empty -> 0)."""
-    if subset is None:
-        return 0.0
-    cost0, cost1 = subset.costs_if_predicted()
-    return float(min(cost0.sum(), cost1.sum()))
-
-
-def split_gain(subset: CostedDataset, rule: SplitRule) -> float:
-    """Impurity decrease of one splitting rule, children weighted by size share."""
-    if not 0 <= rule.feature_index < subset.k:
-        raise ValidationError(f"feature index {rule.feature_index} out of range")
-    left = subset.X[:, rule.feature_index] <= rule.threshold
-    n_l = int(left.sum())
-    n_r = subset.n - n_l
-    if n_l == 0 or n_r == 0:
-        raise ValidationError("split leaves one side empty")
-    parent = cost_impurity(subset)
-    i_l = cost_impurity(subset.subset(np.flatnonzero(left)))
-    i_r = cost_impurity(subset.subset(np.flatnonzero(~left)))
-    return parent - (n_l / subset.n) * i_l - (n_r / subset.n) * i_r
 
 
 def _make_leaf(y: np.ndarray, cost0: np.ndarray, cost1: np.ndarray) -> Leaf:
@@ -396,11 +373,6 @@ def _replace(node: TreeNode, target: TreeNode, replacement: Leaf) -> TreeNode:
         left=_replace(node.left, target, replacement),
         right=_replace(node.right, target, replacement),
     )
-
-
-def training_cost(model: CsdtModel, dataset: CostedDataset) -> float:
-    """Money the model loses on a dataset (always the real cost columns)."""
-    return total_cost(dataset, predict_many(model, dataset.X))
 
 
 # --- serialization ---------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -39,6 +39,8 @@ LEARNER_CONFIG_KEYS = {
     "ecsdt": {"inducer", "T", "n_examples", "n_features", "tree", "combiner", "ga"},
 }
 LEARNERS = tuple(LEARNER_CONFIG_KEYS)
+# nested config key -> the dataclass that _fit_predict builds from its object
+NESTED_CONFIGS = {"tree": CsdtConfig, "lr": baselines.LrConfig, "ga": GaConfig}
 
 
 def f1_score(labels: np.ndarray, predictions: np.ndarray) -> float:
@@ -117,6 +119,15 @@ class AlgorithmSpec:
                 f"config of {self.name!r} has keys {sorted(unknown)} that learner "
                 f"{self.learner!r} does not read"
             )
+        for key, config_class in NESTED_CONFIGS.items():
+            nested = self.config.get(key, {})
+            if not isinstance(nested, dict):
+                raise ConfigError(f"config {key!r} of {self.name!r} must be an object")
+            unknown = set(nested) - {f.name for f in fields(config_class)}
+            if unknown:
+                raise ConfigError(
+                    f"config {key!r} of {self.name!r} has unknown keys {sorted(unknown)}"
+                )
         if self.sampling not in SAMPLING_CODES:
             raise ConfigError(
                 f"sampling must be one of {tuple(SAMPLING_CODES)}, got {self.sampling!r}"

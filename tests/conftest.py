@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from costforest import CostedDataset
+from costforest import CostedDataset, ValidationError, total_cost
+from costforest.combiners import StackingWeights, as_vote_matrix
+from costforest.csdt import CsdtModel, SplitRule, predict_many
 
 
 def strict_random_dataset(rng, n, k, binaryish=False):
@@ -45,3 +47,47 @@ def gaussian_cost_dataset(rng, n, k=10, shift=1.2, amount_sigma=1.0, admin=3.0):
 @pytest.fixture
 def four_examples():
     return four_example_set()
+
+
+# --- per-row oracles for the library's vectorized paths ----------------------
+
+
+def cost_impurity(subset: CostedDataset | None) -> float:
+    """Cost of the cheapest constant prediction on the subset (empty -> 0)."""
+    if subset is None:
+        return 0.0
+    cost0, cost1 = subset.costs_if_predicted()
+    return float(min(cost0.sum(), cost1.sum()))
+
+
+def split_gain(subset: CostedDataset, rule: SplitRule) -> float:
+    """Impurity decrease of one splitting rule, children weighted by size share."""
+    if not 0 <= rule.feature_index < subset.k:
+        raise ValidationError(f"feature index {rule.feature_index} out of range")
+    left = subset.X[:, rule.feature_index] <= rule.threshold
+    n_l = int(left.sum())
+    n_r = subset.n - n_l
+    if n_l == 0 or n_r == 0:
+        raise ValidationError("split leaves one side empty")
+    parent = cost_impurity(subset)
+    i_l = cost_impurity(subset.subset(np.flatnonzero(left)))
+    i_r = cost_impurity(subset.subset(np.flatnonzero(~left)))
+    return parent - (n_l / subset.n) * i_l - (n_r / subset.n) * i_r
+
+
+def training_cost(model: CsdtModel, dataset: CostedDataset) -> float:
+    """Money the model loses on a dataset (always the real cost columns)."""
+    return total_cost(dataset, predict_many(model, dataset.X))
+
+
+def stacking_cost(
+    dataset: CostedDataset, base_predictions, weights: StackingWeights
+) -> float:
+    """Expected-cost objective of the sigmoid-linear combiner, summed per row."""
+    votes = as_vote_matrix(base_predictions)
+    if votes.shape[1] != dataset.n:
+        raise ValidationError(
+            f"votes cover {votes.shape[1]} examples, dataset has {dataset.n}"
+        )
+    cost0, cost1 = dataset.costs_if_predicted()
+    return float(weights.scores(votes) @ (cost1 - cost0) + cost0.sum())

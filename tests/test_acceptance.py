@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import strict_random_dataset
+from conftest import split_gain, stacking_cost, strict_random_dataset, training_cost
 from costforest import (
     CostedDataset,
     costless_class_cost,
@@ -27,10 +27,9 @@ from costforest.combiners import (
     WeightVector,
     fit_stacking,
     majority_vote,
-    stacking_cost,
     weighted_vote,
 )
-from costforest.csdt import CsdtConfig, grow, prune, split_gain, SplitRule, training_cost
+from costforest.csdt import CsdtConfig, grow, prune, SplitRule
 from costforest.data import SplitSpec, split
 from costforest.ensemble import EcsdtConfig, predict, train
 from costforest.evaluation import (

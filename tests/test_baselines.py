@@ -7,15 +7,13 @@ from costforest.baselines import (
     BmrWrapper,
     LrConfig,
     TreeProbaModel,
-    bmr_predict,
     bmr_predict_dataset,
-    bmr_threshold,
     gini_tree,
     logistic_loss_grad,
     plain_forest,
     train_logistic,
 )
-from costforest.csdt import CsdtConfig, grow, training_cost
+from costforest.csdt import CsdtConfig, grow
 
 
 def linear_dataset(rng, n, margin=1.0):
@@ -78,6 +76,23 @@ class TestLogistic:
         a = train_logistic(ds)
         b = train_logistic(ds)
         assert np.array_equal(a.weights, b.weights)
+
+
+def bmr_threshold(costs: CostMatrixRow) -> float:
+    """Probability above which predicting positive has the lower expected cost."""
+    denom = (costs.c_fp - costs.c_tn) + (costs.c_fn - costs.c_tp)
+    if denom == 0:
+        return 0.5
+    return (costs.c_fp - costs.c_tn) / denom
+
+
+def bmr_predict(p_hat: float, costs: CostMatrixRow) -> int:
+    """Scalar oracle for bmr_predict_dataset: the lower-risk class, ties positive."""
+    if not 0.0 <= p_hat <= 1.0:
+        raise ValidationError(f"p_hat must be in [0, 1], got {p_hat}")
+    risk_pos = p_hat * costs.c_tp + (1 - p_hat) * costs.c_fp
+    risk_neg = p_hat * costs.c_fn + (1 - p_hat) * costs.c_tn
+    return 1 if risk_pos <= risk_neg else 0
 
 
 class TestBmr:

@@ -310,6 +310,13 @@ class TestBenchmark:
         (lambda spec: spec.update(algorithms=["dt"]), "'algorithms' must be a list"),
         (lambda spec: spec["algorithms"][2]["config"].update(t=3), "['t']"),
         (lambda spec: spec["algorithms"][0].update(config=[]), "must be an object"),
+        (lambda spec: spec.update(seed="x"), "seed must be an integer, got 'x'"),
+        (lambda spec: spec["datasets"][1]["split"].update(seed=1.5), "got 1.5"),
+        (lambda spec: spec["algorithms"][0]["config"]["tree"].update(depht=3), "['depht']"),
+        (lambda spec: spec["algorithms"][1]["config"].update(tree=3),
+         "config 'tree' of 'CSDT-t' must be an object"),
+        (lambda spec: spec["algorithms"][2]["config"].update(ga={"populaton": 8}),
+         "['populaton']"),
     ])
     def test_malformed_spec_exit_1(self, tmp_path, capsys, edit, message):
         spec_path = self._spec(tmp_path)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import strict_random_dataset
-from costforest import ConfigError, CostedDataset, ValidationError, combiners
+from conftest import stacking_cost, strict_random_dataset
+from costforest import ConfigError, CostedDataset, ValidationError, combiners, ensemble
 from costforest.combiners import (
     GaConfig,
     StackingWeights,
@@ -12,12 +12,14 @@ from costforest.combiners import (
     fit_stacking,
     ga_minimize,
     majority_vote,
-    stacking_cost,
     stacking_predict,
     weighted_vote,
     weights_from_scores,
 )
 from costforest.cost_model import AugmentedExample, CostMatrixRow
+from costforest.csdt import CsdtConfig
+from costforest.ensemble import EcsdtConfig
+from costforest.inducers import InducerConfig
 
 
 def two_example_fraud():
@@ -256,33 +258,117 @@ class TestFitStacking:
         with pytest.raises(ConfigError, match="population"):
             fit_stacking(ds, np.array([[1, 0]]), GaConfig(population=-1))
 
-    def test_buffered_objective_bit_identical(self, monkeypatch):
-        """The in-place objective gives every individual the unbuffered cost."""
-        rng = np.random.default_rng(44)
-        ds = strict_random_dataset(rng, 800, 3)
-        agree = rng.random((25, ds.n)) < 0.7
+    @pytest.mark.parametrize(
+        "n, T, seed", [(800, 25, 44), (3000, 8, 45)], ids=["all-distinct", "256-patterns"]
+    )
+    def test_pattern_objective_matches_per_row_oracle(self, n, T, seed, monkeypatch):
+        """Every individual's cost is the per-row cost up to summation order,
+        and the fitted weights equal those of a GA run on the per-row formula."""
+        rng = np.random.default_rng(seed)
+        ds = strict_random_dataset(rng, n, 3)
+        agree = rng.random((T, ds.n)) < 0.7
         votes = np.where(agree, ds.y, 1 - ds.y)
         ga = GaConfig(seed=5, generations=40)
-        fast = fit_stacking(ds, votes, ga)
-
-        slope, offset = combiners._stacking_cost_terms(ds)
-        votes_f = votes.astype(np.float64)
-        batch_sizes = set()
-
-        def unbuffered(pop):
-            batch_sizes.add(pop.shape[0])
-            return _masked_sigmoid(pop[:, :1] + pop[:, 1:] @ votes_f) @ slope + offset
 
         ga_minimize_ = combiners.ga_minimize
         monkeypatch.setattr(
             combiners, "ga_minimize",
-            lambda objective, dim, config, seeds=(): ga_minimize_(unbuffered, dim, config, seeds),
+            lambda objective, dim, config, seeds=(): ga_minimize_(
+                lambda pop: _per_row_costs(ds, votes, pop), dim, config, seeds
+            ),
         )
         slow = fit_stacking(ds, votes, ga)
-        assert batch_sizes == {ga.population, ga.population - ga.elitism}
+        monkeypatch.undo()
+
+        fast, batch_sizes = _fit_checking_costs(monkeypatch, ds, votes, ga)
+        assert set(batch_sizes) == {ga.population, ga.population - ga.elitism}
         assert np.array_equal(fast.betas, slow.betas)
         assert fast.intercept == slow.intercept
-        assert np.array_equal(fast.trace, slow.trace)
+        np.testing.assert_allclose(fast.trace, slow.trace, rtol=1e-12, atol=0)
+
+
+def _per_row_costs(ds, votes, pop):
+    """The per-row oracle's cost of every individual (intercept, betas) in pop."""
+    return np.array(
+        [stacking_cost(ds, votes, StackingWeights(ind[1:], float(ind[0]))) for ind in pop]
+    )
+
+
+def _fit_checking_costs(monkeypatch, ds, votes, ga):
+    """fit_stacking with every batch's costs checked against the per-row oracle."""
+    batch_sizes = []
+    ga_minimize_ = combiners.ga_minimize
+
+    def checked(objective, dim, config, seeds=()):
+        def objective_checked(pop):
+            costs = objective(pop)
+            batch_sizes.append(pop.shape[0])
+            np.testing.assert_allclose(costs, _per_row_costs(ds, votes, pop), rtol=1e-12, atol=0)
+            return costs
+
+        return ga_minimize_(objective_checked, dim, config, seeds)
+
+    monkeypatch.setattr(combiners, "ga_minimize", checked)
+    return fit_stacking(ds, votes, ga), batch_sizes
+
+
+def _zero_slope_pattern():
+    """Rows 0 and 1 share a vote column and their slopes are -5 and +5."""
+    costs = np.array([[2.0, 7, 7, 2], [2, 7, 7, 2], [1, 4, 9, 0], [0, 6, 3, 1]])
+    ds = CostedDataset(np.zeros((4, 1)), np.array([1, 0, 1, 0]), costs)
+    cost0, cost1 = ds.costs_if_predicted()
+    assert (cost1 - cost0)[:2].sum() == 0.0
+    return ds, np.array([[1, 1, 0, 1], [0, 0, 0, 1]])
+
+
+def _unanimous(rng):
+    ds = strict_random_dataset(rng, 50, 2)
+    return ds, np.repeat(rng.integers(0, 2, size=(6, 1)), ds.n, axis=1)
+
+
+def _one_tree(rng):
+    ds = strict_random_dataset(rng, 50, 2)
+    return ds, rng.integers(0, 2, size=(1, ds.n))
+
+
+def _all_distinct(rng):
+    ds = strict_random_dataset(rng, 60, 2)
+    codes = rng.choice(2 ** 10, size=ds.n, replace=False)
+    return ds, (codes >> np.arange(10)[:, None]) & 1
+
+
+def _ensemble_votes(rng):
+    ds = strict_random_dataset(rng, 120, 3)
+    config = EcsdtConfig(
+        inducer=InducerConfig(kind="bagging", T=7, seed=3),
+        tree=CsdtConfig(max_depth=2),
+        combiner="stacking",
+        ga=GaConfig(population=8, generations=5),
+    )
+    return ds, ensemble.train(ds, config).base_votes(ds.X)
+
+
+class TestPatternObjectiveEdgeCases:
+    @pytest.mark.parametrize(
+        "make, patterns",
+        [
+            (_unanimous, 1),
+            (_one_tree, 2),
+            (_all_distinct, 60),
+            (lambda rng: _zero_slope_pattern(), 3),
+            (_ensemble_votes, None),
+        ],
+        ids=["unanimous", "one-tree", "all-distinct", "zero-slope-pattern", "ensemble-train"],
+    )
+    def test_costs_match_per_row_oracle(self, make, patterns, monkeypatch):
+        ds, votes = make(np.random.default_rng(17))
+        if patterns is not None:
+            assert np.unique(votes.T, axis=0).shape[0] == patterns
+        ga = GaConfig(population=16, generations=15, seed=2)
+        fitted, batch_sizes = _fit_checking_costs(monkeypatch, ds, votes, ga)
+        assert len(batch_sizes) == ga.generations + 1
+        assert np.isfinite(fitted.betas).all() and np.isfinite(fitted.intercept)
+        assert fitted.betas.shape == (votes.shape[0],)
 
 
 def _masked_sigmoid(z):

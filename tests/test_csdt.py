@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import four_example_set, strict_random_dataset
+from conftest import (
+    cost_impurity,
+    four_example_set,
+    split_gain,
+    strict_random_dataset,
+    training_cost,
+)
 from costforest import CostedDataset, ValidationError, total_cost
 from costforest import csdt, ensemble
 from costforest.combiners import GaConfig
@@ -13,7 +19,6 @@ from costforest.csdt import (
     Internal,
     Leaf,
     SplitRule,
-    cost_impurity,
     grow,
     load,
     model_from_dict,
@@ -22,8 +27,6 @@ from costforest.csdt import (
     predict_many,
     prune,
     save,
-    split_gain,
-    training_cost,
 )
 from costforest.ensemble import EcsdtConfig
 from costforest.inducers import InducerConfig

@@ -179,3 +179,18 @@ class TestRunExperiment:
     def test_config_key_the_learner_never_reads_rejected(self, learner, key):
         with pytest.raises(ConfigError, match=repr(key)):
             AlgorithmSpec("ci", "x", learner, config={key: 3}).validate()
+
+    @pytest.mark.parametrize("learner, key, nested", [
+        ("dt", "tree", {"depht": 3}),
+        ("lr", "lr", {"n_iters": 5}),
+        ("ecsdt", "ga", {"populaton": 8}),
+        ("ecsdt", "tree", 3),
+    ])
+    def test_nested_config_typo_rejected(self, learner, key, nested):
+        with pytest.raises(ConfigError, match=repr(key)):
+            AlgorithmSpec("ci", "x", learner, config={key: nested}).validate()
+
+    def test_nested_config_fields_accepted(self):
+        config = {"tree": {"max_depth": 3}, "ga": {"population": 8, "generations": 2}}
+        AlgorithmSpec("ecsdt", "x", "ecsdt", config=config).validate()
+        AlgorithmSpec("ci", "x", "lr", config={"lr": {"n_iter": 5, "l2": 0.0}}).validate()
