@@ -5,9 +5,10 @@ Usage, from the root of a source checkout:
     python3 scripts/model_digest.py 7 101
 
 Per seed: the fit-patches, fit-stacking and score models of the perfbench
-set-ups and a wv-acc fit on the fit-patches data (the file ``ensemble.save``
-writes), then one grid experiment's JSON report. A refactor that claims no
-behaviour change prints the same lines as its parent commit.
+set-ups, and a wv-acc, a pasting and a random_forest fit on the fit-patches
+data (the file ``ensemble.save`` writes), then one grid experiment's JSON
+report. A refactor that claims no behaviour change prints the same lines as
+its parent commit.
 """
 
 import dataclasses
@@ -34,6 +35,13 @@ def main(seeds: list[int]) -> None:
                 "fit-patches wv-acc": ensemble.train(
                     patches.train, dataclasses.replace(patches.config, combiner="wv-acc")
                 ),
+                **{
+                    f"fit-patches {kind}": ensemble.train(patches.train, dataclasses.replace(
+                        patches.config,
+                        inducer=dataclasses.replace(patches.config.inducer, kind=kind),
+                    ))
+                    for kind in ("pasting", "random_forest")
+                },
                 "fit-stacking": ensemble.train(stacking.train, stacking.config),
                 "score": WORKLOADS["score"]().setup(seed, work).trained,
             }

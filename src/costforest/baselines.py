@@ -18,7 +18,7 @@ from .combiners import GaConfig, _sigmoid
 from .cost_model import CostedDataset
 from .csdt import CsdtConfig, CsdtModel, grow, predict_proba_many
 from .ensemble import EcsdtConfig, EnsembleModel
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .inducers import InducerConfig
 
 
@@ -28,6 +28,14 @@ class LrConfig:
     n_iter: int = 500
     l2: float = 1e-4
     standardize: bool = True
+
+    def validate(self) -> None:
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.n_iter < 1:
+            raise ConfigError(f"n_iter must be >= 1, got {self.n_iter}")
+        if not self.l2 >= 0:
+            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
 
 
 @dataclass
@@ -67,6 +75,7 @@ def logistic_loss_grad(
 def train_logistic(train: CostedDataset, config: LrConfig | None = None) -> LogisticModel:
     """Deterministic full-batch gradient descent from a zero start."""
     config = config or LrConfig()
+    config.validate()
     X = train.X
     if config.standardize:
         mean = X.mean(axis=0)

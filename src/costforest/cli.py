@@ -274,7 +274,7 @@ def _cmd_benchmark(args) -> int:
             split_spec = SplitSpec(**{"seed": seed, **entry.get("split", {})})
             split_spec.validate()  # a wrongly typed fraction fails its comparison here
             _check_seed(split_spec.seed)
-        except TypeError as exc:
+        except (TypeError, ValidationError) as exc:  # spec values, not data
             raise ConfigError(f"{args.spec}: {exc}") from None
         dataset = dataset_from_table(read_table(entry["csv"]), schema)
         datasets.append((entry["name"], split(dataset, split_spec)))

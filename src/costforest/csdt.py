@@ -159,77 +159,104 @@ def _cut_levels(config: CsdtConfig) -> np.ndarray | None:
     return np.linspace(0.0, 1.0, config.n_quantiles + 1)[1:-1]
 
 
+def column_ranks(X: np.ndarray) -> np.ndarray:
+    """Each value's position in a stable sort of its column.
+
+    Equal values rank by row, so the ranks of any rows, taken in increasing
+    row order (repeats allowed), sort as the stable sort of their values
+    does. They are stored in the narrowest unsigned dtype, uint16 up to
+    65536 rows, which numpy sorts by radix.
+    """
+    n, n_cols = X.shape
+    ranks = np.empty((n, n_cols), dtype=np.min_scalar_type(max(n - 1, 0)))
+    ranks[np.argsort(X, axis=0, kind="stable"), np.arange(n_cols)] = np.arange(n)[:, None]
+    return ranks
+
+
 def _best_split(
-    X: np.ndarray,
+    columns: np.ndarray,
+    keys: np.ndarray,
     cost0: np.ndarray,
     cost1: np.ndarray,
     levels: np.ndarray | None,
 ) -> tuple[float, int, float] | None:
     """Max-gain (gain, column, threshold) over every column of a node's block.
 
-    ``X`` holds the node's (n, F) candidate columns. A cut at position p
-    sends the first p + 1 rows of a column's stable sort left, so only the
-    last row of a run of equal values is a cut. With ``levels`` None every
-    run end is a candidate, with the midpoint as threshold. Otherwise the
-    candidates are the run ends that the column's quantiles at ``levels``
-    fall in, each keeping its first quantile as threshold. Every threshold
-    sends exactly the rows it was scored with to the left. Ties go to the
-    first column, then the first position. Returns None if no column has
-    a cut.
+    Row f of ``columns`` holds candidate feature f at the node's n examples,
+    and row f of ``keys`` sorts it as a stable sort of its values does (see
+    ``column_ranks``). A cut at position p sends the first p + 1 examples of
+    a column's sort left, so only the last of a run of equal values is a
+    cut. With ``levels`` None every run end is a candidate, with the
+    midpoint as threshold. Otherwise the candidates are the run ends that
+    the column's quantiles at ``levels`` fall in, each keeping its first
+    quantile as threshold, and gains are computed at those positions only.
+    Every threshold sends exactly the examples it was scored with to the
+    left. Ties go to the first column, then the first position. Returns
+    None if no column has a cut.
     """
-    n, n_cols = X.shape
-    cols = np.arange(n_cols)
-    order = np.argsort(X, axis=0, kind="stable")
-    sv = X[order, cols]
-    cum0 = np.cumsum(cost0[order], axis=0)
-    cum1 = np.cumsum(cost1[order], axis=0)
-    left0, left1 = cum0[:-1], cum1[:-1]
-    n_left = np.arange(1, n)[:, None]
-    i_left = np.minimum(left0, left1)
-    i_right = np.minimum(cum0[-1] - left0, cum1[-1] - left1)
+    n_cols, n = columns.shape
+    order = keys.argsort(axis=1, kind="stable")
+    offset = np.arange(0, n_cols * n, n)[:, None]  # flat index of each column's start
+    sv = columns.take(order + offset)
+    cum0 = cost0[order].cumsum(axis=1)
+    cum1 = cost1[order].cumsum(axis=1)
     parent = min(cost0.sum(), cost1.sum())
-    gains = parent - (n_left / n) * i_left - ((n - n_left) / n) * i_right
-    run_end = sv[:-1] != sv[1:]
+
+    def gains_at(left0, left1, total0, total1, n_left):
+        i_left = np.minimum(left0, left1)
+        i_right = np.minimum(total0 - left0, total1 - left1)
+        return parent - (n_left / n) * i_left - ((n - n_left) / n) * i_right
+
     if levels is None:
-        valid = run_end
-    else:
-        # numpy's "linear" quantile, interpolated on the sorted block with
-        # the arithmetic of numpy's _lerp: cut j of a column lies between
-        # the values at rows lo[j] and hi[j]. Adding 0.0 makes a zero cut
-        # +0.0 whichever signed zero the rows hold.
-        virtual = (n - 1) * levels
-        lo = np.floor(virtual).astype(np.intp)
-        hi = np.minimum(lo + 1, n - 1)
-        gamma = (virtual - lo)[:, None]
-        below, above = sv[lo], sv[hi]
-        diff = above - below
-        cuts = below + diff * gamma
-        np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
-        cuts += 0.0
-        # Only an overflowing difference leaves a cut non-finite, and then
-        # it sends no row or every row left. A finite cut sends rows up to
-        # lo left when it is below the value at hi, else rows up to the end
-        # of that value's run.
-        ends = np.full((n, n_cols), n - 1)
-        ends[:-1] = np.where(run_end, n_left - 1, n - 1)
-        run_last = np.minimum.accumulate(ends[::-1], axis=0)[::-1]
-        pos = np.where(cuts < above, lo[:, None], run_last[hi])
-        pos[~np.isfinite(cuts)] = n - 1
-        valid = np.zeros((n, n_cols), dtype=bool)
-        valid[pos, cols] = True
-        valid = valid[:-1]
-    gains[~valid] = -np.inf
-    col, p = divmod(int(np.argmax(gains.T)), n - 1)
-    if not valid[p, col]:
-        return None
-    if levels is None:
-        lower, upper = sv[p, col], sv[p + 1, col]
+        gains = gains_at(
+            cum0[:, :-1], cum1[:, :-1], cum0[:, -1:], cum1[:, -1:], np.arange(1, n)
+        )
+        gains[sv[:, :-1] == sv[:, 1:]] = -np.inf
+        col, p = divmod(int(gains.argmax()), n - 1)
+        if gains[col, p] == -np.inf:
+            return None
+        lower, upper = sv[col, p], sv[col, p + 1]
         threshold = 0.5 * (lower + upper)
         if not threshold < upper:  # the midpoint of adjacent doubles can round up
             threshold = lower
-    else:
-        threshold = cuts[np.argmax(pos[:, col] == p), col]
-    return float(gains[p, col]), col, float(threshold)
+        return float(gains[col, p]), col, float(threshold)
+
+    # numpy's "linear" quantile, interpolated on the sorted block with the
+    # arithmetic of numpy's _lerp: cut j of a column lies between the values
+    # at positions lo[j] and hi[j]. Adding 0.0 makes a zero cut +0.0
+    # whichever signed zero the column holds.
+    virtual = (n - 1) * levels
+    lo = np.floor(virtual).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    gamma = virtual - lo
+    below, above = sv[:, lo], sv[:, hi]
+    diff = above - below
+    cuts = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
+    cuts += 0.0
+    # A finite cut below the value at hi sends positions up to lo left, else
+    # up to the end of that value's run: the first run end at or after hi,
+    # searched among the flat indices of every column's run ends. Only an
+    # overflowing difference leaves a cut non-finite, and then it sends no
+    # example or every example left, as a cut at the last position does.
+    run_end = np.empty((n_cols, n), dtype=bool)
+    run_end[:, -1] = True
+    np.not_equal(sv[:, :-1], sv[:, 1:], out=run_end[:, :-1])
+    ends = run_end.ravel().nonzero()[0]
+    at = np.where(cuts < above, lo + offset, ends[ends.searchsorted(hi + offset)])
+    np.copyto(at, offset + (n - 1), where=~np.isfinite(cuts))
+    # Each distinct cut once, ordered by column, then position.
+    is_cut = np.zeros((n_cols, n), dtype=bool)
+    is_cut.ravel()[at] = True
+    is_cut[:, -1] = False
+    cand = is_cut.ravel().nonzero()[0]
+    if cand.size == 0:
+        return None
+    col, pos = np.divmod(cand, n)
+    gains = gains_at(cum0.take(cand), cum1.take(cand), cum0[col, -1], cum1[col, -1], pos + 1)
+    best = int(gains.argmax())
+    threshold = cuts.take((at == cand[best]).argmax())
+    return float(gains[best]), int(col[best]), float(threshold)
 
 
 def grow(
@@ -237,12 +264,15 @@ def grow(
     config: CsdtConfig | None = None,
     rng: np.random.Generator | None = None,
     node_features: int | None = None,
+    ranks: np.ndarray | None = None,
 ) -> CsdtModel:
     """Grow (and by default prune) a cost-sensitive tree.
 
     ``node_features`` activates random-forest style feature sampling: each
     node considers a fresh uniform subset of that many features, drawn from
-    ``rng``.
+    ``rng``. ``ranks`` are the sort keys of ``train.X``: its own
+    ``column_ranks`` by default, or the rows' slice of a larger table's, if
+    those rows are in increasing order. Either gives the same tree.
     """
     config = config or CsdtConfig()
     config.validate()
@@ -253,8 +283,14 @@ def grow(
             raise ConfigError(
                 f"node_features must be in [1, {train.k}], got {node_features}"
             )
+    if ranks is None:
+        ranks = column_ranks(train.X)
+    elif ranks.shape != train.X.shape:
+        raise ValidationError(f"ranks have shape {ranks.shape}, expected {train.X.shape}")
     cost0, cost1 = _prediction_costs(train, config.impurity)
     levels = _cut_levels(config)
+    # one row per feature, so a node's block and its sort are row-contiguous
+    table, key_table = np.ascontiguousarray(train.X.T), np.ascontiguousarray(ranks.T)
     all_features = np.arange(train.k)
 
     def build(idx: np.ndarray, depth: int) -> TreeNode:
@@ -268,19 +304,24 @@ def grow(
             return _make_leaf(y_sub, c0, c1)
         if node_features is not None and node_features < train.k:
             features = node_feature_subset(train.k, node_features, rng)
+            cells = (features[:, None], idx)
         else:
             features = all_features
-        block = train.X[idx[:, None], features]
-        found = _best_split(block, c0, c1, levels)
+            cells = (slice(None), idx)
+        block = table[cells]
+        found = _best_split(block, key_table[cells], c0, c1, levels)
         if found is None or found[0] <= config.min_gain:
             return _make_leaf(y_sub, c0, c1)
         _, col, threshold = found
-        left_mask = block[:, col] <= threshold
+        left_mask = block[col] <= threshold
         left = build(idx[left_mask], depth + 1)
         right = build(idx[~left_mask], depth + 1)
         return Internal(SplitRule(int(features[col]), threshold), left, right)
 
     model = CsdtModel(root=build(np.arange(train.n), 0), config=config, k=train.k)
+    # build refers to itself; emptying its name frees the tree's arrays now,
+    # not at the next garbage collection
+    del build
     if config.pruning:
         model = prune(model, train)
     return model
@@ -360,6 +401,7 @@ def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
             break
         replacement = _make_leaf(prune_set.y[idx], cost0[idx], cost1[idx])
         root = _replace(root, target, replacement)
+    del stats  # frees the pruning set's arrays now, as in grow
     return CsdtModel(root=root, config=model.config, k=model.k)
 
 

@@ -82,25 +82,32 @@ class EnsembleModel:
 
 
 def _train_one(
-    train_set: CostedDataset, sample: BaseSample, config: EcsdtConfig, j: int
+    train_set: CostedDataset,
+    ranks: np.ndarray,
+    sample: BaseSample,
+    config: EcsdtConfig,
+    j: int,
 ) -> tuple[CsdtModel, np.ndarray | None]:
+    """Grow tree j on its sample, sorting nodes on its rows' slice of ``ranks``."""
     rows = sample.example_indices
     if sample.feature_indices is not None:
+        patch = np.ix_(rows, sample.feature_indices)
         sub = CostedDataset(
-            train_set.X[np.ix_(rows, sample.feature_indices)],
+            train_set.X[patch],
             train_set.y[rows],
             train_set.costs[rows],
             strict=train_set.strict,
             validate=False,
         )
-        model = csdt.grow(sub, config.tree)
+        model = csdt.grow(sub, config.tree, ranks=ranks[patch])
         return model, sample.feature_indices
-    sub = train_set.subset(rows)
-    if sample.node_features is not None:
-        rng = make_rng(config.inducer.seed, STREAM_NODES, j)
-        model = csdt.grow(sub, config.tree, rng=rng, node_features=sample.node_features)
-    else:
-        model = csdt.grow(sub, config.tree)
+    rng = None if sample.node_features is None else make_rng(
+        config.inducer.seed, STREAM_NODES, j
+    )
+    model = csdt.grow(
+        train_set.subset(rows), config.tree, rng=rng, node_features=sample.node_features,
+        ranks=ranks[rows],
+    )
     return model, None
 
 
@@ -128,12 +135,15 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     config = config or EcsdtConfig()
     config.validate()
     samples = draw_samples(train_set.n, train_set.k, config.inducer)
+    # every sample's rows are sorted, so slices of one table's ranks sort
+    # each tree's nodes as their own would
+    ranks = csdt.column_ranks(train_set.X)
     base_models: list[CsdtModel] = []
     subsets: list[np.ndarray | None] = []
     oob_savings = np.empty(len(samples))
     oob_accuracy = np.empty(len(samples))
     for j, sample in enumerate(samples):
-        model, subset = _train_one(train_set, sample, config, j)
+        model, subset = _train_one(train_set, ranks, sample, config, j)
         base_models.append(model)
         subsets.append(subset)
         oob_savings[j], oob_accuracy[j] = _oob_scores(

@@ -128,6 +128,10 @@ class AlgorithmSpec:
                 raise ConfigError(
                     f"config {key!r} of {self.name!r} has unknown keys {sorted(unknown)}"
                 )
+            try:
+                config_class(**nested).validate()
+            except TypeError as exc:  # a wrongly typed value fails its range check
+                raise ConfigError(f"config {key!r} of {self.name!r}: {exc}") from None
         if self.sampling not in SAMPLING_CODES:
             raise ConfigError(
                 f"sampling must be one of {tuple(SAMPLING_CODES)}, got {self.sampling!r}"

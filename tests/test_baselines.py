@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_cost_dataset, strict_random_dataset
-from costforest import CostedDataset, CostMatrixRow, ValidationError
+from costforest import ConfigError, CostedDataset, CostMatrixRow, ValidationError
 from costforest.baselines import (
     BmrWrapper,
     LrConfig,
@@ -27,6 +27,14 @@ def linear_dataset(rng, n, margin=1.0):
 
 
 class TestLogistic:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", float("nan")), ("n_iter", 0), ("l2", -1.0),
+    ])
+    def test_out_of_range_config_rejected(self, field, value):
+        ds = linear_dataset(np.random.default_rng(0), 50)
+        with pytest.raises(ConfigError, match=field):
+            train_logistic(ds, LrConfig(**{field: value}))
+
     def test_separable_accuracy(self):
         ds = linear_dataset(np.random.default_rng(0), 600)
         model = train_logistic(ds, LrConfig(n_iter=800))

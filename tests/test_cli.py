@@ -317,6 +317,15 @@ class TestBenchmark:
          "config 'tree' of 'CSDT-t' must be an object"),
         (lambda spec: spec["algorithms"][2]["config"].update(ga={"populaton": 8}),
          "['populaton']"),
+        (lambda spec: spec["algorithms"][0]["config"]["tree"].update(max_depth="3"),
+         "config 'tree' of 'DT-t': '<' not supported"),
+        (lambda spec: spec["algorithms"][2]["config"].update(ga={"population": "8"}),
+         "config 'ga' of 'CSB-mv-t': '<' not supported"),
+        (lambda spec: spec["algorithms"].append(
+            {"family": "ci", "name": "LR-t", "learner": "lr", "config": {"lr": {"n_iter": "5"}}}),
+         "config 'lr' of 'LR-t': '<' not supported"),
+        (lambda spec: spec["datasets"][0]["split"].update(train_frac=-0.5),
+         "split fractions must be positive"),
     ])
     def test_malformed_spec_exit_1(self, tmp_path, capsys, edit, message):
         spec_path = self._spec(tmp_path)

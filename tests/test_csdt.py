@@ -29,7 +29,7 @@ from costforest.csdt import (
     save,
 )
 from costforest.ensemble import EcsdtConfig
-from costforest.inducers import InducerConfig
+from costforest.inducers import KINDS, InducerConfig, draw_samples
 
 EXACT = CsdtConfig(candidate_thresholds="exact_midpoints")
 
@@ -480,7 +480,9 @@ def _random_node(rng):
 
 def _kernel(X, cost0, cost1, features, levels):
     """The kernel on the features' block, answering as the reference does."""
-    found = csdt._best_split(X[:, features], cost0, cost1, levels)
+    found = csdt._best_split(
+        X[:, features].T, csdt.column_ranks(X)[:, features].T, cost0, cost1, levels
+    )
     if found is None:
         return None
     gain, col, threshold = found
@@ -512,7 +514,9 @@ class TestSplitKernel:
         monkeypatch.setitem(globals(), "_quantile_cuts", np.quantile)
         monkeypatch.setattr(
             csdt, "_best_split",
-            lambda X, c0, c1, levels: reference_best_split(X, c0, c1, range(X.shape[1]), levels),
+            lambda columns, keys, c0, c1, levels: reference_best_split(
+                columns.T, c0, c1, range(columns.shape[0]), levels
+            ),
         )
         with_np_quantile = grow(ds, config)
         assert with_np_quantile.root.rule == SplitRule(0, 0.0)
@@ -585,6 +589,86 @@ class TestSplitKernel:
         fast = dump()
         monkeypatch.setattr(
             csdt, "_best_split",
-            lambda X, c0, c1, levels: reference_best_split(X, c0, c1, range(X.shape[1]), levels),
+            lambda columns, keys, c0, c1, levels: reference_best_split(
+                columns.T, c0, c1, range(columns.shape[0]), levels
+            ),
         )
         assert dump() == fast
+
+
+def _tied_dataset(rng, n):
+    """Columns with ties, both signed zeros and overflowing differences."""
+    X = np.column_stack([
+        rng.integers(0, 4, n).astype(float),
+        rng.choice([-0.0, 0.0, 0.5], n),
+        rng.choice([-1.7e308, 0.0, 1.7e308], n),
+        np.round(rng.normal(size=n), 1),
+        rng.normal(size=n),
+    ])
+    ds = strict_random_dataset(rng, n, X.shape[1])
+    return CostedDataset(X, ds.y, ds.costs)
+
+
+class TestColumnRanks:
+    @overflow_warnings_ok
+    def test_rank_sort_equals_stable_value_sort(self):
+        rng = np.random.default_rng(65)
+        X = _tied_dataset(rng, 300).X
+        ranks = csdt.column_ranks(X)
+        assert ranks.dtype == np.uint16
+        for rows in (
+            np.arange(300),
+            np.sort(rng.integers(0, 300, 300)),  # duplicate rows
+            np.sort(rng.choice(300, 120, replace=False)),
+        ):
+            assert np.array_equal(
+                np.argsort(ranks[rows], axis=0, kind="stable"),
+                np.argsort(X[rows], axis=0, kind="stable"),
+            )
+
+    @pytest.mark.parametrize("n, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                          (65536, np.uint16), (65537, np.uint32)])
+    def test_narrowest_dtype(self, n, dtype):
+        assert csdt.column_ranks(np.zeros((n, 1))).dtype == dtype
+
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sliced_ranks_grow_the_same_tree(self, kind, mode):
+        rng = np.random.default_rng(66)
+        ds = _tied_dataset(rng, 400)
+        ranks = csdt.column_ranks(ds.X)
+        config = CsdtConfig(candidate_thresholds=mode, max_depth=5)
+        samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=6))
+        for j, sample in enumerate(samples):
+            rows = sample.example_indices
+            if sample.feature_indices is None:
+                cells = rows
+            else:
+                cells = np.ix_(rows, sample.feature_indices)
+            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
+
+            def fit(**kwargs):
+                if sample.node_features is not None:
+                    kwargs.update(rng=np.random.default_rng(j), node_features=sample.node_features)
+                return model_to_dict(grow(sub, config, **kwargs))
+
+            assert fit(ranks=ranks[cells]) == fit()
+
+    def test_ranks_of_another_shape_rejected(self):
+        ds = _tied_dataset(np.random.default_rng(68), 40)
+        with pytest.raises(ValidationError, match="ranks have shape"):
+            grow(ds, ranks=csdt.column_ranks(ds.X)[:30])
+
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    def test_32_bit_keys_match_float_keys(self, mode, monkeypatch):
+        rng = np.random.default_rng(67)
+        n = 70_000
+        X = np.column_stack([rng.integers(0, 50, n).astype(float), rng.normal(size=n)])
+        ds = CostedDataset(X, (X[:, 1] + 0.5 * rng.normal(size=n) > 1).astype(int),
+                           np.tile([0.0, 1.0, 4.0, 0.0], (n, 1)))
+        config = CsdtConfig(candidate_thresholds=mode, max_depth=2)
+        assert csdt.column_ranks(X).dtype == np.uint32
+        ranked = model_to_dict(grow(ds, config))
+        monkeypatch.setattr(csdt, "column_ranks", lambda X: X)  # sort on the values
+        assert model_to_dict(grow(ds, config)) == ranked

@@ -185,6 +185,9 @@ class TestRunExperiment:
         ("lr", "lr", {"n_iters": 5}),
         ("ecsdt", "ga", {"populaton": 8}),
         ("ecsdt", "tree", 3),
+        ("dt", "tree", {"max_depth": "3"}),
+        ("lr", "lr", {"n_iter": "5"}),
+        ("ecsdt", "ga", {"population": "8"}),
     ])
     def test_nested_config_typo_rejected(self, learner, key, nested):
         with pytest.raises(ConfigError, match=repr(key)):
