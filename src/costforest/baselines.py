@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ensemble
-from .combiners import GaConfig, _sigmoid
+from .combiners import _sigmoid
 from .cost_model import CostedDataset
 from .csdt import CsdtConfig, CsdtModel, grow, predict_proba_many
 from .ensemble import EcsdtConfig, EnsembleModel
@@ -153,13 +153,16 @@ def plain_forest(
     tree: CsdtConfig | None = None,
 ) -> ForestModel:
     """Classical random forest: bootstrap, per-node features, majority vote."""
-    cfg = EcsdtConfig(
+    return ForestModel(inner=ensemble.train(train, forest_config(T, seed, tree)))
+
+
+def forest_config(T: int = 100, seed: int = 0, tree: CsdtConfig | None = None) -> EcsdtConfig:
+    """The ensemble config :func:`plain_forest` trains with."""
+    return EcsdtConfig(
         inducer=InducerConfig(kind="random_forest", T=T, seed=seed),
         tree=replace(tree or CsdtConfig(), impurity="gini"),
         combiner="mv",
-        ga=GaConfig(),
     )
-    return ForestModel(inner=ensemble.train(train, cfg))
 
 
 @dataclass

@@ -12,14 +12,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, cost_builders, csdt, ensemble, evaluation, sampling, theory
+from . import cost_builders, ensemble, sampling, theory
 from .combiners import GaConfig
-from .cost_model import CostedDataset, normalized_cost, savings, total_cost
+from .config import from_json
+from .cost_model import normalized_cost, savings, total_cost
 from .csdt import CsdtConfig
 from .data import (
     CsvSchema,
@@ -45,8 +46,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config(path: str, allowed: dict) -> dict:
-    """Read a JSON config, demand the version key, reject unknown keys."""
+def _read_config(path: str, cls):
+    """Read a JSON config file with the mandatory version key as a ``cls``."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -56,56 +57,72 @@ def _load_config(path: str, allowed: dict) -> dict:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
-    if data.get("version") != CONFIG_VERSION:
+    if data.pop("version", None) != CONFIG_VERSION:
         raise ConfigError(f"{p}: missing or unsupported 'version' key (need \"{CONFIG_VERSION}\")")
-    _reject_unknown(data, {"version": None, **allowed}, p, prefix="")
-    return data
+    try:
+        return from_json(cls, data)
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
 
 
-def _reject_unknown(node: dict, allowed: dict, path: Path, prefix: str) -> None:
-    for key, value in node.items():
-        dotted = f"{prefix}{key}"
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown config key '{dotted}'")
-        sub = allowed[key]
-        if isinstance(sub, dict) and isinstance(value, dict):
-            _reject_unknown(value, sub, path, prefix=f"{dotted}.")
+@dataclass(frozen=True)
+class _Combiner:
+    kind: str = EcsdtConfig.combiner
+    ga: GaConfig = field(default_factory=GaConfig)
 
 
-def _keys(cls) -> dict:
-    """Allowed config keys of a dataclass: its field names, with no nested keys."""
-    return dict.fromkeys(f.name for f in fields(cls))
+@dataclass(frozen=True)
+class _TrainConfig:
+    """A train config file: an :class:`EcsdtConfig` whose combiner is an object."""
+
+    inducer: InducerConfig = field(default_factory=InducerConfig)
+    tree: CsdtConfig = field(default_factory=CsdtConfig)
+    combiner: _Combiner = field(default_factory=_Combiner)
+
+    def ecsdt_config(self, seed: int | None = None) -> EcsdtConfig:
+        """The ensemble config, with ``seed`` (if given) for the inducer and the GA."""
+        inducer, ga = self.inducer, self.combiner.ga
+        if seed is not None:
+            inducer, ga = replace(inducer, seed=seed), replace(ga, seed=seed)
+        return EcsdtConfig(inducer, self.tree, self.combiner.kind, ga)
+
+    def validate(self) -> None:
+        self.ecsdt_config().validate()
 
 
-_TRAIN_CONFIG_KEYS = {
-    "inducer": _keys(InducerConfig),
-    "tree": _keys(CsdtConfig),
-    "combiner": {"kind": None, "ga": _keys(GaConfig)},
-}
-_BENCHMARK_KEYS = {
-    "repetitions": None,
-    "seed": None,
-    "datasets": None,    # list: element keys checked separately
-    "algorithms": None,
-}
-# domain -> (parameter class, cost builder, the parameter fields that name
-# the builder's input columns, in argument order)
+@dataclass(frozen=True, kw_only=True)
+class _Dataset(CsvSchema):
+    """A benchmark spec's dataset: its CSV file's schema, name and split."""
+
+    name: str
+    csv: str
+    split: dict = field(default_factory=dict)  # SplitSpec keys; seed defaults to the spec's
+
+    def split_spec(self, seed: int, key: str = "split") -> SplitSpec:
+        return from_json(SplitSpec, {"seed": seed, **self.split}, key)
+
+
+@dataclass(frozen=True)
+class _BenchmarkSpec:
+    datasets: list[_Dataset] = field(default_factory=list)
+    algorithms: list[AlgorithmSpec] = field(default_factory=list)
+    repetitions: int = ExperimentSpec.repetitions
+    seed: int = ExperimentSpec.seed
+
+    def validate(self) -> None:
+        for i, dataset in enumerate(self.datasets):
+            dataset.split_spec(self.seed, f"datasets[{i}].split")
+        for algo in self.algorithms:
+            algo.validate()
+
+
+# domain -> (parameter class, cost builder); the builder reads the columns
+# that the class's *_col fields name, in field order
 _COST_DOMAINS = {
-    "fraud": (
-        cost_builders.FraudCostParams, cost_builders.build_fraud_costs, ("amount_col",),
-    ),
-    "churn": (
-        cost_builders.ChurnCostParams, cost_builders.build_churn_costs,
-        ("gamma_col", "offer_col", "clv_col"),
-    ),
-    "credit": (
-        cost_builders.CreditCostParams, cost_builders.build_credit_costs,
-        ("credit_line_col", "profit_col"),
-    ),
-    "marketing": (
-        cost_builders.MarketingCostParams, cost_builders.build_marketing_costs,
-        ("income_col",),
-    ),
+    "fraud": (cost_builders.FraudCostParams, cost_builders.build_fraud_costs),
+    "churn": (cost_builders.ChurnCostParams, cost_builders.build_churn_costs),
+    "credit": (cost_builders.CreditCostParams, cost_builders.build_credit_costs),
+    "marketing": (cost_builders.MarketingCostParams, cost_builders.build_marketing_costs),
 }
 
 
@@ -136,15 +153,10 @@ def _add_schema_flags(parser) -> None:
 
 
 def _cmd_build_costs(args) -> int:
-    params_cls, build, column_fields = _COST_DOMAINS[args.domain]
-    params = _load_config(args.params, _keys(params_cls))
-    del params["version"]
-    try:
-        p = params_cls(**params)
-    except TypeError as exc:
-        raise ConfigError(f"{args.params}: {exc}") from None
+    params_cls, build = _COST_DOMAINS[args.domain]
+    p = _read_config(args.params, params_cls)
     table = read_table(args.data)
-    columns = [table.column(getattr(p, name)) for name in column_fields]
+    columns = [table.column(getattr(p, f.name)) for f in fields(p) if f.name.endswith("_col")]
     costs = build(*columns, p, not args.relaxed)
     cost_names = ["c_tp", "c_fp", "c_fn", "c_tn"]
     clash = [c for c in cost_names if c in table.columns]
@@ -174,30 +186,8 @@ def _cmd_resample(args) -> int:
     return 0
 
 
-def _train_config_from_file(path: str, seed: int | None) -> EcsdtConfig:
-    data = _load_config(path, _TRAIN_CONFIG_KEYS)
-    inducer_cfg = dict(data.get("inducer", {}))
-    if seed is not None:
-        inducer_cfg["seed"] = seed
-    combiner = data.get("combiner", {})
-    ga_cfg = dict(combiner.get("ga", {}))
-    if seed is not None:
-        ga_cfg["seed"] = seed
-    try:
-        config = EcsdtConfig(
-            inducer=InducerConfig(**inducer_cfg),
-            tree=CsdtConfig(**data.get("tree", {})),
-            combiner=combiner.get("kind", "wv"),
-            ga=GaConfig(**ga_cfg),
-        )
-        config.validate()  # a wrongly typed value fails its comparison here
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return config
-
-
 def _cmd_train(args) -> int:
-    config = _train_config_from_file(args.config, args.seed)
+    config = _read_config(args.config, _TrainConfig).ecsdt_config(args.seed)
     train_set = dataset_from_table(read_table(args.train), _schema_from_args(args))
     model = ensemble.train(train_set, config)
     ensemble.save(model, args.model_out)
@@ -241,55 +231,15 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_SCHEMA_KEYS = _keys(CsvSchema)
-_DS_KEYS = {"name", "csv", "split", *_SCHEMA_KEYS}
-
-
-def _check_seed(seed) -> None:
-    """A spec seed feeds rng.mix64's bit arithmetic, so it must be an integer."""
-    if not isinstance(seed, int):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-
-
 def _cmd_benchmark(args) -> int:
-    data = _load_config(args.spec, _BENCHMARK_KEYS)
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
-    for key in ("datasets", "algorithms"):
-        entries = data.get(key, [])
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ConfigError(f"{args.spec}: '{key}' must be a list of objects")
-    datasets = []
-    for entry in data.get("datasets", []):
-        unknown = set(entry) - _DS_KEYS
-        if unknown:
-            raise ConfigError(f"{args.spec}: unknown dataset keys {sorted(unknown)}")
-        missing = {"name", "csv"} - set(entry)
-        if missing:
-            raise ConfigError(f"{args.spec}: dataset entry lacks keys {sorted(missing)}")
-        try:
-            schema = CsvSchema(**{
-                key: tuple(value) if isinstance(value, list) else value
-                for key, value in entry.items() if key in _SCHEMA_KEYS
-            })
-            split_spec = SplitSpec(**{"seed": seed, **entry.get("split", {})})
-            split_spec.validate()  # a wrongly typed fraction fails its comparison here
-            _check_seed(split_spec.seed)
-        except (TypeError, ValidationError) as exc:  # spec values, not data
-            raise ConfigError(f"{args.spec}: {exc}") from None
-        dataset = dataset_from_table(read_table(entry["csv"]), schema)
-        datasets.append((entry["name"], split(dataset, split_spec)))
-    try:
-        _check_seed(seed)
-        spec = ExperimentSpec(
-            algorithms=[AlgorithmSpec(**entry) for entry in data.get("algorithms", [])],
-            datasets=datasets,
-            repetitions=data.get("repetitions", 50),
-            seed=seed,
-        )
-        spec.validate()
-    except TypeError as exc:
-        raise ConfigError(f"{args.spec}: {exc}") from None
-    report = run_experiment(spec, jobs=args.jobs)
+    spec = _read_config(args.spec, _BenchmarkSpec)
+    seed = args.seed if args.seed is not None else spec.seed
+    datasets = [
+        (d.name, split(dataset_from_table(read_table(d.csv), d), d.split_spec(seed)))
+        for d in spec.datasets
+    ]
+    experiment = ExperimentSpec(spec.algorithms, datasets, spec.repetitions, seed)
+    report = run_experiment(experiment, jobs=args.jobs)
     out = Path(args.out)
     if out.suffix == ".csv":
         out.write_text(report.to_csv(), encoding="utf-8")

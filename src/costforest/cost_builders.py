@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cost_model import unreasonable_rows
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -89,8 +90,7 @@ def _stack(c_tp, c_fp, c_fn, c_tn) -> np.ndarray:
 
 
 def _check_reasonableness(costs: np.ndarray, strict: bool, domain: str) -> np.ndarray:
-    c_tp, c_fp, c_fn, c_tn = costs.T
-    flagged = np.flatnonzero((c_fp <= c_tn) | (c_fn <= c_tp))
+    flagged = np.flatnonzero(unreasonable_rows(costs))
     if flagged.size:
         if strict:
             raise ValidationError(

@@ -41,15 +41,18 @@ class CostMatrixRow:
             raise ValidationError(f"costs must be finite, got {vals}")
         if any(v < 0 for v in vals):
             raise ValidationError(f"costs must be nonnegative, got {vals}")
-        if strict:
-            if not self.c_fp > self.c_tn:
+        if strict and unreasonable_rows(np.array([vals]))[0]:
+            if self.c_fp <= self.c_tn:
                 raise ValidationError(
                     f"reasonableness violated: c_fp={self.c_fp} <= c_tn={self.c_tn}"
                 )
-            if not self.c_fn > self.c_tp:
-                raise ValidationError(
-                    f"reasonableness violated: c_fn={self.c_fn} <= c_tp={self.c_tp}"
-                )
+            raise ValidationError(f"reasonableness violated: c_fn={self.c_fn} <= c_tp={self.c_tp}")
+
+
+def unreasonable_rows(costs: np.ndarray) -> np.ndarray:
+    """Mask of the (N, 4) cost rows that break reasonableness: c_fp <= c_tn or c_fn <= c_tp."""
+    c_tp, c_fp, c_fn, c_tn = costs.T
+    return (c_fp <= c_tn) | (c_fn <= c_tp)
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,8 @@ class CostedDataset:
             rows = np.flatnonzero((self.costs < 0).any(axis=1))
             raise ValidationError(f"negative costs at rows {rows[:5].tolist()}")
         if self.strict:
-            c_tp, c_fp, c_fn, c_tn = self.costs.T
-            bad = (c_fp <= c_tn) | (c_fn <= c_tp)
-            if bad.any():
-                rows = np.flatnonzero(bad)
+            rows = np.flatnonzero(unreasonable_rows(self.costs))
+            if rows.size:
                 raise ValidationError(
                     "reasonableness violated (need c_fp > c_tn and c_fn > c_tp) "
                     f"at rows {rows[:5].tolist()}"

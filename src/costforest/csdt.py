@@ -21,11 +21,12 @@ from typing import Union
 
 import numpy as np
 
+from .config import from_json
 from .cost_model import CostedDataset
 from .errors import ConfigError, ValidationError
 from .inducers import node_feature_subset
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "1"  # of csdt and ensemble model files
 
 THRESHOLD_MODES = ("exact_midpoints", "quantiles")
 IMPURITY_MODES = ("cost", "gini")
@@ -471,23 +472,26 @@ def model_to_dict(model: CsdtModel) -> dict:
     }
 
 
-def model_from_dict(data: dict) -> CsdtModel:
+def check_model_header(data, kind: str) -> None:
+    """Reject ``data`` unless it is a model object of this format version and ``kind``."""
     if not isinstance(data, dict):
         raise ValidationError(f"a model must be a JSON object, got {type(data).__name__}")
     if data.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported model format version {data.get('format_version')!r}"
-        )
-    if data.get("kind") != "csdt":
-        raise ValidationError(f"not a csdt model file: kind={data.get('kind')!r}")
+        raise ValidationError(f"unsupported model format version {data.get('format_version')!r}")
+    if data.get("kind") != kind:
+        raise ValidationError(f"not a {kind!r} model file: kind={data.get('kind')!r}")
+
+
+def model_from_dict(data: dict) -> CsdtModel:
+    check_model_header(data, "csdt")
     try:
         k = int(data["k"])
         return CsdtModel(
             root=_node_from_dict(data["root"], k),
-            config=CsdtConfig(**data["config"]),
+            config=from_json(CsdtConfig, data["config"], "config", complete=True),
             k=k,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed csdt model: {type(exc).__name__}: {exc}") from None
 
 

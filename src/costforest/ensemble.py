@@ -17,13 +17,12 @@ import numpy as np
 
 from . import combiners, csdt
 from .combiners import GaConfig, StackingWeights, WeightVector
+from .config import from_json
 from .cost_model import CostedDataset, savings
 from .csdt import CsdtConfig, CsdtModel
 from .errors import ConfigError, ValidationError
 from .inducers import BaseSample, InducerConfig, draw_samples
 from .rng import STREAM_NODES, make_rng
-
-FORMAT_VERSION = "1"
 
 
 @dataclass(frozen=True)
@@ -177,20 +176,9 @@ def predict(model: EnsembleModel, data: CostedDataset | np.ndarray) -> np.ndarra
 # --- serialization ---------------------------------------------------------
 
 
-def _config_from_dict(data: dict) -> EcsdtConfig:
-    ga = dict(data["ga"])
-    ga["beta_bounds"] = tuple(ga["beta_bounds"])
-    return EcsdtConfig(
-        inducer=InducerConfig(**data["inducer"]),
-        tree=CsdtConfig(**data["tree"]),
-        combiner=data["combiner"],
-        ga=GaConfig(**ga),
-    )
-
-
 def model_to_dict(model: EnsembleModel) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": csdt.FORMAT_VERSION,
         "kind": "ecsdt",
         "k": model.k,
         "combiner": model.combiner,
@@ -210,14 +198,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
 
 
 def model_from_dict(data: dict) -> EnsembleModel:
-    if not isinstance(data, dict):
-        raise ValidationError(f"a model must be a JSON object, got {type(data).__name__}")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(
-            f"unsupported model format version {data.get('format_version')!r}"
-        )
-    if data.get("kind") != "ecsdt":
-        raise ValidationError(f"not an ensemble model file: kind={data.get('kind')!r}")
+    csdt.check_model_header(data, "ecsdt")
     try:
         weights = data.get("weights")
         stacking = data.get("stacking")
@@ -229,7 +210,7 @@ def model_from_dict(data: dict) -> EnsembleModel:
             ],
             oob_savings=np.asarray(data["oob_savings"], dtype=np.float64),
             combiner=data["combiner"],
-            config=_config_from_dict(data["config"]),
+            config=from_json(EcsdtConfig, data["config"], "config", complete=True),
             k=int(data["k"]),
             weights=None if weights is None else WeightVector(np.asarray(weights)),
             stacking=None if stacking is None else StackingWeights(
@@ -238,7 +219,7 @@ def model_from_dict(data: dict) -> EnsembleModel:
                 threshold=float(stacking["threshold"]),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed ensemble model: {type(exc).__name__}: {exc}") from None
     _check_consistent(model)
     return model

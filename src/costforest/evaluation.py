@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import baselines, csdt, ensemble, sampling
 from .combiners import GaConfig
+from .config import from_json
 from .cost_model import CostedDataset, savings
 from .csdt import CsdtConfig
 from .data import DatasetBundle
@@ -39,8 +39,20 @@ LEARNER_CONFIG_KEYS = {
     "ecsdt": {"inducer", "T", "n_examples", "n_features", "tree", "combiner", "ga"},
 }
 LEARNERS = tuple(LEARNER_CONFIG_KEYS)
-# nested config key -> the dataclass that _fit_predict builds from its object
-NESTED_CONFIGS = {"tree": CsdtConfig, "lr": baselines.LrConfig, "ga": GaConfig}
+
+
+@dataclass(frozen=True)
+class AlgorithmConfig:
+    """An :class:`AlgorithmSpec` config; each learner reads its LEARNER_CONFIG_KEYS."""
+
+    tree: CsdtConfig = field(default_factory=CsdtConfig)
+    lr: baselines.LrConfig = field(default_factory=baselines.LrConfig)
+    T: int = 100
+    inducer: str = "random_patches"
+    n_examples: int | float | None = None
+    n_features: int | float | None = None
+    combiner: str = "wv"
+    ga: GaConfig = field(default_factory=GaConfig)
 
 
 def f1_score(labels: np.ndarray, predictions: np.ndarray) -> float:
@@ -111,27 +123,14 @@ class AlgorithmSpec:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.learner not in LEARNERS:
             raise ConfigError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
-        if not isinstance(self.config, dict):
-            raise ConfigError(f"config of {self.name!r} must be an object")
-        unknown = set(self.config) - LEARNER_CONFIG_KEYS[self.learner]
-        if unknown:
-            raise ConfigError(
-                f"config of {self.name!r} has keys {sorted(unknown)} that learner "
-                f"{self.learner!r} does not read"
-            )
-        for key, config_class in NESTED_CONFIGS.items():
-            nested = self.config.get(key, {})
-            if not isinstance(nested, dict):
-                raise ConfigError(f"config {key!r} of {self.name!r} must be an object")
-            unknown = set(nested) - {f.name for f in fields(config_class)}
-            if unknown:
-                raise ConfigError(
-                    f"config {key!r} of {self.name!r} has unknown keys {sorted(unknown)}"
-                )
-            try:
-                config_class(**nested).validate()
-            except TypeError as exc:  # a wrongly typed value fails its range check
-                raise ConfigError(f"config {key!r} of {self.name!r}: {exc}") from None
+        try:
+            config = _learner_config(self, seed=0)
+            unread = sorted(self.config.keys() - LEARNER_CONFIG_KEYS[self.learner])
+            if unread:
+                raise ConfigError(f"keys {unread} are not read by learner {self.learner!r}")
+            config.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"config of {self.name!r}: {exc}") from None
         if self.sampling not in SAMPLING_CODES:
             raise ConfigError(
                 f"sampling must be one of {tuple(SAMPLING_CODES)}, got {self.sampling!r}"
@@ -208,10 +207,18 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def _tree_config(config: dict, impurity: str) -> CsdtConfig:
-    tree = dict(config.get("tree", {}))
-    tree["impurity"] = impurity
-    return CsdtConfig(**tree)
+def _learner_config(algo: AlgorithmSpec, seed: int):
+    """The config that ``algo``'s learner trains with, read from ``algo.config``."""
+    cfg = from_json(AlgorithmConfig, algo.config)
+    if algo.learner == "lr":
+        return cfg.lr
+    tree = replace(cfg.tree, impurity="gini" if algo.learner in ("dt", "rf") else "cost")
+    if algo.learner in ("dt", "csdt"):
+        return tree
+    if algo.learner == "rf":
+        return baselines.forest_config(cfg.T, seed, tree)
+    inducer = InducerConfig(cfg.inducer, cfg.T, cfg.n_examples, cfg.n_features, seed)
+    return EcsdtConfig(inducer, tree, cfg.combiner, replace(cfg.ga, seed=seed))
 
 
 def _fit_predict(
@@ -222,41 +229,20 @@ def _fit_predict(
     if method is not None:
         train = sampling.resample(train, sampling.SamplingSpec(method, seed))
 
-    cfg = algo.config
-    if algo.learner == "lr":
-        lr = baselines.train_logistic(train, baselines.LrConfig(**cfg.get("lr", {})))
-        if algo.family == "bmr":
-            return baselines.BmrWrapper(lr).predict_on(test)
-        return lr.predict_many(test.X)
-    if algo.learner == "dt":
-        tree = baselines.gini_tree(train, _tree_config(cfg, "gini"))
-        if algo.family == "bmr":
-            return baselines.BmrWrapper(baselines.TreeProbaModel(tree)).predict_on(test)
-        return tree.predict_many(test.X)
-    if algo.learner == "rf":
-        forest = baselines.plain_forest(
-            train, T=cfg.get("T", 100), seed=seed, tree=_tree_config(cfg, "gini")
-        )
-        if algo.family == "bmr":
-            return baselines.BmrWrapper(forest).predict_on(test)
-        return forest.predict_many(test.X)
+    config = _learner_config(algo, seed)
     if algo.learner == "csdt":
-        model = csdt.grow(train, _tree_config(cfg, "cost"))
-        return model.predict_many(test.X)
-    # ecsdt
-    ecsdt_cfg = EcsdtConfig(
-        inducer=InducerConfig(
-            kind=cfg.get("inducer", "random_patches"),
-            T=cfg.get("T", 100),
-            n_examples=cfg.get("n_examples"),
-            n_features=cfg.get("n_features"),
-            seed=seed,
-        ),
-        tree=_tree_config(cfg, "cost"),
-        combiner=cfg.get("combiner", "wv"),
-        ga=GaConfig(**{**cfg.get("ga", {}), "seed": seed}),
-    )
-    model = ensemble.train(train, ecsdt_cfg)
+        return csdt.grow(train, config).predict_many(test.X)
+    if algo.learner == "ecsdt":
+        return ensemble.train(train, config).predict_many(test.X)
+    if algo.learner == "lr":
+        model = proba = baselines.train_logistic(train, config)
+    elif algo.learner == "dt":
+        model = baselines.gini_tree(train, config)
+        proba = baselines.TreeProbaModel(model)
+    else:
+        model = proba = baselines.plain_forest(train, config.inducer.T, seed, config.tree)
+    if algo.family == "bmr":
+        return baselines.BmrWrapper(proba).predict_on(test)
     return model.predict_many(test.X)
 
 
@@ -293,27 +279,19 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
         for a_idx, algo in enumerate(spec.algorithms)
         for d_idx, (_, bundle) in enumerate(spec.datasets)
     ]
-    results: dict[tuple[int, int], CellResult] = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for a_idx, d_idx, cell in pool.map(_run_cell, tasks):
-                results[(a_idx, d_idx)] = cell
+            outcomes = list(pool.map(_run_cell, tasks))
     else:
-        for task in tasks:
-            a_idx, d_idx, cell = _run_cell(task)
-            results[(a_idx, d_idx)] = cell
+        outcomes = [_run_cell(task) for task in tasks]
 
     algo_names = [a.name for a in spec.algorithms]
     ds_names = [name for name, _ in spec.datasets]
-    cells = {
-        (algo_names[a], ds_names[d]): cell for (a, d), cell in results.items()
-    }
+    cells = {(algo_names[a], ds_names[d]): cell for a, d, cell in outcomes}
     warnings: list[str] = []
     friedman = per_best_map = None
     if not any(cell.failed for cell in cells.values()):
-        table = np.array(
-            [[cells[(a, d)].savings_mean for d in ds_names] for a in algo_names]
-        )
+        table = np.array([[cells[(a, d)].savings_mean for d in ds_names] for a in algo_names])
         ranks = friedman_rank(table)
         friedman = {a: float(r) for a, r in zip(algo_names, ranks)}
         try:
@@ -323,9 +301,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
             warnings.append(str(exc))
     else:
         failed = [f"{a}::{d}" for (a, d), c in cells.items() if c.failed]
-        warnings.append(
-            f"rank statistics skipped: failed cells {sorted(failed)}"
-        )
+        warnings.append(f"rank statistics skipped: failed cells {sorted(failed)}")
     return EvaluationReport(
         algorithms=algo_names,
         datasets=ds_names,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_cost_dataset
+from costforest import cli
 from costforest.cli import main
 
 FOUR_ROWS = (
@@ -114,6 +115,25 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--train", data, "--model-out", "x"]) == 1
         assert "t.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("combiner", "ga", {"generations": "5"}, "'combiner.ga.generations' must be an integer"),
+        ("tree", "n_quantiles", 10.5, "'tree.n_quantiles' must be an integer, got 10.5"),
+        ("inducer", "seed", "x", "'inducer.seed' must be an integer, got 'x'"),
+        ("tree", "min_samples_split", "a", "'tree.min_samples_split' must be an integer"),
+        ("tree", "pruning", "no", "'tree.pruning' must be a boolean, got 'no'"),
+        ("tree", "max_depth", 3.0, "'tree.max_depth' must be an integer, got 3.0"),
+    ])
+    def test_wrongly_typed_train_value_exit_1(self, tmp_path, capsys, section, key, value,
+                                              message):
+        config = json.loads(json.dumps(TRAIN_CONFIG))
+        config.setdefault(section, {})[key] = value
+        cfg = write(tmp_path / "t.json", json.dumps(config))
+        data = write(tmp_path / "d.csv", FOUR_ROWS)
+        model = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--train", data, "--model-out", str(model)]) == 1
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps(TRAIN_CONFIG))
         assert main(["train", "--config", cfg, "--train", str(tmp_path / "no.csv"),
@@ -144,6 +164,8 @@ class TestPredictInputChecks:
         (lambda d: d["base_models"][0].update(
             root={"rule": {"feature": 0, "threshold": 0.5}}), "neither a leaf"),
         (lambda d: d.update(oob_savings=[0.0]), "oob_savings"),
+        (lambda d: d["base_models"][0]["config"].update(max_depth="3"),
+         "'config.max_depth' must be an integer, got '3'"),
     ])
     def test_malformed_model_exit_2(self, tmp_path, capsys, corrupt, message):
         data, model = self._model(tmp_path)
@@ -203,6 +225,22 @@ class TestBuildCosts:
         params = write(tmp_path / "p.json", json.dumps({"version": "1", "admin_cost": "3"}))
         assert main(["build-costs", "--domain", "fraud", "--params", params,
                      "--data", data, "--out", str(tmp_path / "c.csv")]) == 1
+
+    @pytest.mark.parametrize("domain, params", [
+        ("fraud", {"admin_cost": -1}),
+        ("credit", {"loss_given_default": 2, "pi_0": 0.9, "pi_1": 0.1,
+                    "mean_profit": 30.0, "mean_credit_line": 1000.0}),
+        ("credit", {"loss_given_default": 0.75, "pi_0": 0.9, "pi_1": 0.2,
+                    "mean_profit": 30.0, "mean_credit_line": 1000.0}),
+    ])
+    def test_param_out_of_range_exit_1(self, tmp_path, capsys, domain, params):
+        data = write(tmp_path / "raw.csv", "f1,amount,credit_line,profit,y\n1,100,500,10,1\n")
+        params = write(tmp_path / "p.json", json.dumps({"version": "1", **params}))
+        out = tmp_path / "c.csv"
+        assert main(["build-costs", "--domain", domain, "--params", params,
+                     "--data", data, "--out", str(out)]) == 1
+        assert "p.json" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestResample:
@@ -303,37 +341,53 @@ class TestBenchmark:
         assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda spec: spec.update(repetitions="2"), "'<' not supported"),
-        (lambda spec: spec["datasets"][0]["split"].update(train_frac="x"), "not supported"),
+        (lambda spec: spec.update(repetitions="2"), "'repetitions' must be an integer, got '2'"),
+        (lambda spec: spec["datasets"][0]["split"].update(train_frac="x"),
+         "'datasets[0].split.train_frac' must be a number, got 'x'"),
         (lambda spec: spec.update(datasets=[5]), "'datasets' must be a list of objects"),
         (lambda spec: spec.update(datasets={"a": 1}), "'datasets' must be a list of objects"),
         (lambda spec: spec.update(algorithms=["dt"]), "'algorithms' must be a list"),
         (lambda spec: spec["algorithms"][2]["config"].update(t=3), "['t']"),
         (lambda spec: spec["algorithms"][0].update(config=[]), "must be an object"),
-        (lambda spec: spec.update(seed="x"), "seed must be an integer, got 'x'"),
+        (lambda spec: spec.update(seed="x"), "'seed' must be an integer, got 'x'"),
         (lambda spec: spec["datasets"][1]["split"].update(seed=1.5), "got 1.5"),
         (lambda spec: spec["algorithms"][0]["config"]["tree"].update(depht=3), "['depht']"),
         (lambda spec: spec["algorithms"][1]["config"].update(tree=3),
-         "config 'tree' of 'CSDT-t' must be an object"),
+         "config of 'CSDT-t': 'tree' must be an object, got 3"),
         (lambda spec: spec["algorithms"][2]["config"].update(ga={"populaton": 8}),
          "['populaton']"),
         (lambda spec: spec["algorithms"][0]["config"]["tree"].update(max_depth="3"),
-         "config 'tree' of 'DT-t': '<' not supported"),
+         "config of 'DT-t': 'tree.max_depth' must be an integer, got '3'"),
         (lambda spec: spec["algorithms"][2]["config"].update(ga={"population": "8"}),
-         "config 'ga' of 'CSB-mv-t': '<' not supported"),
+         "config of 'CSB-mv-t': 'ga.population' must be an integer, got '8'"),
         (lambda spec: spec["algorithms"].append(
             {"family": "ci", "name": "LR-t", "learner": "lr", "config": {"lr": {"n_iter": "5"}}}),
-         "config 'lr' of 'LR-t': '<' not supported"),
+         "config of 'LR-t': 'lr.n_iter' must be an integer, got '5'"),
         (lambda spec: spec["datasets"][0]["split"].update(train_frac=-0.5),
          "split fractions must be positive"),
+        (lambda spec: spec["algorithms"][2]["config"].update(T="10"),
+         "config of 'CSB-mv-t': 'T' must be an integer, got '10'"),
+        (lambda spec: spec["algorithms"][2]["config"].update(combiner="bogus"),
+         "config of 'CSB-mv-t': combiner must be one of"),
+        (lambda spec: spec["algorithms"][2]["config"].update(inducer="bogus"),
+         "config of 'CSB-mv-t': inducer kind must be one of"),
+        (lambda spec: spec["algorithms"][2]["config"]["tree"].update(n_quantiles=10.5),
+         "config of 'CSB-mv-t': 'tree.n_quantiles' must be an integer, got 10.5"),
+        (lambda spec: spec["algorithms"][2]["config"].update(n_examples="half"),
+         "config of 'CSB-mv-t': 'n_examples' must be an integer or a number or null, got 'half'"),
+        (lambda spec: spec["algorithms"][2]["config"].update(ga={"generations": "5"}),
+         "config of 'CSB-mv-t': 'ga.generations' must be an integer, got '5'"),
     ])
-    def test_malformed_spec_exit_1(self, tmp_path, capsys, edit, message):
+    def test_malformed_spec_exit_1(self, tmp_path, capsys, monkeypatch, edit, message):
         spec_path = self._spec(tmp_path)
         spec = json.loads((tmp_path / "spec.json").read_text())
         edit(spec)
         write(tmp_path / "spec.json", json.dumps(spec))
+        experiments = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kw: experiments.append(args))
         assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
         assert message in capsys.readouterr().err
+        assert experiments == []  # rejected before any cell runs
 
     def test_csv_output(self, tmp_path):
         spec = self._spec(tmp_path)
