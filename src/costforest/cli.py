@@ -175,13 +175,8 @@ def _cmd_resample(args) -> int:
     schema = _schema_from_args(args)
     table = read_table(args.data)
     dataset = dataset_from_table(table, schema)
-    method = sampling.SAMPLING_CODES[args.method]
-    if method == "undersample":
-        idx = sampling.undersample_indices(dataset, seed=args.seed)
-    elif method == "rejection":
-        idx = sampling.rejection_sample_indices(dataset, seed=args.seed)
-    else:
-        idx = sampling.oversample_indices(dataset)
+    spec = sampling.SamplingSpec(sampling.SAMPLING_CODES[args.method], args.seed)
+    idx = sampling.resample_indices(dataset, spec)
     write_table(RawTable(table.columns, table.data[idx], args.out), args.out)
     return 0
 

@@ -86,6 +86,15 @@ class GaConfig:
             raise ConfigError(f"beta_bounds must be a finite (lo, hi), got {self.beta_bounds}")
         if self.elitism < 1 or self.elitism >= self.population:
             raise ConfigError("elitism must be in [1, population)")
+        if self.generations < 0:
+            raise ConfigError(f"generations must be >= 0, got {self.generations}")
+        if self.tournament < 1:
+            raise ConfigError(f"tournament must be >= 1, got {self.tournament}")
+        for name in ("crossover_rate", "mutation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.mutation_sigma >= 0.0:
+            raise ConfigError(f"mutation_sigma must be >= 0, got {self.mutation_sigma}")
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

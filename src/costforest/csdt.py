@@ -7,6 +7,11 @@ greedily: the internal node whose constant replacement lowers the pruning-set
 cost the most (or leaves it equal) is collapsed, and the search repeats until
 every collapse would cost more.
 
+A tree is stored as flat preorder arrays (:class:`Tree`). Growth records
+every node's cost statistics, so pruning on the training rows routes
+nothing, and one level-by-level kernel (:func:`route`) serves every
+prediction.
+
 Setting ``impurity="gini"`` swaps the money columns for unit costs
 (tp = tn = 0, fp = fn = 1) in every internal computation, which turns the
 learner into a plain error-count tree: the cost-insensitive baseline.
@@ -15,7 +20,7 @@ learner into a plain error-count tree: the cost-insensitive baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -49,11 +54,6 @@ class Leaf:
     cost_f1: float  # cost of predicting all-1 here
     n: int
     n_pos: int
-
-    @property
-    def probability(self) -> float:
-        """Laplace-smoothed positive-class frequency."""
-        return (self.n_pos + 1.0) / (self.n + 2.0)
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,66 @@ class CsdtConfig:
             raise ConfigError(f"impurity must be one of {IMPURITY_MODES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A tree as flat arrays in preorder, one entry per node.
+
+    Node i splits on ``feature[i]`` at ``threshold[i]`` (``feature`` is -1
+    at a leaf). Its left child is node i + 1 and its right child is node
+    ``right[i]``, so the subtree of node i is a contiguous range. Every node
+    holds the class its rows predict as a leaf and four statistics of those
+    rows: the cost of predicting all-0 and all-1 (pairwise sums over the
+    rows in increasing order), their count and their positive count. A
+    grown tree records them at every node; a tree flattened from nested
+    nodes has them at its leaves only, and NaN costs and zero counts at its
+    internal nodes. The arrays are read-only.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    predicted_class: np.ndarray
+    cost_f0: np.ndarray
+    cost_f1: np.ndarray
+    n: np.ndarray
+    n_pos: np.ndarray
+
+    def __post_init__(self):
+        dtypes = (np.intp, np.float64, np.intp, np.int64, np.float64, np.float64, np.int64,
+                  np.int64)
+        for field, dtype in zip(fields(self), dtypes):
+            array = np.array(getattr(self, field.name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, field.name, array)
+
+    @property
+    def size(self) -> int:
+        return self.feature.size
+
+
 class CsdtModel:
-    root: TreeNode
-    config: CsdtConfig
-    k: int
+    """A cost-sensitive tree: its node arrays, its config and its feature count.
+
+    ``root`` is a :class:`Tree`, or a nested ``Leaf``/``Internal`` root that
+    is flattened into one. ``stats_of`` is the dataset whose rows the node
+    statistics describe, set by :func:`grow` only while it prunes, so that
+    :func:`prune` on that dataset needs no routing; ``grow`` returns every
+    model with it empty.
+    """
+
+    def __init__(self, root: Tree | TreeNode, config: CsdtConfig, k: int):
+        self.tree = root if isinstance(root, Tree) else _flatten(root)
+        self.config = config
+        self.k = k
+        self.stats_of: CostedDataset | None = None
+        self._root: TreeNode | None = None
+
+    @property
+    def root(self) -> TreeNode:
+        """The tree as nested nodes, built on first use."""
+        if self._root is None:
+            self._root = _nested(self.tree, 0)
+        return self._root
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return predict_many(self, X)
@@ -115,22 +170,56 @@ class CsdtModel:
         return predict_proba_many(self, X)
 
     def depth(self) -> int:
-        return _depth(self.root)
+        return max(_layout(self.tree)[1])
 
     def n_nodes(self) -> int:
-        return _count(self.root)
+        return self.tree.size
 
 
-def _depth(node: TreeNode) -> int:
+def _flatten(root: TreeNode) -> Tree:
+    nodes: list[list] = []
+    _append_subtree(root, nodes)
+    return Tree(*zip(*nodes))
+
+
+def _append_subtree(node: TreeNode, nodes: list[list]) -> None:
+    """Append a row of Tree's fields per node of the nested subtree, in preorder."""
     if isinstance(node, Leaf):
-        return 0
-    return 1 + max(_depth(node.left), _depth(node.right))
+        nodes.append([-1, 0.0, -1, node.predicted_class, node.cost_f0, node.cost_f1,
+                      node.n, node.n_pos])
+        return
+    row = [node.rule.feature_index, node.rule.threshold, -1, 0, np.nan, np.nan, 0, 0]
+    nodes.append(row)
+    _append_subtree(node.left, nodes)
+    row[2] = len(nodes)
+    _append_subtree(node.right, nodes)
 
 
-def _count(node: TreeNode) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + _count(node.left) + _count(node.right)
+def _nested(tree: Tree, i: int) -> TreeNode:
+    if tree.feature[i] < 0:
+        return Leaf(
+            predicted_class=int(tree.predicted_class[i]),
+            cost_f0=float(tree.cost_f0[i]),
+            cost_f1=float(tree.cost_f1[i]),
+            n=int(tree.n[i]),
+            n_pos=int(tree.n_pos[i]),
+        )
+    rule = SplitRule(int(tree.feature[i]), float(tree.threshold[i]))
+    return Internal(rule, _nested(tree, i + 1), _nested(tree, int(tree.right[i])))
+
+
+def _layout(tree: Tree) -> tuple[list[int], list[int], list[int]]:
+    """Each node's parent (-1 at the root), depth, and the end of its subtree range."""
+    size = tree.size
+    right = tree.right.tolist()
+    internal = np.flatnonzero(tree.feature >= 0).tolist()
+    parent, depth, end = [-1] * size, [0] * size, list(range(1, size + 1))
+    for i in internal:  # parents come before their children
+        parent[i + 1] = parent[right[i]] = i
+        depth[i + 1] = depth[right[i]] = depth[i] + 1
+    for i in reversed(internal):
+        end[i] = end[right[i]]
+    return parent, depth, end
 
 
 def _prediction_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray, np.ndarray]:
@@ -139,18 +228,6 @@ def _prediction_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray
         pos = (dataset.y == 1).astype(np.float64)
         return pos, 1.0 - pos  # unit costs: errors count 1, correct answers 0
     return dataset.costs_if_predicted()
-
-
-def _make_leaf(y: np.ndarray, cost0: np.ndarray, cost1: np.ndarray) -> Leaf:
-    s0 = float(cost0.sum())
-    s1 = float(cost1.sum())
-    return Leaf(
-        predicted_class=0 if s0 <= s1 else 1,
-        cost_f0=s0,
-        cost_f1=s1,
-        n=int(y.size),
-        n_pos=int(y.sum()),
-    )
 
 
 def _cut_levels(config: CsdtConfig) -> np.ndarray | None:
@@ -180,6 +257,7 @@ def _best_split(
     cost0: np.ndarray,
     cost1: np.ndarray,
     levels: np.ndarray | None,
+    parent: float,
 ) -> tuple[float, int, float] | None:
     """Max-gain (gain, column, threshold) over every column of a node's block.
 
@@ -192,7 +270,8 @@ def _best_split(
     the column's quantiles at ``levels`` fall in, each keeping its first
     quantile as threshold, and gains are computed at those positions only.
     Every threshold sends exactly the examples it was scored with to the
-    left. Ties go to the first column, then the first position. Returns
+    left. Ties go to the first column, then the first position. ``parent``
+    is the node's impurity, ``min(cost0.sum(), cost1.sum())``. Returns
     None if no column has a cut.
     """
     n_cols, n = columns.shape
@@ -201,7 +280,6 @@ def _best_split(
     sv = columns.take(order + offset)
     cum0 = cost0[order].cumsum(axis=1)
     cum1 = cost1[order].cumsum(axis=1)
-    parent = min(cost0.sum(), cost1.sum())
 
     def gains_at(left0, left1, total0, total1, n_left):
         i_left = np.minimum(left0, left1)
@@ -294,15 +372,21 @@ def grow(
     table, key_table = np.ascontiguousarray(train.X.T), np.ascontiguousarray(ranks.T)
     all_features = np.arange(train.k)
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    nodes: list[list] = []  # one row of Tree's fields per node, in preorder
+
+    def build(idx: np.ndarray, depth: int) -> None:
+        """Append the subtree of the rows ``idx`` to ``nodes``."""
         y_sub = train.y[idx]
         c0, c1 = cost0[idx], cost1[idx]
+        s0, s1 = float(c0.sum()), float(c1.sum())
+        node = [-1, 0.0, -1, 0 if s0 <= s1 else 1, s0, s1, idx.size, int(y_sub.sum())]
+        nodes.append(node)
         if (
             depth >= config.max_depth
             or idx.size < config.min_samples_split
             or y_sub.min() == y_sub.max()
         ):
-            return _make_leaf(y_sub, c0, c1)
+            return
         if node_features is not None and node_features < train.k:
             features = node_feature_subset(train.k, node_features, rng)
             cells = (features[:, None], idx)
@@ -310,46 +394,65 @@ def grow(
             features = all_features
             cells = (slice(None), idx)
         block = table[cells]
-        found = _best_split(block, key_table[cells], c0, c1, levels)
+        found = _best_split(block, key_table[cells], c0, c1, levels, min(s0, s1))
         if found is None or found[0] <= config.min_gain:
-            return _make_leaf(y_sub, c0, c1)
-        _, col, threshold = found
-        left_mask = block[col] <= threshold
-        left = build(idx[left_mask], depth + 1)
-        right = build(idx[~left_mask], depth + 1)
-        return Internal(SplitRule(int(features[col]), threshold), left, right)
+            return
+        _, col, cut = found
+        node[0], node[1] = int(features[col]), cut
+        left_mask = block[col] <= cut
+        build(idx[left_mask], depth + 1)
+        node[2] = len(nodes)
+        build(idx[~left_mask], depth + 1)
 
-    model = CsdtModel(root=build(np.arange(train.n), 0), config=config, k=train.k)
-    # build refers to itself; emptying its name frees the tree's arrays now,
+    build(np.arange(train.n), 0)
+    # build refers to itself; emptying its name frees the rows' arrays now,
     # not at the next garbage collection
     del build
+    model = CsdtModel(Tree(*zip(*nodes)), config, train.k)
     if config.pruning:
+        model.stats_of = train
         model = prune(model, train)
+        model.stats_of = None
     return model
 
 
-def _route(
-    node: TreeNode, X: np.ndarray, idx: np.ndarray, out: np.ndarray, value: str
-) -> None:
-    """Write the leaf attribute ``value`` of the leaf each row reaches into ``out``."""
-    if isinstance(node, Leaf):
-        out[idx] = getattr(node, value)
-        return
-    left = X[idx, node.rule.feature_index] <= node.rule.threshold
-    _route(node.left, X, idx[left], out, value)
-    _route(node.right, X, idx[~left], out, value)
+def as_features(X: np.ndarray, k: int) -> np.ndarray:
+    """``X`` as a C-ordered float64 (n, k) matrix; shape checked, values not."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != k:
+        raise ValidationError(f"X has shape {X.shape}, expected (n, {k})")
+    return X
 
 
-def _route_all(model: CsdtModel, X: np.ndarray, value: str, dtype) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.k:
-        raise ValidationError(f"X has shape {X.shape}, expected (n, {model.k})")
+def _check_finite(X: np.ndarray) -> None:
     if not np.isfinite(X).all():
         # NaN fails every <= test and would silently route right
         raise ValidationError("features contain non-finite values")
-    out = np.empty(X.shape[0], dtype=dtype)
-    _route(model.root, X, np.arange(X.shape[0]), out, value)
-    return out
+
+
+def route(tree: Tree, X: np.ndarray, subset: np.ndarray | None = None) -> np.ndarray:
+    """Preorder index of the leaf that each row of ``X`` reaches.
+
+    ``X`` is C-ordered float64. The rows descend one level per step, and
+    only rows still at an internal node take the next step. ``subset`` maps
+    the tree's feature indices to columns of ``X`` (a patch's features).
+    """
+    n_rows, width = X.shape
+    at = np.zeros(n_rows, dtype=np.intp)
+    if tree.feature[0] < 0:
+        return at
+    # a leaf's -1 maps to the subset's last column, which no moving row reads
+    columns = tree.feature if subset is None else subset[tree.feature]
+    internal = tree.feature >= 0
+    flat = X.ravel()
+    rows, nodes = np.arange(n_rows), np.zeros(n_rows, dtype=np.intp)
+    while rows.size:
+        go_left = flat.take(rows * width + columns.take(nodes)) <= tree.threshold.take(nodes)
+        nodes = np.where(go_left, nodes + 1, tree.right.take(nodes))
+        at[rows] = nodes
+        moving = internal.take(nodes)
+        rows, nodes = rows[moving], nodes[moving]
+    return at
 
 
 def predict(model: CsdtModel, features: np.ndarray) -> int:
@@ -361,12 +464,39 @@ def predict(model: CsdtModel, features: np.ndarray) -> int:
 
 
 def predict_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
-    return _route_all(model, X, "predicted_class", np.int64)
+    X = as_features(X, model.k)
+    _check_finite(X)
+    return model.tree.predicted_class[route(model.tree, X)]
 
 
 def predict_proba_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
     """Positive-class probability per row (leaf frequency, Laplace smoothed)."""
-    return _route_all(model, X, "probability", np.float64)
+    X = as_features(X, model.k)
+    _check_finite(X)
+    leaves = route(model.tree, X)
+    return (model.tree.n_pos[leaves] + 1.0) / (model.tree.n[leaves] + 2.0)
+
+
+def _node_stats(
+    tree: Tree, dataset: CostedDataset, impurity: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node all-0 cost, all-1 cost, count and positive count of ``dataset``'s rows.
+
+    One pass routes the rows down the tree; each node sums its rows in
+    increasing order, as growth does.
+    """
+    cost0, cost1 = _prediction_costs(dataset, impurity)
+    s0, s1 = np.zeros(tree.size), np.zeros(tree.size)
+    n, n_pos = np.zeros(tree.size, dtype=np.int64), np.zeros(tree.size, dtype=np.int64)
+    pending = [(0, np.arange(dataset.n))]
+    while pending:
+        i, idx = pending.pop()
+        s0[i], s1[i] = cost0[idx].sum(), cost1[idx].sum()
+        n[i], n_pos[i] = idx.size, dataset.y[idx].sum()
+        if tree.feature[i] >= 0:
+            left = dataset.X[idx, tree.feature[i]] <= tree.threshold[i]
+            pending += [(tree.right[i], idx[~left]), (i + 1, idx[left])]
+    return s0, s1, n, n_pos
 
 
 def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
@@ -374,68 +504,84 @@ def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
 
     Repeatedly replaces the internal node with the largest nonnegative
     cost decrease by its cheapest constant leaf (statistics taken on the
-    pruning set). Never increases the pruning-set cost.
+    pruning set; ties go to the first node in post-order). Never increases
+    the pruning-set cost. The node statistics come from the model when the
+    pruning set is its ``stats_of``, else from one routing pass.
     """
     if prune_set.k != model.k:
         raise ValidationError("prune set feature count does not match the model")
-    cost0, cost1 = _prediction_costs(prune_set, model.config.impurity)
-    root = model.root
-
-    def stats(node: TreeNode, idx: np.ndarray, acc: list) -> float:
-        """Post-order walk; returns subtree prediction cost, collects candidates."""
-        c0, c1 = cost0[idx], cost1[idx]
-        if isinstance(node, Leaf):
-            return float((c1 if node.predicted_class == 1 else c0).sum())
-        left = prune_set.X[idx, node.rule.feature_index] <= node.rule.threshold
-        sub = stats(node.left, idx[left], acc) + stats(node.right, idx[~left], acc)
-        s0, s1 = float(c0.sum()), float(c1.sum())
-        acc.append((sub - min(s0, s1), node, idx))
-        return sub
-
+    tree = model.tree
+    if prune_set is model.stats_of:
+        stats = tree.cost_f0, tree.cost_f1, tree.n, tree.n_pos
+    else:
+        stats = _node_stats(tree, prune_set, model.config.impurity)
+    s0, s1 = stats[0].tolist(), stats[1].tolist()
+    cheapest = [b if b < a else a for a, b in zip(s0, s1)]  # min(s0, s1) as Python takes it
+    parent, depth, end = _layout(tree)
+    right = tree.right.tolist()
+    internal = np.flatnonzero(tree.feature >= 0).tolist()
+    # A subtree's cost is that of its leaves' classes, added as left + right.
+    sub = np.where(tree.predicted_class == 1, stats[1], stats[0]).tolist()
+    for i in reversed(internal):
+        sub[i] = sub[i + 1] + sub[right[i]]
+    # Each node's cost decrease sits at its post-order position, where every
+    # subtree is a contiguous range ending at its root; -inf marks leaves and
+    # removed nodes, so argmax finds the first largest decrease in post-order.
+    post = [e - d - 1 for e, d in zip(end, depth)]
+    decrease = np.full(tree.size, -np.inf)
+    for i in internal:
+        decrease[post[i]] = sub[i] - cheapest[i]
+    node_at = np.empty(tree.size, dtype=np.intp)
+    node_at[post] = np.arange(tree.size)
+    collapsed = np.zeros(tree.size, dtype=bool)
     while True:
-        candidates: list = []
-        stats(root, np.arange(prune_set.n), candidates)
-        if not candidates:
+        p = int(decrease.argmax())
+        if decrease[p] < 0:
             break
-        decrease, target, idx = max(candidates, key=lambda item: item[0])
-        if decrease < 0:
-            break
-        replacement = _make_leaf(prune_set.y[idx], cost0[idx], cost1[idx])
-        root = _replace(root, target, replacement)
-    del stats  # frees the pruning set's arrays now, as in grow
-    return CsdtModel(root=root, config=model.config, k=model.k)
-
-
-def _replace(node: TreeNode, target: TreeNode, replacement: Leaf) -> TreeNode:
-    if node is target:
-        return replacement
-    if isinstance(node, Leaf):
-        return node
-    return Internal(
-        rule=node.rule,
-        left=_replace(node.left, target, replacement),
-        right=_replace(node.right, target, replacement),
-    )
+        v = int(node_at[p])
+        collapsed[v] = True
+        decrease[p - (end[v] - v) + 1:p + 1] = -np.inf
+        sub[v] = cheapest[v]
+        a = parent[v]
+        while a >= 0:
+            sub[a] = sub[a + 1] + sub[right[a]]
+            decrease[post[a]] = sub[a] - cheapest[a]
+            a = parent[a]
+    if not collapsed.any():
+        return CsdtModel(tree, model.config, model.k)
+    keep = np.ones(tree.size, dtype=bool)
+    for v in np.flatnonzero(collapsed).tolist():
+        keep[v + 1:end[v]] = False
+    leaf = collapsed & keep
+    columns = [np.array(getattr(tree, f.name)) for f in fields(Tree)]
+    feature, threshold, right_of, predicted_class = columns[:4]
+    feature[leaf], threshold[leaf], right_of[leaf] = -1, 0.0, -1
+    predicted_class[leaf] = stats[0][leaf] > stats[1][leaf]
+    for column, stat in zip(columns[4:], stats):
+        column[leaf] = stat[leaf]
+    index = np.cumsum(keep) - 1
+    right_of[right_of >= 0] = index[right_of[right_of >= 0]]
+    return CsdtModel(Tree(*(column[keep] for column in columns)), model.config, model.k)
 
 
 # --- serialization ---------------------------------------------------------
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
+def _node_to_dict(columns: dict, i: int) -> dict:
+    if columns["feature"][i] < 0:
         return {
             "leaf": {
-                "class": node.predicted_class,
-                "cost_f0": node.cost_f0,
-                "cost_f1": node.cost_f1,
-                "n": node.n,
-                "n_pos": node.n_pos,
+                "class": columns["predicted_class"][i],
+                "cost_f0": columns["cost_f0"][i],
+                "cost_f1": columns["cost_f1"][i],
+                "n": columns["n"][i],
+                "n_pos": columns["n_pos"][i],
             }
         }
     return {
-        "rule": {"feature": node.rule.feature_index, "threshold": node.rule.threshold},
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "rule": {"feature": columns["feature"][i], "threshold": columns["threshold"][i]},
+        "left": _node_to_dict(columns, i + 1),
+        "right": _node_to_dict(columns, columns["right"][i]),
     }
 
 
@@ -468,7 +614,9 @@ def model_to_dict(model: CsdtModel) -> dict:
         "kind": "csdt",
         "k": model.k,
         "config": asdict(model.config),
-        "root": _node_to_dict(model.root),
+        "root": _node_to_dict(
+            {f.name: getattr(model.tree, f.name).tolist() for f in fields(Tree)}, 0
+        ),
     }
 
 

@@ -61,14 +61,19 @@ class EnsembleModel:
         return len(self.base_models)
 
     def base_votes(self, X: np.ndarray) -> np.ndarray:
-        """(T, N) matrix of base-tree predictions, feature subsets remapped."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.k:
-            raise ValidationError(f"X has shape {X.shape}, expected (n, {self.k})")
+        """(T, N) matrix of base-tree predictions, feature subsets remapped.
+
+        Rejects non-finite values in any column that some tree reads.
+        """
+        X = csdt.as_features(X, self.k)
+        finite = np.isfinite(X).all(axis=0)
+        if not finite.all() and any(
+            subset is None or not finite[subset].all() for subset in self.feature_subsets
+        ):
+            raise ValidationError("features contain non-finite values")
         votes = np.empty((self.T, X.shape[0]), dtype=np.int64)
         for j, (model, subset) in enumerate(zip(self.base_models, self.feature_subsets)):
-            view = X if subset is None else X[:, subset]
-            votes[j] = model.predict_many(view)
+            votes[j] = model.tree.predicted_class[csdt.route(model.tree, X, subset)]
         return votes
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
@@ -111,15 +116,11 @@ def _train_one(
 
 
 def _oob_scores(
-    train_set: CostedDataset,
-    model: CsdtModel,
-    subset: np.ndarray | None,
-    oob_rows: np.ndarray,
+    train_set: CostedDataset, votes: np.ndarray, oob_rows: np.ndarray
 ) -> tuple[float, float]:
-    """A tree's savings and accuracy on its out-of-bag rows, from one prediction."""
+    """A tree's savings and accuracy on its out-of-bag rows, from its training-set votes."""
     oob = train_set.subset(oob_rows)
-    view = oob.X if subset is None else oob.X[:, subset]
-    preds = model.predict_many(view)
+    preds = votes[oob_rows]
     accuracy = 1.0 - float((preds != oob.y).mean())
     try:
         return savings(oob, preds), accuracy
@@ -137,33 +138,30 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     # every sample's rows are sorted, so slices of one table's ranks sort
     # each tree's nodes as their own would
     ranks = csdt.column_ranks(train_set.X)
-    base_models: list[CsdtModel] = []
-    subsets: list[np.ndarray | None] = []
+    base_models, subsets = zip(
+        *(_train_one(train_set, ranks, sample, config, j) for j, sample in enumerate(samples))
+    )
     oob_savings = np.empty(len(samples))
     oob_accuracy = np.empty(len(samples))
-    for j, sample in enumerate(samples):
-        model, subset = _train_one(train_set, ranks, sample, config, j)
-        base_models.append(model)
-        subsets.append(subset)
-        oob_savings[j], oob_accuracy[j] = _oob_scores(
-            train_set, model, subset, sample.oob_indices
-        )
-
     ensemble = EnsembleModel(
-        base_models=base_models,
-        feature_subsets=subsets,
+        base_models=list(base_models),
+        feature_subsets=list(subsets),
         oob_savings=oob_savings,
         combiner=config.combiner,
         config=config,
         k=train_set.k,
     )
+    # one routing pass gives every tree's out-of-bag predictions and the
+    # stacking level's training votes
+    votes = ensemble.base_votes(train_set.X)
+    for j, sample in enumerate(samples):
+        oob_savings[j], oob_accuracy[j] = _oob_scores(train_set, votes[j], sample.oob_indices)
     if config.combiner == "wv":
         ensemble.weights = combiners.weights_from_scores(oob_savings)
     elif config.combiner == "wv-acc":
         ensemble.weights = combiners.weights_from_scores(oob_accuracy)
     elif config.combiner == "stacking":
         # second level trains on in-sample base votes over the full training set
-        votes = ensemble.base_votes(train_set.X)
         ensemble.stacking = combiners.fit_stacking(train_set, votes, config.ga)
     return ensemble
 

@@ -41,6 +41,10 @@ class InducerConfig:
             raise ConfigError(f"inducer kind must be one of {KINDS}, got {self.kind!r}")
         if self.T < 3:
             raise ConfigError(f"ensembles need T >= 3 base classifiers, got T={self.T}")
+        for name in ("n_examples", "n_features"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not 0.0 < value <= 1.0:
+                raise ConfigError(f"fractional {name} must be in (0, 1], got {value}")
 
     def resolved_n_examples(self, n: int) -> int:
         # with-replacement draws may exceed N; pasting is checked separately

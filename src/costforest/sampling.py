@@ -9,6 +9,8 @@ them round-half-up proportionally to w_i / min positive weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -97,9 +99,21 @@ def oversample(dataset: CostedDataset) -> CostedDataset:
     return dataset.subset(oversample_indices(dataset))
 
 
-def resample(dataset: CostedDataset, spec: SamplingSpec) -> CostedDataset:
+def _by_method(spec: SamplingSpec, under: Callable, rejection: Callable, over: Callable):
+    """The function of ``spec``'s method among the three, with its seed bound."""
     if spec.method == "undersample":
-        return undersample(dataset, spec.seed)
+        return partial(under, seed=spec.seed)
     if spec.method == "rejection":
-        return rejection_sample(dataset, spec.seed)
-    return oversample(dataset)
+        return partial(rejection, seed=spec.seed)
+    return over
+
+
+def resample_indices(dataset: CostedDataset, spec: SamplingSpec) -> np.ndarray:
+    """Row indices (repeats allowed) of the training set :func:`resample` returns."""
+    return _by_method(spec, undersample_indices, rejection_sample_indices, oversample_indices)(
+        dataset
+    )
+
+
+def resample(dataset: CostedDataset, spec: SamplingSpec) -> CostedDataset:
+    return _by_method(spec, undersample, rejection_sample, oversample)(dataset)

@@ -5,7 +5,7 @@ import pytest
 
 from costforest import CostedDataset, ValidationError, total_cost
 from costforest.combiners import StackingWeights, as_vote_matrix
-from costforest.csdt import CsdtModel, SplitRule, predict_many
+from costforest.csdt import CsdtModel, Internal, Leaf, SplitRule, TreeNode, predict_many
 
 
 def strict_random_dataset(rng, n, k, binaryish=False):
@@ -91,3 +91,77 @@ def stacking_cost(
         )
     cost0, cost1 = dataset.costs_if_predicted()
     return float(weights.scores(votes) @ (cost1 - cost0) + cost0.sum())
+
+
+def _oracle_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cost of predicting 0 and 1: money, or unit costs in gini mode."""
+    if impurity == "gini":
+        pos = (dataset.y == 1).astype(np.float64)
+        return pos, 1.0 - pos
+    return dataset.costs_if_predicted()
+
+
+def _oracle_leaf(y: np.ndarray, cost0: np.ndarray, cost1: np.ndarray) -> Leaf:
+    s0, s1 = float(cost0.sum()), float(cost1.sum())
+    return Leaf(0 if s0 <= s1 else 1, s0, s1, int(y.size), int(y.sum()))
+
+
+def _oracle_replace(node: TreeNode, target: TreeNode, replacement: Leaf) -> TreeNode:
+    if node is target:
+        return replacement
+    if isinstance(node, Leaf):
+        return node
+    return Internal(
+        node.rule,
+        _oracle_replace(node.left, target, replacement),
+        _oracle_replace(node.right, target, replacement),
+    )
+
+
+def prune_oracle(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
+    """Greedy pruning on the nested tree, re-routing the pruning set after every collapse.
+
+    Each pass walks the tree in post-order and lists every internal node's
+    cost decrease (its subtree's pruning-set cost minus its cheapest
+    constant's); the first largest nonnegative decrease is collapsed.
+    """
+    cost0, cost1 = _oracle_costs(prune_set, model.config.impurity)
+    root = model.root
+
+    def stats(node: TreeNode, idx: np.ndarray, acc: list) -> float:
+        c0, c1 = cost0[idx], cost1[idx]
+        if isinstance(node, Leaf):
+            return float((c1 if node.predicted_class == 1 else c0).sum())
+        left = prune_set.X[idx, node.rule.feature_index] <= node.rule.threshold
+        sub = stats(node.left, idx[left], acc) + stats(node.right, idx[~left], acc)
+        acc.append((sub - min(float(c0.sum()), float(c1.sum())), node, idx))
+        return sub
+
+    while True:
+        candidates: list = []
+        stats(root, np.arange(prune_set.n), candidates)
+        if not candidates:
+            break
+        decrease, target, idx = max(candidates, key=lambda item: item[0])
+        if decrease < 0:
+            break
+        replacement = _oracle_leaf(prune_set.y[idx], cost0[idx], cost1[idx])
+        root = _oracle_replace(root, target, replacement)
+    return CsdtModel(root, model.config, model.k)
+
+
+def route_oracle(model: CsdtModel, X: np.ndarray, value) -> list:
+    """``value(leaf)`` of the leaf each row reaches, by a recursive walk."""
+    out: list = [None] * X.shape[0]
+
+    def route(node: TreeNode, idx: np.ndarray) -> None:
+        if isinstance(node, Leaf):
+            for i in idx:
+                out[i] = value(node)
+            return
+        left = X[idx, node.rule.feature_index] <= node.rule.threshold
+        route(node.left, idx[left])
+        route(node.right, idx[~left])
+
+    route(model.root, np.arange(X.shape[0]))
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_cost_dataset
-from costforest import cli
+from costforest import cli, sampling
 from costforest.cli import main
 
 FOUR_ROWS = (
@@ -127,6 +127,19 @@ class TestExitCodes:
                                               message):
         config = json.loads(json.dumps(TRAIN_CONFIG))
         config.setdefault(section, {})[key] = value
+        cfg = write(tmp_path / "t.json", json.dumps(config))
+        data = write(tmp_path / "d.csv", FOUR_ROWS)
+        model = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--train", data, "--model-out", str(model)]) == 1
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("ga, message", [
+        ({"tournament": 0}, "tournament must be >= 1, got 0"),
+        ({"mutation_sigma": -1}, "mutation_sigma must be >= 0, got -1"),
+    ])
+    def test_ga_value_out_of_range_exit_1(self, tmp_path, capsys, ga, message):
+        config = dict(TRAIN_CONFIG, combiner={"kind": "stacking", "ga": ga})
         cfg = write(tmp_path / "t.json", json.dumps(config))
         data = write(tmp_path / "d.csv", FOUR_ROWS)
         model = tmp_path / "m.json"
@@ -258,6 +271,20 @@ class TestResample:
         labels = [line.split(",")[1] for line in got]
         assert labels.count("0.0") == labels.count("1.0") == 4
 
+    @pytest.mark.parametrize("code", ["u", "r", "o"])
+    def test_rows_match_library_resample(self, tmp_path, code):
+        ds = gaussian_cost_dataset(np.random.default_rng(31), 60, k=2)
+        data = write_dataset_csv(tmp_path / "d.csv", ds)
+        out = tmp_path / "out.csv"
+        assert main(["resample", "--data", data, "--method", code, "--seed", "5",
+                     "--out", str(out)]) == 0
+        written = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        spec = sampling.SamplingSpec(sampling.SAMPLING_CODES[code], 5)
+        expected = sampling.resample(ds, spec)
+        assert np.array_equal(written[:, :2], expected.X)
+        assert np.array_equal(written[:, 2], expected.y)
+        assert np.array_equal(written[:, 3:], expected.costs)
+
     def test_oversample_deterministic(self, tmp_path):
         data = write(tmp_path / "d.csv", FOUR_ROWS)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -377,6 +404,10 @@ class TestBenchmark:
          "config of 'CSB-mv-t': 'n_examples' must be an integer or a number or null, got 'half'"),
         (lambda spec: spec["algorithms"][2]["config"].update(ga={"generations": "5"}),
          "config of 'CSB-mv-t': 'ga.generations' must be an integer, got '5'"),
+        (lambda spec: spec["algorithms"][2]["config"].update(n_examples=1.5),
+         "config of 'CSB-mv-t': fractional n_examples must be in (0, 1], got 1.5"),
+        (lambda spec: spec["algorithms"][2]["config"].update(n_features=1.5),
+         "config of 'CSB-mv-t': fractional n_features must be in (0, 1], got 1.5"),
     ])
     def test_malformed_spec_exit_1(self, tmp_path, capsys, monkeypatch, edit, message):
         spec_path = self._spec(tmp_path)

@@ -207,6 +207,19 @@ class TestStackingPredict:
 
 
 class TestGa:
+    @pytest.mark.parametrize("field, value", [
+        ("tournament", 0), ("mutation_sigma", -1.0), ("mutation_sigma", float("nan")),
+        ("generations", -1), ("crossover_rate", 1.5), ("crossover_rate", -0.1),
+        ("mutation_rate", 2.0), ("mutation_rate", -1.0),
+    ])
+    def test_config_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GaConfig(**{field: value}).validate()
+
+    def test_config_range_edges_accepted(self):
+        GaConfig(tournament=1, mutation_sigma=0.0, generations=0, crossover_rate=0.0,
+                 mutation_rate=1.0).validate()
+
     def test_minimizes_sphere(self):
         cfg = GaConfig(seed=5, generations=150)
         result = ga_minimize(lambda pop: (pop ** 2).sum(axis=1), 3, cfg)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from conftest import (
     cost_impurity,
     four_example_set,
+    prune_oracle,
+    route_oracle,
     split_gain,
     strict_random_dataset,
     training_cost,
@@ -481,7 +484,8 @@ def _random_node(rng):
 def _kernel(X, cost0, cost1, features, levels):
     """The kernel on the features' block, answering as the reference does."""
     found = csdt._best_split(
-        X[:, features].T, csdt.column_ranks(X)[:, features].T, cost0, cost1, levels
+        X[:, features].T, csdt.column_ranks(X)[:, features].T, cost0, cost1, levels,
+        min(float(cost0.sum()), float(cost1.sum())),
     )
     if found is None:
         return None
@@ -514,7 +518,7 @@ class TestSplitKernel:
         monkeypatch.setitem(globals(), "_quantile_cuts", np.quantile)
         monkeypatch.setattr(
             csdt, "_best_split",
-            lambda columns, keys, c0, c1, levels: reference_best_split(
+            lambda columns, keys, c0, c1, levels, parent: reference_best_split(
                 columns.T, c0, c1, range(columns.shape[0]), levels
             ),
         )
@@ -589,7 +593,7 @@ class TestSplitKernel:
         fast = dump()
         monkeypatch.setattr(
             csdt, "_best_split",
-            lambda columns, keys, c0, c1, levels: reference_best_split(
+            lambda columns, keys, c0, c1, levels, parent: reference_best_split(
                 columns.T, c0, c1, range(columns.shape[0]), levels
             ),
         )
@@ -672,3 +676,130 @@ class TestColumnRanks:
         ranked = model_to_dict(grow(ds, config))
         monkeypatch.setattr(csdt, "column_ranks", lambda X: X)  # sort on the values
         assert model_to_dict(grow(ds, config)) == ranked
+
+
+# --- flat node arrays against the nested-tree oracles ----------------------
+
+
+def _random_nested(rng, k, depth):
+    """A random nested tree; leaves may predict the costlier class."""
+    if depth == 0 or rng.random() < 0.3:
+        n = int(rng.integers(0, 20))
+        return Leaf(int(rng.integers(0, 2)), float(rng.exponential()), float(rng.exponential()),
+                    n, int(rng.integers(0, n + 1)))
+    rule = SplitRule(int(rng.integers(0, k)), float(np.round(rng.normal(), 1)))
+    return Internal(rule, _random_nested(rng, k, depth - 1), _random_nested(rng, k, depth - 1))
+
+
+def _random_grown(rng, impurity):
+    """An unpruned grown tree, its training set and a held-out set of the same width."""
+    k = int(rng.integers(1, 4))
+    binaryish = rng.random() < 0.3  # ties: many zero-decrease collapses
+    train = strict_random_dataset(rng, int(rng.integers(5, 150)), k, binaryish=binaryish)
+    held_out = strict_random_dataset(rng, int(rng.integers(1, 80)), k, binaryish=binaryish)
+    mode = "exact_midpoints" if rng.random() < 0.5 else "quantiles"
+    config = CsdtConfig(candidate_thresholds=mode, n_quantiles=int(rng.integers(2, 20)),
+                        max_depth=int(rng.integers(1, 8)), impurity=impurity, pruning=False)
+    return grow(train, config), train, held_out
+
+
+def _threshold_rows(rng, model, n):
+    """Rows whose values often equal one of the tree's thresholds exactly."""
+    cuts = model.tree.threshold[model.tree.feature >= 0]
+    X = np.round(rng.normal(size=(n, model.k)), 1)
+    if cuts.size:
+        tie = rng.random((n, model.k)) < 0.5
+        X[tie] = rng.choice(cuts, size=int(tie.sum()))
+    return X
+
+
+def _bits(model):
+    """The model file's tree, as text (its config may differ in ``pruning``)."""
+    return json.dumps(model_to_dict(model)["root"], sort_keys=True)
+
+
+class TestFlatTreesMatchOracles:
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    def test_prune_on_training_rows(self, impurity):
+        rng = np.random.default_rng([71, len(impurity)])
+        collapsed = 0
+        for _ in range(150):
+            model, train, _ = _random_grown(rng, impurity)
+            expected = _bits(prune_oracle(model, train))
+            # statistics recorded at growth, then from one routing pass
+            assert _bits(grow(train, replace(model.config, pruning=True))) == expected
+            assert _bits(prune(model, train)) == expected
+            recorded = CsdtModel(model.tree, model.config, model.k)
+            recorded.stats_of = train
+            assert _bits(prune(recorded, train)) == expected
+            collapsed += prune(model, train).n_nodes() < model.n_nodes()
+        assert collapsed > 30
+
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    def test_prune_on_held_out_rows(self, impurity):
+        rng = np.random.default_rng([72, len(impurity)])
+        for _ in range(150):
+            model, _, held_out = _random_grown(rng, impurity)
+            assert _bits(prune(model, held_out)) == _bits(prune_oracle(model, held_out))
+            nested = CsdtModel(_random_nested(rng, held_out.k, 5), model.config, held_out.k)
+            assert _bits(prune(nested, held_out)) == _bits(prune_oracle(nested, held_out))
+
+    def test_prune_leaves_its_input_unchanged(self):
+        rng = np.random.default_rng(73)
+        model, train, held_out = _random_grown(rng, "cost")
+        before = _bits(model)
+        prune(model, held_out)
+        assert _bits(model) == before
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 300])
+    def test_predictions_on_tied_rows(self, n_rows):
+        rng = np.random.default_rng([74, n_rows])
+        for _ in range(40):
+            model, _, _ = _random_grown(rng, "cost")
+            if rng.random() < 0.5:
+                model = CsdtModel(_random_nested(rng, model.k, 6), model.config, model.k)
+            X = _threshold_rows(rng, model, n_rows)
+            expected = route_oracle(model, X, lambda leaf: leaf.predicted_class)
+            assert predict_many(model, X).tolist() == expected
+            # Laplace-smoothed positive-class frequency of the leaf
+            expected = route_oracle(model, X, lambda leaf: (leaf.n_pos + 1.0) / (leaf.n + 2.0))
+            assert model.predict_proba_many(X).tolist() == expected
+
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_growth_statistics_equal_a_routing_pass(self, kind, mode, impurity):
+        rng = np.random.default_rng(75)
+        ds = _tied_dataset(rng, 300)
+        config = CsdtConfig(candidate_thresholds=mode, max_depth=6, impurity=impurity,
+                            pruning=False)
+        samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=7))
+        for j, sample in enumerate(samples):
+            rows = sample.example_indices
+            cells = rows if sample.feature_indices is None else np.ix_(rows, sample.feature_indices)
+            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
+            kwargs = {}
+            if sample.node_features is not None:
+                kwargs = dict(rng=np.random.default_rng(j), node_features=sample.node_features)
+            tree = grow(sub, config, **kwargs).tree
+            assert tree.size > 1
+            routed = csdt._node_stats(tree, sub, impurity)
+            recorded = (tree.cost_f0, tree.cost_f1, tree.n, tree.n_pos)
+            assert [a.tobytes() for a in recorded] == [b.tobytes() for b in routed]
+
+    @pytest.mark.parametrize("pruning", [False, True])
+    def test_grown_models_hold_no_dataset(self, pruning, monkeypatch):
+        ds = strict_random_dataset(np.random.default_rng(76), 60, 2)
+        assert grow(ds, CsdtConfig(pruning=pruning)).stats_of is None
+        monkeypatch.setattr(csdt, "prune", lambda model, prune_set: model)
+        assert grow(ds, CsdtConfig(pruning=pruning)).stats_of is None
+
+    def test_nested_root_flattens_and_keeps_leaf_classes(self):
+        # the right leaf predicts its costlier class; flattening must keep it
+        root = Internal(SplitRule(0, 0.5), Leaf(0, 1.0, 4.0, 3, 1), Leaf(0, 9.0, 2.0, 5, 4))
+        model = CsdtModel(root, CsdtConfig(), 1)
+        assert model.root == root
+        assert model.n_nodes() == 3 and model.depth() == 1
+        assert predict_many(model, np.array([[0.0], [0.5], [1.0]])).tolist() == [0, 0, 0]
+        assert model_from_dict(model_to_dict(model)).root == root

@@ -21,6 +21,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             draw_samples(10, 2, InducerConfig(kind="boosting"))
 
+    @pytest.mark.parametrize("field", ["n_examples", "n_features"])
+    @pytest.mark.parametrize("value", [1.5, 0.0, -0.5, float("nan")])
+    def test_fraction_out_of_range_rejected_without_n(self, field, value):
+        with pytest.raises(ConfigError, match=f"fractional {field} must be in"):
+            InducerConfig(kind="random_patches", **{field: value}).validate()
+
     def test_fraction_and_count(self):
         cfg = InducerConfig(kind="pasting", n_examples=0.5)
         assert cfg.resolved_n_examples(100) == 50

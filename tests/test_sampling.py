@@ -8,6 +8,7 @@ from costforest.sampling import (
     oversample,
     rejection_sample,
     resample,
+    resample_indices,
     undersample,
 )
 
@@ -133,5 +134,9 @@ def test_weights_definition():
 def test_resample_dispatch_and_spec():
     ds = make_dataset([1, 1, 0, 0], [10, 10, 0, 0], fp_costs=[0, 0, 10, 10])
     assert resample(ds, SamplingSpec("oversample")).n == ds.n
+    for method in ("undersample", "rejection", "oversample"):
+        spec = SamplingSpec(method, seed=4)
+        rows = resample_indices(ds, spec)
+        assert np.array_equal(resample(ds, spec).costs, ds.costs[rows])
     with pytest.raises(ValidationError):
         SamplingSpec("bogus")
