@@ -6,9 +6,11 @@ Usage, from the root of a source checkout:
 
 Per seed: the fit-patches, fit-stacking and score models of the perfbench
 set-ups, and a wv-acc, a pasting and a random_forest fit on the fit-patches
-data (the file ``ensemble.save`` writes), then one grid experiment's JSON
-report. A refactor that claims no behaviour change prints the same lines as
-its parent commit.
+data (the file ``ensemble.save`` writes); two single trees on the
+fit-patches data, a CSDT with exact midpoints and ``baselines.gini_tree``
+(the file ``csdt.save`` writes); then one grid experiment's JSON report. A
+refactor that claims no behaviour change prints the same lines as its
+parent commit.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from costforest import ensemble  # noqa: E402
+from costforest import baselines, csdt, ensemble  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -48,6 +50,15 @@ def main(seeds: list[int]) -> None:
             for name, model in models.items():
                 ensemble.save(model, work / "model.json")
                 print(seed, name, hashlib.sha256((work / "model.json").read_bytes()).hexdigest())
+            trees = {
+                "tree exact_midpoints": csdt.grow(
+                    patches.train, csdt.CsdtConfig(candidate_thresholds="exact_midpoints")
+                ),
+                "tree gini": baselines.gini_tree(patches.train),
+            }
+            for name, tree in trees.items():
+                csdt.save(tree, work / "tree.json")
+                print(seed, name, hashlib.sha256((work / "tree.json").read_bytes()).hexdigest())
             grid = WORKLOADS["grid"]()
             report = grid.call(grid.setup(seed, work), None).to_json()
             print(seed, "grid", hashlib.sha256(report.encode()).hexdigest())

@@ -220,7 +220,10 @@ def example_cost(example: AugmentedExample, prediction: int) -> float:
 def total_cost(dataset: CostedDataset, predictions: np.ndarray) -> float:
     """Sum of per-example costs for a prediction vector aligned with the dataset."""
     preds = _check_alignment(dataset, predictions)
-    cost0, cost1 = dataset.costs_if_predicted()
+    return _charged(*dataset.costs_if_predicted(), preds)
+
+
+def _charged(cost0: np.ndarray, cost1: np.ndarray, preds: np.ndarray) -> float:
     return float(np.where(preds == 1, cost1, cost0).sum())
 
 
@@ -247,7 +250,10 @@ def normalized_cost(dataset: CostedDataset, predictions: np.ndarray) -> float:
 
 def costless_class_cost(dataset: CostedDataset) -> tuple[float, int]:
     """Cheapest constant prediction: (its total cost, the constant), ties -> 0."""
-    cost0, cost1 = dataset.costs_if_predicted()
+    return _costless_class_cost(*dataset.costs_if_predicted())
+
+
+def _costless_class_cost(cost0: np.ndarray, cost1: np.ndarray) -> tuple[float, int]:
     total0 = float(cost0.sum())
     total1 = float(cost1.sum())
     if total0 <= total1:
@@ -262,10 +268,16 @@ def savings(dataset: CostedDataset, predictions: np.ndarray) -> float:
     the classifier loses more money than predicting a constant. A positive
     cost too small to show in the quotient still keeps it below 1.
     """
-    cost_l, _ = costless_class_cost(dataset)
+    preds = _check_alignment(dataset, predictions)
+    return savings_of_costs(*dataset.costs_if_predicted(), preds)
+
+
+def savings_of_costs(cost0: np.ndarray, cost1: np.ndarray, predictions: np.ndarray) -> float:
+    """``savings`` from each example's cost of predicting 0 and 1; predictions unchecked."""
+    cost_l, _ = _costless_class_cost(cost0, cost1)
     if cost_l <= 0.0:
         raise ValidationError("savings undefined: costless-class cost is zero")
-    cost = total_cost(dataset, predictions)
+    cost = _charged(cost0, cost1, predictions)
     result = (cost_l - cost) / cost_l
     if result == 1.0 and cost > 0.0:
         return float(np.nextafter(1.0, 0.0))

@@ -256,86 +256,116 @@ def _best_split(
     keys: np.ndarray,
     cost0: np.ndarray,
     cost1: np.ndarray,
+    n: np.ndarray,
     levels: np.ndarray | None,
-    parent: float,
-) -> tuple[float, int, float] | None:
-    """Max-gain (gain, column, threshold) over every column of a node's block.
+    parent: np.ndarray,
+) -> list[tuple[float, int, float] | None]:
+    """Max-gain (gain, column, threshold) of each node of a padded block.
 
-    Row f of ``columns`` holds candidate feature f at the node's n examples,
-    and row f of ``keys`` sorts it as a stable sort of its values does (see
-    ``column_ranks``). A cut at position p sends the first p + 1 examples of
-    a column's sort left, so only the last of a run of equal values is a
-    cut. With ``levels`` None every run end is a candidate, with the
-    midpoint as threshold. Otherwise the candidates are the run ends that
-    the column's quantiles at ``levels`` fall in, each keeping its first
-    quantile as threshold, and gains are computed at those positions only.
-    Every threshold sends exactly the examples it was scored with to the
-    left. Ties go to the first column, then the first position. ``parent``
-    is the node's impurity, ``min(cost0.sum(), cost1.sum())``. Returns
-    None if no column has a cut.
+    The block holds B nodes of F candidate features each: row b * F + f of
+    ``columns`` holds feature f at node b's examples, and the same row of
+    ``keys`` sorts it as a stable sort of its values does (see
+    ``column_ranks``). ``n`` is the size of each row's node. Past it a row
+    is padded with the value -inf and the key dtype's largest key, so pads
+    sort after the node's examples. Row b of ``cost0`` and ``cost1`` holds
+    node b's costs, padded with zeros, and ``parent[b]`` is its impurity,
+    ``min(cost0[b].sum(), cost1[b].sum())``.
+
+    A cut at position p sends the first p + 1 examples of a column's sort
+    left, so only the last of a run of equal values is a cut, and a node's
+    last position is none. With ``levels`` None every run end is a
+    candidate, with the midpoint as threshold. Otherwise the candidates are
+    the run ends that the column's quantiles at ``levels`` fall in, each
+    keeping its first quantile as threshold. Every threshold sends exactly
+    the examples it was scored with to the left. Ties go to the first
+    column, then the first position. Pads add zero to the running sums and
+    lie past every cut, so each node gets the answer it would get alone in
+    an unpadded block: its (gain, column, threshold), or None if no column
+    has a cut.
     """
-    n_cols, n = columns.shape
+    rows, width = columns.shape
+    n_nodes = parent.size
+    n_cols = rows // n_nodes
     order = keys.argsort(axis=1, kind="stable")
-    offset = np.arange(0, n_cols * n, n)[:, None]  # flat index of each column's start
+    offset = np.arange(0, rows * width, width)[:, None]  # flat index of each row's start
     sv = columns.take(order + offset)
-    cum0 = cost0[order].cumsum(axis=1)
-    cum1 = cost1[order].cumsum(axis=1)
+    if n_nodes > 1:  # row r reads the costs of node r // n_cols
+        order += np.arange(0, cost0.size, width).repeat(n_cols)[:, None]
+    cum0 = cost0.take(order).cumsum(axis=1)
+    cum1 = cost1.take(order).cumsum(axis=1)
+    top = (n - 1)[:, None]  # each row's last position
+    last = offset + top
+    # gains have (node, column, candidate) axes, so node sizes broadcast
+    by_node = (n_nodes, n_cols, -1)
+    total0, total1 = cum0.take(last).reshape(by_node), cum1.take(last).reshape(by_node)
+    size, parent = n[::n_cols, None, None], parent[:, None, None]
 
-    def gains_at(left0, left1, total0, total1, n_left):
+    def gains_at(left0, left1, n_left):
         i_left = np.minimum(left0, left1)
         i_right = np.minimum(total0 - left0, total1 - left1)
-        return parent - (n_left / n) * i_left - ((n - n_left) / n) * i_right
+        return parent - (n_left / size) * i_left - ((size - n_left) / size) * i_right
 
     if levels is None:
         gains = gains_at(
-            cum0[:, :-1], cum1[:, :-1], cum0[:, -1:], cum1[:, -1:], np.arange(1, n)
+            cum0[:, :-1].reshape(by_node), cum1[:, :-1].reshape(by_node), np.arange(1, width)
         )
-        gains[sv[:, :-1] == sv[:, 1:]] = -np.inf
-        col, p = divmod(int(gains.argmax()), n - 1)
-        if gains[col, p] == -np.inf:
-            return None
-        lower, upper = sv[col, p], sv[col, p + 1]
-        threshold = 0.5 * (lower + upper)
-        if not threshold < upper:  # the midpoint of adjacent doubles can round up
-            threshold = lower
-        return float(gains[col, p]), col, float(threshold)
-
-    # numpy's "linear" quantile, interpolated on the sorted block with the
-    # arithmetic of numpy's _lerp: cut j of a column lies between the values
-    # at positions lo[j] and hi[j]. Adding 0.0 makes a zero cut +0.0
-    # whichever signed zero the column holds.
-    virtual = (n - 1) * levels
-    lo = np.floor(virtual).astype(np.intp)
-    hi = np.minimum(lo + 1, n - 1)
-    gamma = virtual - lo
-    below, above = sv[:, lo], sv[:, hi]
-    diff = above - below
-    cuts = below + diff * gamma
-    np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
-    cuts += 0.0
-    # A finite cut below the value at hi sends positions up to lo left, else
-    # up to the end of that value's run: the first run end at or after hi,
-    # searched among the flat indices of every column's run ends. Only an
-    # overflowing difference leaves a cut non-finite, and then it sends no
-    # example or every example left, as a cut at the last position does.
-    run_end = np.empty((n_cols, n), dtype=bool)
-    run_end[:, -1] = True
-    np.not_equal(sv[:, :-1], sv[:, 1:], out=run_end[:, :-1])
-    ends = run_end.ravel().nonzero()[0]
-    at = np.where(cuts < above, lo + offset, ends[ends.searchsorted(hi + offset)])
-    np.copyto(at, offset + (n - 1), where=~np.isfinite(cuts))
-    # Each distinct cut once, ordered by column, then position.
-    is_cut = np.zeros((n_cols, n), dtype=bool)
-    is_cut.ravel()[at] = True
-    is_cut[:, -1] = False
-    cand = is_cut.ravel().nonzero()[0]
-    if cand.size == 0:
-        return None
-    col, pos = np.divmod(cand, n)
-    gains = gains_at(cum0.take(cand), cum1.take(cand), cum0[col, -1], cum1[col, -1], pos + 1)
-    best = int(gains.argmax())
-    threshold = cuts.take((at == cand[best]).argmax())
-    return float(gains[best]), int(col[best]), float(threshold)
+        # Sorted values never decrease, so >= finds the ends of runs of
+        # equal values; it also finds the last example of a padded row,
+        # whose -inf pads follow it, and every pad.
+        gains[(sv[:, :-1] >= sv[:, 1:]).reshape(by_node)] = -np.inf
+    else:
+        # numpy's "linear" quantile, interpolated on the sorted block with
+        # the arithmetic of numpy's _lerp: cut j of a row lies between the
+        # values at positions lo[j] and hi[j]. Adding 0.0 makes a zero cut
+        # +0.0 whichever signed zero the column holds.
+        virtual = top * levels
+        lo = np.floor(virtual).astype(np.intp)
+        hi = np.minimum(lo + 1, top)
+        gamma = virtual - lo
+        lo += offset
+        hi += offset
+        below, above = sv.take(lo), sv.take(hi)
+        diff = above - below
+        cuts = below + diff * gamma
+        np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
+        cuts += 0.0
+        # A cut below the value at hi sends positions up to lo left, else up
+        # to the end of that value's run: the first run end at or after hi,
+        # searched among the flat indices of every row's run ends (a node's
+        # last example ends a run, as its pads differ from it). So cut
+        # positions never decrease with j, and equal ones score equal
+        # gains: the first largest gain of a row is at its first largest
+        # distinct cut, and its j at that cut's first quantile.
+        run_end = np.empty((rows, width), dtype=bool)
+        run_end[:, -1] = True
+        np.not_equal(sv[:, :-1], sv[:, 1:], out=run_end[:, :-1])
+        ends = run_end.ravel().nonzero()[0]
+        at = np.where(cuts < above, lo, ends[ends.searchsorted(hi)])
+        gains = gains_at(
+            cum0.take(at).reshape(by_node), cum1.take(at).reshape(by_node),
+            (at - offset + 1).reshape(by_node),
+        )
+        # Only an overflowing difference leaves a cut non-finite, and then it
+        # sends no example or every example left, as the last position does.
+        gains[((at == last) | ~np.isfinite(cuts)).reshape(by_node)] = -np.inf
+    found: list[tuple[float, int, float] | None] = []
+    step = gains.shape[2]
+    for b, best in enumerate(gains.reshape(n_nodes, -1).argmax(axis=1).tolist()):
+        col, j = divmod(best, step)
+        r = b * n_cols + col
+        gain = gains[b, col, j]
+        if gain == -np.inf:
+            found.append(None)
+            continue
+        if levels is None:
+            lower, upper = sv[r, j], sv[r, j + 1]
+            threshold = 0.5 * (lower + upper)
+            if not threshold < upper:  # the midpoint of adjacent doubles can round up
+                threshold = lower
+        else:
+            threshold = cuts[r, j]
+        found.append((float(gain), col, float(threshold)))
+    return found
 
 
 def grow(
@@ -347,9 +377,15 @@ def grow(
 ) -> CsdtModel:
     """Grow (and by default prune) a cost-sensitive tree.
 
-    ``node_features`` activates random-forest style feature sampling: each
-    node considers a fresh uniform subset of that many features, drawn from
-    ``rng``. ``ranks`` are the sort keys of ``train.X``: its own
+    The tree grows level by level. Each step takes the open nodes, groups
+    them into buckets of row counts with the same ``floor(log2 n)``, and
+    scores each bucket with one ``_best_split`` call on a padded block;
+    then it splits the nodes and opens their children. ``node_features``
+    activates random-forest style feature sampling: each node considers a
+    fresh uniform subset of that many features, drawn from ``rng`` in
+    depth-first preorder. A tree that draws subsets (fewer features than
+    ``train.k``) therefore takes one open node per step, the next in
+    preorder, with its right child pushed before its left. ``ranks`` are the sort keys of ``train.X``: its own
     ``column_ranks`` by default, or the rows' slice of a larger table's, if
     those rows are in increasing order. Either gives the same tree.
     """
@@ -366,49 +402,102 @@ def grow(
         ranks = column_ranks(train.X)
     elif ranks.shape != train.X.shape:
         raise ValidationError(f"ranks have shape {ranks.shape}, expected {train.X.shape}")
-    cost0, cost1 = _prediction_costs(train, config.impurity)
+    sampled = node_features is not None and node_features < train.k
     levels = _cut_levels(config)
-    # one row per feature, so a node's block and its sort are row-contiguous
-    table, key_table = np.ascontiguousarray(train.X.T), np.ascontiguousarray(ranks.T)
+    # One row per feature, and a pad column past the last example: value
+    # -inf, the largest key and zero costs, so pads sort after every
+    # example and add nothing.
+    pad, width = train.n, train.n + 1
+    table = np.empty((train.k, width))
+    table[:, :pad], table[:, pad] = train.X.T, -np.inf
+    key_table = np.empty((train.k, width), dtype=ranks.dtype)
+    key_table[:, :pad] = ranks.T
+    key_table[:, pad] = np.iinfo(ranks.dtype).max if ranks.dtype.kind in "ui" else np.inf
+    cost0, cost1 = (np.append(c, 0.0) for c in _prediction_costs(train, config.impurity))
     all_features = np.arange(train.k)
 
-    nodes: list[list] = []  # one row of Tree's fields per node, in preorder
+    nodes: list[list] = []  # one row of Tree's fields per node, in the order opened
+    left_of: list[int] = []  # each node's left child, -1 at a leaf
+    frontier: list[tuple] = []  # (node, rows, depth, costs 0, costs 1) of open nodes
 
-    def build(idx: np.ndarray, depth: int) -> None:
-        """Append the subtree of the rows ``idx`` to ``nodes``."""
-        y_sub = train.y[idx]
-        c0, c1 = cost0[idx], cost1[idx]
+    def open_node(idx: np.ndarray, n_pos: int, depth: int) -> int:
+        c0, c1 = cost0.take(idx), cost1.take(idx)
         s0, s1 = float(c0.sum()), float(c1.sum())
-        node = [-1, 0.0, -1, 0 if s0 <= s1 else 1, s0, s1, idx.size, int(y_sub.sum())]
-        nodes.append(node)
-        if (
-            depth >= config.max_depth
-            or idx.size < config.min_samples_split
-            or y_sub.min() == y_sub.max()
+        nodes.append([-1, 0.0, -1, 0 if s0 <= s1 else 1, s0, s1, idx.size, n_pos])
+        left_of.append(-1)
+        if depth < config.max_depth and idx.size >= config.min_samples_split and (
+            0 < n_pos < idx.size
         ):
-            return
-        if node_features is not None and node_features < train.k:
+            frontier.append((len(nodes) - 1, idx, depth, c0, c1))
+        return len(nodes) - 1
+
+    def search(bucket: list[tuple]) -> None:
+        """Score a bucket's nodes with one kernel call, then split them."""
+        sizes = np.array([node[1].size for node in bucket])
+        n_max = int(sizes.max())
+        if len(bucket) == 1:
+            _, rows, _, c0, c1 = bucket[0]
+            rows, c0, c1 = rows[None], c0[None], c1[None]
+        else:
+            rows = np.full((len(bucket), n_max), pad)
+            rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[1] for node in bucket])
+            c0, c1 = cost0.take(rows), cost1.take(rows)
+        if sampled:
             features = node_feature_subset(train.k, node_features, rng)
-            cells = (features[:, None], idx)
+            cells = (features * width)[:, None, None] + rows
+            gathered = table.take(cells), key_table.take(cells)
         else:
             features = all_features
-            cells = (slice(None), idx)
-        block = table[cells]
-        found = _best_split(block, key_table[cells], c0, c1, levels, min(s0, s1))
-        if found is None or found[0] <= config.min_gain:
-            return
-        _, col, cut = found
-        node[0], node[1] = int(features[col]), cut
-        left_mask = block[col] <= cut
-        build(idx[left_mask], depth + 1)
-        node[2] = len(nodes)
-        build(idx[~left_mask], depth + 1)
+            gathered = table.take(rows, axis=1), key_table.take(rows, axis=1)
+        # (features, nodes, n_max) gathers as C-ordered (nodes * features, n_max) blocks
+        block, keys = (g.swapaxes(0, 1).reshape(-1, n_max) for g in gathered)
+        found = _best_split(
+            block,
+            keys,
+            c0,
+            c1,
+            sizes.repeat(features.size),
+            levels,
+            np.array([min(nodes[i][4:6]) for i, *_ in bucket]),
+        )
+        for b, ((i, idx, depth, _, _), best) in enumerate(zip(bucket, found)):
+            if best is None or best[0] <= config.min_gain:
+                continue
+            _, col, cut = best
+            nodes[i][:2] = int(features[col]), cut
+            goes_left = block[b * features.size + col, :idx.size] <= cut
+            left, right = idx[goes_left], idx[~goes_left]
+            n_pos_left = int(train.y.take(left).sum())
+            # right first, so that the frontier's stack takes the left child next
+            nodes[i][2] = open_node(right, nodes[i][7] - n_pos_left, depth + 1)
+            left_of[i] = open_node(left, n_pos_left, depth + 1)
 
-    build(np.arange(train.n), 0)
-    # build refers to itself; emptying its name frees the rows' arrays now,
-    # not at the next garbage collection
-    del build
-    model = CsdtModel(Tree(*zip(*nodes)), config, train.k)
+    open_node(np.arange(train.n), int(train.y.sum()), 0)
+    while frontier:
+        if sampled:  # one node per step keeps the rng's draws in preorder
+            step = [frontier.pop()]
+        else:
+            step, frontier = frontier, []
+        buckets: dict[int, list] = {}
+        for node in step:
+            buckets.setdefault(node[1].size.bit_length(), []).append(node)
+        for bucket in buckets.values():
+            search(bucket)
+    # renumber the nodes in preorder
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if left_of[i] >= 0:
+            stack += [nodes[i][2], left_of[i]]
+    position = [0] * len(order)
+    for p, i in enumerate(order):
+        position[i] = p
+    preorder = [nodes[i] for i in order]
+    for node in preorder:
+        if node[2] >= 0:
+            node[2] = position[node[2]]
+    model = CsdtModel(Tree(*zip(*preorder)), config, train.k)
     if config.pruning:
         model.stats_of = train
         model = prune(model, train)

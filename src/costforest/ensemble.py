@@ -18,7 +18,9 @@ import numpy as np
 from . import combiners, csdt
 from .combiners import GaConfig, StackingWeights, WeightVector
 from .config import from_json
-from .cost_model import CostedDataset, savings
+# savings is not called here; it stays importable as ensemble.savings, a name
+# that perfbench's traced runs wrap
+from .cost_model import CostedDataset, savings, savings_of_costs  # noqa: F401
 from .csdt import CsdtConfig, CsdtModel
 from .errors import ConfigError, ValidationError
 from .inducers import BaseSample, InducerConfig, draw_samples
@@ -116,14 +118,13 @@ def _train_one(
 
 
 def _oob_scores(
-    train_set: CostedDataset, votes: np.ndarray, oob_rows: np.ndarray
+    y: np.ndarray, cost0: np.ndarray, cost1: np.ndarray, preds: np.ndarray
 ) -> tuple[float, float]:
-    """A tree's savings and accuracy on its out-of-bag rows, from its training-set votes."""
-    oob = train_set.subset(oob_rows)
-    preds = votes[oob_rows]
-    accuracy = 1.0 - float((preds != oob.y).mean())
+    """Savings and accuracy of a tree's out-of-bag predictions, given those rows'
+    labels and costs of predicting 0 and 1."""
+    accuracy = 1.0 - float((preds != y).mean())
     try:
-        return savings(oob, preds), accuracy
+        return savings_of_costs(cost0, cost1, preds), accuracy
     except ValidationError:
         # costless-class cost of this OOB draw is zero: no savings to measure,
         # record a neutral zero so the tree earns no voting weight from it
@@ -154,8 +155,12 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     # one routing pass gives every tree's out-of-bag predictions and the
     # stacking level's training votes
     votes = ensemble.base_votes(train_set.X)
+    cost0, cost1 = train_set.costs_if_predicted()
     for j, sample in enumerate(samples):
-        oob_savings[j], oob_accuracy[j] = _oob_scores(train_set, votes[j], sample.oob_indices)
+        oob = sample.oob_indices
+        oob_savings[j], oob_accuracy[j] = _oob_scores(
+            train_set.y[oob], cost0[oob], cost1[oob], votes[j, oob]
+        )
     if config.combiner == "wv":
         ensemble.weights = combiners.weights_from_scores(oob_savings)
     elif config.combiner == "wv-acc":

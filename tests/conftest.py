@@ -5,7 +5,9 @@ import pytest
 
 from costforest import CostedDataset, ValidationError, total_cost
 from costforest.combiners import StackingWeights, as_vote_matrix
-from costforest.csdt import CsdtModel, Internal, Leaf, SplitRule, TreeNode, predict_many
+from costforest import csdt
+from costforest.csdt import CsdtConfig, CsdtModel, Internal, Leaf, SplitRule, TreeNode, predict_many
+from costforest.inducers import node_feature_subset
 
 
 def strict_random_dataset(rng, n, k, binaryish=False):
@@ -165,3 +167,59 @@ def route_oracle(model: CsdtModel, X: np.ndarray, value) -> list:
 
     route(model.root, np.arange(X.shape[0]))
     return out
+
+
+def grow_oracle(
+    train: CostedDataset,
+    config: CsdtConfig | None = None,
+    rng: np.random.Generator | None = None,
+    node_features: int | None = None,
+) -> CsdtModel:
+    """``csdt.grow`` by depth-first recursion, one kernel call per node.
+
+    Each node's block holds exactly its rows, unpadded; the tree is built in
+    preorder and pruned as ``grow`` prunes it.
+    """
+    config = config or CsdtConfig()
+    cost0, cost1 = _oracle_costs(train, config.impurity)
+    levels = csdt._cut_levels(config)
+    table, key_table = train.X.T, csdt.column_ranks(train.X).T
+    nodes: list[list] = []  # one row of Tree's fields per node, in preorder
+
+    def build(idx: np.ndarray, depth: int) -> None:
+        y_sub = train.y[idx]
+        c0, c1 = cost0[idx], cost1[idx]
+        s0, s1 = float(c0.sum()), float(c1.sum())
+        node = [-1, 0.0, -1, 0 if s0 <= s1 else 1, s0, s1, idx.size, int(y_sub.sum())]
+        nodes.append(node)
+        if (
+            depth >= config.max_depth
+            or idx.size < config.min_samples_split
+            or y_sub.min() == y_sub.max()
+        ):
+            return
+        if node_features is not None and node_features < train.k:
+            features = node_feature_subset(train.k, node_features, rng)
+        else:
+            features = np.arange(train.k)
+        block = table[np.ix_(features, idx)]
+        [found] = csdt._best_split(
+            block, key_table[np.ix_(features, idx)], c0[None], c1[None],
+            np.full(features.size, idx.size), levels, np.array([min(s0, s1)]),
+        )
+        if found is None or found[0] <= config.min_gain:
+            return
+        _, col, cut = found
+        node[0], node[1] = int(features[col]), cut
+        left_mask = block[col] <= cut
+        build(idx[left_mask], depth + 1)
+        node[2] = len(nodes)
+        build(idx[~left_mask], depth + 1)
+
+    build(np.arange(train.n), 0)
+    model = CsdtModel(csdt.Tree(*zip(*nodes)), config, train.k)
+    if config.pruning:
+        model.stats_of = train
+        model = csdt.prune(model, train)
+        model.stats_of = None
+    return model

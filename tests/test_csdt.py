@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     cost_impurity,
     four_example_set,
+    grow_oracle,
     prune_oracle,
     route_oracle,
     split_gain,
@@ -446,6 +447,14 @@ def reference_best_split(X, cost0, cost1, features, levels):
     return best
 
 
+def _unpadded_nodes(columns, cost0, cost1, n):
+    """Each node of a padded kernel block: its (F, n) columns and its costs."""
+    n_cols = columns.shape[0] // cost0.shape[0]
+    for b in range(cost0.shape[0]):
+        size = n[b * n_cols]
+        yield columns[b * n_cols:(b + 1) * n_cols, :size], cost0[b, :size], cost1[b, :size]
+
+
 def _random_column(rng, n, y):
     kind = rng.integers(0, 6)
     if kind == 0:  # integers, many ties
@@ -483,9 +492,10 @@ def _random_node(rng):
 
 def _kernel(X, cost0, cost1, features, levels):
     """The kernel on the features' block, answering as the reference does."""
-    found = csdt._best_split(
-        X[:, features].T, csdt.column_ranks(X)[:, features].T, cost0, cost1, levels,
-        min(float(cost0.sum()), float(cost1.sum())),
+    [found] = csdt._best_split(
+        X[:, features].T, csdt.column_ranks(X)[:, features].T, cost0[None], cost1[None],
+        np.full(features.size, X.shape[0]), levels,
+        np.array([min(float(cost0.sum()), float(cost1.sum()))]),
     )
     if found is None:
         return None
@@ -518,9 +528,10 @@ class TestSplitKernel:
         monkeypatch.setitem(globals(), "_quantile_cuts", np.quantile)
         monkeypatch.setattr(
             csdt, "_best_split",
-            lambda columns, keys, c0, c1, levels, parent: reference_best_split(
-                columns.T, c0, c1, range(columns.shape[0]), levels
-            ),
+            lambda columns, keys, c0, c1, n, levels, parent: [
+                reference_best_split(columns.T, c0, c1, range(columns.shape[0]), levels)
+                for columns, c0, c1 in _unpadded_nodes(columns, c0, c1, n)
+            ],
         )
         with_np_quantile = grow(ds, config)
         assert with_np_quantile.root.rule == SplitRule(0, 0.0)
@@ -593,11 +604,69 @@ class TestSplitKernel:
         fast = dump()
         monkeypatch.setattr(
             csdt, "_best_split",
-            lambda columns, keys, c0, c1, levels, parent: reference_best_split(
-                columns.T, c0, c1, range(columns.shape[0]), levels
-            ),
+            lambda columns, keys, c0, c1, n, levels, parent: [
+                reference_best_split(columns.T, c0, c1, range(columns.shape[0]), levels)
+                for columns, c0, c1 in _unpadded_nodes(columns, c0, c1, n)
+            ],
         )
         assert dump() == fast
+
+
+def _padded_bucket(nodes):
+    """One kernel block of the nodes' (X, cost0, cost1), as ``grow`` pads them.
+
+    Keys come from one rank table of all nodes' rows stacked, so each node's
+    keys sort its rows as their values do; pads get the value -inf and the
+    key dtype's largest key, and zero costs.
+    """
+    sizes = np.array([X.shape[0] for X, _, _ in nodes])
+    n_cols, width = nodes[0][0].shape[1], int(sizes.max())
+    ranks = csdt.column_ranks(np.vstack([X for X, _, _ in nodes]))
+    columns = np.full((len(nodes), n_cols, width), -np.inf)
+    keys = np.full((len(nodes), n_cols, width), np.iinfo(ranks.dtype).max, dtype=ranks.dtype)
+    cost0, cost1 = np.zeros((len(nodes), width)), np.zeros((len(nodes), width))
+    start = 0
+    for b, (X, c0, c1) in enumerate(nodes):
+        n = X.shape[0]
+        columns[b, :, :n], keys[b, :, :n] = X.T, ranks[start:start + n].T
+        cost0[b, :n], cost1[b, :n] = c0, c1
+        start += n
+    parent = np.array([min(float(c0.sum()), float(c1.sum())) for _, c0, c1 in nodes])
+    return columns.reshape(-1, width), keys.reshape(-1, width), cost0, cost1, sizes, parent
+
+
+class TestRaggedKernel:
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_node_matches_the_reference_alone(self, seed, mode):
+        rng = np.random.default_rng([seed, 1010])
+        levels = csdt._cut_levels(CsdtConfig(candidate_thresholds=mode, n_quantiles=37))
+        found = 0
+        for _ in range(40):
+            n_cols = int(rng.integers(1, 6))
+            sizes = [2, 300] + rng.choice([2, 3, 5, 17, 60, 300], int(rng.integers(0, 6))).tolist()
+            nodes = []
+            for n in rng.permutation(sizes):
+                y = rng.integers(0, 2, n)
+                X = np.column_stack([_random_column(rng, n, y) for _ in range(n_cols)])
+                if rng.random() < 0.2:
+                    X[:] = X[0]  # every column constant: no cut
+                if rng.random() < 0.3:  # unit costs: many tied gains
+                    c0, c1 = (y == 1).astype(float), (y == 0).astype(float)
+                else:
+                    c0, c1 = rng.exponential(size=(2, n)) * (rng.random((2, n)) < 0.7)
+                nodes.append((X, c0, c1))
+            columns, keys, cost0, cost1, node_sizes, parent = _padded_bucket(nodes)
+            results = csdt._best_split(
+                columns, keys, cost0, cost1, node_sizes.repeat(n_cols), levels, parent
+            )
+            assert len(results) == len(nodes)
+            for (X, c0, c1), got in zip(nodes, results):
+                expected = reference_best_split(X, c0, c1, range(n_cols), levels)
+                assert got == expected
+                found += expected is not None
+        assert found > 100
 
 
 def _tied_dataset(rng, n):
@@ -803,3 +872,79 @@ class TestFlatTreesMatchOracles:
         assert model.n_nodes() == 3 and model.depth() == 1
         assert predict_many(model, np.array([[0.0], [0.5], [1.0]])).tolist() == [0, 0, 0]
         assert model_from_dict(model_to_dict(model)).root == root
+
+
+# --- level-wise growth against the depth-first oracle ----------------------
+
+
+def _signed_zero_dataset(rng, n):
+    """Duplicate rows, a constant column, signed zeros and a pure region."""
+    X = np.column_stack([
+        np.full(n, 3.0),
+        rng.choice([-0.0, 0.0, 1.0], n),
+        rng.integers(0, 5, n).astype(float),
+        np.round(rng.normal(size=n), 1),
+    ])
+    y = ((X[:, 2] >= 3) | (rng.random(n) < 0.2)).astype(int)
+    y[X[:, 2] == 0] = 0  # a pure region
+    ds = strict_random_dataset(rng, n, X.shape[1])
+    rows = np.sort(rng.integers(0, n, n))  # duplicate rows
+    return CostedDataset(X[rows], y[rows], ds.costs[rows])
+
+
+class TestLevelWiseGrowth:
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_depth_first_oracle(self, kind, mode, impurity):
+        rng = np.random.default_rng(77)
+        ds = _tied_dataset(rng, 400)
+        samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=8))
+        for j, sample in enumerate(samples):
+            config = CsdtConfig(candidate_thresholds=mode, impurity=impurity, pruning=j == 0)
+            rows = sample.example_indices
+            cells = rows if sample.feature_indices is None else np.ix_(rows, sample.feature_indices)
+            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
+
+            def fit(grower):
+                kwargs = {}
+                if sample.node_features is not None:
+                    kwargs = dict(rng=np.random.default_rng(j), node_features=sample.node_features)
+                return model_to_dict(grower(sub, config, **kwargs))
+
+            assert fit(grow) == fit(grow_oracle)
+
+    @pytest.mark.parametrize("config", [
+        CsdtConfig(min_samples_split=40),
+        CsdtConfig(min_gain=5.0, candidate_thresholds="exact_midpoints"),
+        CsdtConfig(min_gain=0.5, impurity="gini"),
+        CsdtConfig(max_depth=1),
+        CsdtConfig(max_depth=1, candidate_thresholds="exact_midpoints", pruning=False),
+    ], ids=["min-samples-split", "min-gain-exact", "min-gain-gini", "depth-1", "depth-1-exact"])
+    def test_stopping_rules_match_oracle(self, config):
+        ds = _signed_zero_dataset(np.random.default_rng(78), 500)
+        assert model_to_dict(grow(ds, config)) == model_to_dict(grow_oracle(ds, config))
+
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    def test_duplicate_pure_constant_and_signed_zero_nodes(self, mode):
+        ds = _signed_zero_dataset(np.random.default_rng(79), 300)
+        config = CsdtConfig(candidate_thresholds=mode, pruning=False)
+        model = grow(ds, config)
+        assert model_to_dict(model) == model_to_dict(grow_oracle(ds, config))
+        assert 0 not in model.tree.feature  # the constant column never splits
+        assert ((model.tree.n_pos == 0) & (model.tree.feature < 0)).any()  # pure leaves
+
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    def test_pad_key_equals_a_real_key(self, mode):
+        # 65536 rows: uint16 ranks, and the largest value's rank is the pad key
+        rng = np.random.default_rng(80)
+        n = 65536
+        X = np.column_stack([rng.integers(0, 50, n).astype(float), rng.normal(size=n)])
+        y = (X[:, 1] + 0.5 * rng.normal(size=n) > 1).astype(int)
+        ds = CostedDataset(X, y, np.tile([0.0, 1.0, 4.0, 0.0], (n, 1)))
+        assert csdt.column_ranks(X).max() == np.iinfo(np.uint16).max
+        config = CsdtConfig(candidate_thresholds=mode, max_depth=3, pruning=False)
+        model = grow(ds, config)
+        assert model.n_nodes() > 7
+        assert model_to_dict(model) == model_to_dict(grow_oracle(ds, config))
