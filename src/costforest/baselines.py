@@ -16,7 +16,7 @@ import numpy as np
 from . import ensemble
 from .combiners import _sigmoid
 from .cost_model import CostedDataset
-from .csdt import CsdtConfig, CsdtModel, grow, predict_proba_many
+from .csdt import CsdtConfig, CsdtModel, grow, leaf_proba, predict_proba_many, route
 from .ensemble import EcsdtConfig, EnsembleModel
 from .errors import ConfigError, ValidationError
 from .inducers import InducerConfig
@@ -138,11 +138,11 @@ class ForestModel:
         return self.inner.predict_many(X)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        """Mean of the trees' leaf probabilities; ``X`` is checked once."""
+        X = self.inner.features(X)
         probs = np.zeros(X.shape[0])
         for model, subset in zip(self.inner.base_models, self.inner.feature_subsets):
-            view = X if subset is None else X[:, subset]
-            probs += predict_proba_many(model, view)
+            probs += leaf_proba(model.tree, route(model.tree, X, subset))
         return probs / len(self.inner.base_models)
 
 

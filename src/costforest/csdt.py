@@ -276,12 +276,16 @@ def _best_split(
     last position is none. With ``levels`` None every run end is a
     candidate, with the midpoint as threshold. Otherwise the candidates are
     the run ends that the column's quantiles at ``levels`` fall in, each
-    keeping its first quantile as threshold. Every threshold sends exactly
-    the examples it was scored with to the left. Ties go to the first
-    column, then the first position. Pads add zero to the running sums and
-    lie past every cut, so each node gets the answer it would get alone in
-    an unpadded block: its (gain, column, threshold), or None if no column
-    has a cut.
+    keeping its first quantile as threshold. A block of several nodes with
+    no more positions than levels (``width - 1 <= levels.size``) computes
+    the gain once per position, as exact mode does, and keeps the positions
+    some cut reaches (``_cut_positions``); a larger block, or a single
+    node, computes it once per level. Both give the same floats. Every
+    threshold sends exactly the examples it was scored with to the left.
+    Ties go to the first column, then the first position. Pads add zero to
+    the running sums and lie past every cut, so each node gets the answer
+    it would get alone in an unpadded block: its (gain, column, threshold),
+    or None if no column has a cut.
     """
     rows, width = columns.shape
     n_nodes = parent.size
@@ -305,14 +309,22 @@ def _best_split(
         i_right = np.minimum(total0 - left0, total1 - left1)
         return parent - (n_left / size) * i_left - ((size - n_left) / size) * i_right
 
-    if levels is None:
+    # Several nodes whose positions are no more than the levels are scored
+    # per position; a single node, as a random-forest step searches, costs
+    # less per level.
+    by_position = levels is not None and n_nodes > 1 and width - 1 <= levels.size
+    if levels is None or by_position:
         gains = gains_at(
             cum0[:, :-1].reshape(by_node), cum1[:, :-1].reshape(by_node), np.arange(1, width)
         )
+    if levels is None:
         # Sorted values never decrease, so >= finds the ends of runs of
         # equal values; it also finds the last example of a padded row,
         # whose -inf pads follow it, and every pad.
         gains[(sv[:, :-1] >= sv[:, 1:]).reshape(by_node)] = -np.inf
+    elif by_position:
+        reached, cuts = _cut_positions(sv, n[::n_cols], levels, last)
+        gains[~reached] = -np.inf
     else:
         # numpy's "linear" quantile, interpolated on the sorted block with
         # the arithmetic of numpy's _lerp: cut j of a row lies between the
@@ -325,9 +337,7 @@ def _best_split(
         lo += offset
         hi += offset
         below, above = sv.take(lo), sv.take(hi)
-        diff = above - below
-        cuts = below + diff * gamma
-        np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
+        cuts = _lerp(below, above, above - below, gamma)
         cuts += 0.0
         # A cut below the value at hi sends positions up to lo left, else up
         # to the end of that value's run: the first run end at or after hi,
@@ -336,10 +346,7 @@ def _best_split(
         # positions never decrease with j, and equal ones score equal
         # gains: the first largest gain of a row is at its first largest
         # distinct cut, and its j at that cut's first quantile.
-        run_end = np.empty((rows, width), dtype=bool)
-        run_end[:, -1] = True
-        np.not_equal(sv[:, :-1], sv[:, 1:], out=run_end[:, :-1])
-        ends = run_end.ravel().nonzero()[0]
+        ends = _run_ends(sv)
         at = np.where(cuts < above, lo, ends[ends.searchsorted(hi)])
         gains = gains_at(
             cum0.take(at).reshape(by_node), cum1.take(at).reshape(by_node),
@@ -368,6 +375,84 @@ def _best_split(
     return found
 
 
+def _run_ends(sv: np.ndarray) -> np.ndarray:
+    """Flat indices of the last value of each run of equal values in each row."""
+    run_end = np.empty(sv.shape, dtype=bool)
+    run_end[:, -1] = True
+    np.not_equal(sv[:, :-1], sv[:, 1:], out=run_end[:, :-1])
+    return run_end.ravel().nonzero()[0]
+
+
+def _lerp(below: np.ndarray, above: np.ndarray, diff: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """numpy's linear quantile between two values, with the arithmetic of its _lerp."""
+    cuts = below + diff * gamma
+    np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
+    return cuts
+
+
+def _cut_positions(
+    sv: np.ndarray, size: np.ndarray, levels: np.ndarray, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions that some quantile cut reaches, and the first such cut.
+
+    ``sv`` is a sorted, padded (nodes * F, width) block, ``size`` each
+    node's example count and ``last`` each row's flat index of its last
+    example. Returns a boolean (nodes, F, width - 1) array of the positions
+    that the cuts at ``levels`` send examples up to, and a (rows, width - 1)
+    array of each reached position's threshold: that of its first level.
+    This is what scoring the levels one by one finds, computed once per
+    position, so it pays off when a block has no more positions than levels.
+
+    The levels whose cut lies between the values at positions p and p + 1
+    of a node (numpy's lower index p) form a group. Their cuts never
+    decrease, so the group reaches p if its first cut is below the upper
+    value, and the end of that value's run if its last cut is not. A run
+    end reached from an earlier group's upper value takes that value (plus
+    0.0) as threshold, since its levels come first; otherwise p takes the
+    first cut (plus 0.0). A non-finite cut (an overflowing difference)
+    reaches nothing, and no cut reaches a node's last position.
+    """
+    rows, width = sv.shape
+    n_nodes, n_pos = size.size, width - 1
+    virtual = (size - 1)[:, None] * levels
+    lo = virtual.astype(np.intp)  # the floor, as virtual >= 0
+    gamma = (virtual - lo).ravel()
+    # Each group's first and last interpolation weight, at its (node,
+    # position) cell, NaN where no level falls. A node's last position
+    # reaches nothing: its upper value is a -inf pad, or the cell lies past
+    # the positions of the block.
+    cell = (lo + np.arange(0, n_nodes * width, width)[:, None]).ravel()
+    first = np.empty(cell.size, dtype=bool)
+    first[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    final = np.append(first[1:], True)
+    gamma_first, gamma_last = np.full((2, n_nodes * width), np.nan)
+    gamma_first[cell[first]] = gamma[first]
+    gamma_last[cell[final]] = gamma[final]
+    gamma_first, gamma_last = (g.reshape(n_nodes, 1, width)[:, :, :-1]
+                               for g in (gamma_first, gamma_last))
+    by_node = (n_nodes, rows // n_nodes, n_pos)
+    below, above = sv[:, :-1].reshape(by_node), sv[:, 1:].reshape(by_node)
+    with np.errstate(invalid="ignore", over="ignore"):  # pads are -inf
+        diff = above - below
+        cuts = _lerp(below, above, diff, gamma_first)
+        last_cuts = _lerp(below, above, diff, gamma_last)
+        reached = (cuts < above) & np.isfinite(cuts)
+        tie = (last_cuts >= above) & np.isfinite(last_cuts)
+    cuts = cuts.reshape(rows, n_pos)
+    tie = tie.ravel().nonzero()[0]
+    if tie.size:
+        # the first run end at or after the upper value's position
+        ends = _run_ends(sv)
+        end = ends.take(ends.searchsorted(tie + tie // n_pos + 1))
+        end = end[end < last.take(end // width)]
+        cell = end - end // width
+        reached.ravel()[cell] = True
+        cuts.ravel()[cell] = sv.take(end)
+    cuts += 0.0
+    return reached, cuts
+
+
 def grow(
     train: CostedDataset,
     config: CsdtConfig | None = None,
@@ -377,17 +462,20 @@ def grow(
 ) -> CsdtModel:
     """Grow (and by default prune) a cost-sensitive tree.
 
-    The tree grows level by level. Each step takes the open nodes, groups
-    them into buckets of row counts with the same ``floor(log2 n)``, and
-    scores each bucket with one ``_best_split`` call on a padded block;
-    then it splits the nodes and opens their children. ``node_features``
-    activates random-forest style feature sampling: each node considers a
-    fresh uniform subset of that many features, drawn from ``rng`` in
-    depth-first preorder. A tree that draws subsets (fewer features than
-    ``train.k``) therefore takes one open node per step, the next in
-    preorder, with its right child pushed before its left. ``ranks`` are the sort keys of ``train.X``: its own
-    ``column_ranks`` by default, or the rows' slice of a larger table's, if
-    those rows are in increasing order. Either gives the same tree.
+    The tree grows level by level. Each step takes the open nodes and
+    groups them into buckets: in quantile mode, every node with no more
+    rows than ``n_quantiles`` in one bucket, which ``_best_split`` scores
+    per position; every other node by the ``floor(log2 n)`` of its row
+    count. It scores each bucket with one ``_best_split`` call on a padded
+    block, then splits the nodes and opens their children.
+    ``node_features`` activates random-forest style feature sampling: each
+    node considers a fresh uniform subset of that many features, drawn
+    from ``rng`` in depth-first preorder. A tree that draws subsets (fewer
+    features than ``train.k``) therefore takes one open node per step, the
+    next in preorder, with its right child pushed before its left.
+    ``ranks`` are the sort keys of ``train.X``: its own ``column_ranks`` by
+    default, or the rows' slice of a larger table's, if those rows are in
+    increasing order. Either gives the same tree.
     """
     config = config or CsdtConfig()
     config.validate()
@@ -404,6 +492,8 @@ def grow(
         raise ValidationError(f"ranks have shape {ranks.shape}, expected {train.X.shape}")
     sampled = node_features is not None and node_features < train.k
     levels = _cut_levels(config)
+    # nodes that _best_split scores by position share one bucket
+    small = 0 if levels is None else levels.size + 1
     # One row per feature, and a pad column past the last example: value
     # -inf, the largest key and zero costs, so pads sort after every
     # example and add nothing.
@@ -480,7 +570,8 @@ def grow(
             step, frontier = frontier, []
         buckets: dict[int, list] = {}
         for node in step:
-            buckets.setdefault(node[1].size.bit_length(), []).append(node)
+            size = node[1].size
+            buckets.setdefault(0 if size <= small else size.bit_length(), []).append(node)
         for bucket in buckets.values():
             search(bucket)
     # renumber the nodes in preorder
@@ -562,8 +653,12 @@ def predict_proba_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
     """Positive-class probability per row (leaf frequency, Laplace smoothed)."""
     X = as_features(X, model.k)
     _check_finite(X)
-    leaves = route(model.tree, X)
-    return (model.tree.n_pos[leaves] + 1.0) / (model.tree.n[leaves] + 2.0)
+    return leaf_proba(model.tree, route(model.tree, X))
+
+
+def leaf_proba(tree: Tree, leaves: np.ndarray) -> np.ndarray:
+    """Positive-class probability at each of ``leaves`` (leaf frequency, Laplace smoothed)."""
+    return (tree.n_pos[leaves] + 1.0) / (tree.n[leaves] + 2.0)
 
 
 def _node_stats(
@@ -738,5 +833,15 @@ def save(model: CsdtModel, path: str | Path) -> None:
     )
 
 
+def read_model_file(path: str | Path):
+    """The JSON value in a model file; a ValidationError if the file cannot
+    be read, is not valid UTF-8 JSON or nests deeper than the JSON decoder
+    allows."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"{path} is not a model file: {type(exc).__name__}: {exc}") from None
+
+
 def load(path: str | Path) -> CsdtModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(read_model_file(path))

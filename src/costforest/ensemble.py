@@ -62,17 +62,20 @@ class EnsembleModel:
     def T(self) -> int:
         return len(self.base_models)
 
-    def base_votes(self, X: np.ndarray) -> np.ndarray:
-        """(T, N) matrix of base-tree predictions, feature subsets remapped.
-
-        Rejects non-finite values in any column that some tree reads.
-        """
+    def features(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as the trees route it; rejects non-finite values in any
+        column that some tree reads."""
         X = csdt.as_features(X, self.k)
         finite = np.isfinite(X).all(axis=0)
         if not finite.all() and any(
             subset is None or not finite[subset].all() for subset in self.feature_subsets
         ):
             raise ValidationError("features contain non-finite values")
+        return X
+
+    def base_votes(self, X: np.ndarray) -> np.ndarray:
+        """(T, N) matrix of base-tree predictions, feature subsets remapped."""
+        X = self.features(X)
         votes = np.empty((self.T, X.shape[0]), dtype=np.int64)
         for j, (model, subset) in enumerate(zip(self.base_models, self.feature_subsets)):
             votes[j] = model.tree.predicted_class[csdt.route(model.tree, X, subset)]
@@ -264,4 +267,4 @@ def save(model: EnsembleModel, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> EnsembleModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(csdt.read_model_file(path))

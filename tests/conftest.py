@@ -34,6 +34,13 @@ def four_example_set():
     return CostedDataset(X, y, costs)
 
 
+def deep_chain(depth):
+    """JSON text of a chain of ``depth`` rules on feature 0, built without recursion."""
+    leaf = '{"leaf": {"class": 0, "cost_f0": 0.0, "cost_f1": 0.0, "n": 1, "n_pos": 0}}'
+    rule = '{"rule": {"feature": 0, "threshold": 0.5}, "right": ' + leaf + ', "left": '
+    return rule * depth + leaf + "}" * depth
+
+
 def gaussian_cost_dataset(rng, n, k=10, shift=1.2, amount_sigma=1.0, admin=3.0):
     """Two overlapping Gaussian classes with fraud-style lognormal costs."""
     y = (rng.random(n) < 0.3).astype(int)

@@ -1,19 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import gaussian_cost_dataset, strict_random_dataset
-from costforest import ConfigError, CostedDataset, CostMatrixRow, ValidationError
+from costforest import ConfigError, CostedDataset, CostMatrixRow, ValidationError, ensemble
 from costforest.baselines import (
     BmrWrapper,
+    ForestModel,
     LrConfig,
     TreeProbaModel,
     bmr_predict_dataset,
+    forest_config,
     gini_tree,
     logistic_loss_grad,
     plain_forest,
     train_logistic,
 )
-from costforest.csdt import CsdtConfig, grow
+from costforest.csdt import CsdtConfig, grow, predict_proba_many
+from costforest.inducers import InducerConfig
 
 
 def linear_dataset(rng, n, margin=1.0):
@@ -200,3 +205,19 @@ class TestPlainForest:
         forest = plain_forest(ds, T=5, seed=2, tree=CsdtConfig(max_depth=3))
         p = forest.predict_proba(ds.X)
         assert ((p > 0) & (p < 1)).all()
+
+    @pytest.mark.parametrize("kind", ["random_forest", "random_patches"])
+    def test_probability_equals_per_tree_sum(self, kind):
+        rng = np.random.default_rng(13)
+        ds = gaussian_cost_dataset(rng, 200, k=4)
+        config = replace(forest_config(6, 3, CsdtConfig(max_depth=4)),
+                         inducer=InducerConfig(kind=kind, T=6, seed=3))
+        forest = ForestModel(inner=ensemble.train(ds, config))
+        X = rng.normal(size=(300, 4))
+        expected = np.zeros(300)
+        for model, subset in zip(forest.inner.base_models, forest.inner.feature_subsets):
+            expected += predict_proba_many(model, X if subset is None else X[:, subset])
+        assert forest.predict_proba(X).tobytes() == (expected / 6).tobytes()
+        X[5, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            forest.predict_proba(X)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import gaussian_cost_dataset
+from conftest import deep_chain, gaussian_cost_dataset
 from costforest import cli, sampling
 from costforest.cli import main
 
@@ -188,6 +188,23 @@ class TestPredictInputChecks:
         out = str(tmp_path / "p.csv")
         assert main(["predict", "--model", str(model), "--data", data, "--out", out]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[:len(text) // 2], "JSONDecodeError"),
+        (lambda text: text.replace('"root": ', '"root": ' + deep_chain(1200) + ', "unused": ', 1),
+         "RecursionError"),
+        (None, "FileNotFoundError"),
+    ], ids=["truncated", "too-deep", "missing"])
+    def test_unreadable_model_exit_2(self, tmp_path, capsys, edit, message):
+        data, model = self._model(tmp_path)
+        if edit is None:
+            model.unlink()
+        else:
+            model.write_text(edit(model.read_text()))
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", data, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_feature_subset_out_of_range_exit_2(self, tmp_path, capsys):
         rows = "f1,f2,f3,y,c_tp,c_fp,c_fn,c_tn\n" + "".join(

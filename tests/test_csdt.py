@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     cost_impurity,
+    deep_chain,
     four_example_set,
     grow_oracle,
     prune_oracle,
@@ -374,6 +375,18 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="format version"):
             model_from_dict({"format_version": "999", "kind": "csdt"})
 
+    @pytest.mark.parametrize("text, match", [
+        (lambda text: text[:len(text) // 2], "JSONDecodeError"),
+        (lambda text: text.replace('"root": ', '"root": ' + deep_chain(1200) + ', "unused": ', 1),
+         "RecursionError"),
+    ], ids=["truncated", "too-deep"])
+    def test_unreadable_file_rejected(self, four_examples, tmp_path, text, match):
+        path = tmp_path / "tree.json"
+        save(grow(four_examples, EXACT), path)
+        path.write_text(text(path.read_text()))
+        with pytest.raises(ValidationError, match=match):
+            load(path)
+
     @pytest.mark.parametrize("corrupt, match", [
         (lambda d: d["root"]["rule"].update(feature=99), "outside"),
         (lambda d: d["root"]["rule"].update(feature=-1), "outside"),
@@ -455,8 +468,8 @@ def _unpadded_nodes(columns, cost0, cost1, n):
         yield columns[b * n_cols:(b + 1) * n_cols, :size], cost0[b, :size], cost1[b, :size]
 
 
-def _random_column(rng, n, y):
-    kind = rng.integers(0, 6)
+def _random_column(rng, n, y, kinds=6):
+    kind = rng.integers(0, kinds)
     if kind == 0:  # integers, many ties
         return rng.integers(0, rng.integers(1, 6), n).astype(float)
     if kind == 1:
@@ -467,10 +480,21 @@ def _random_column(rng, n, y):
         return np.round(rng.normal(size=n), 1)
     if kind == 4:  # differences overflow to inf
         return rng.choice([-1.7e308, 0.0, 1.7e308], n)
-    # two adjacent doubles that follow the label; their midpoint may round up
-    a = rng.normal()
-    b = np.nextafter(a, np.inf)
-    return np.where((y == 1) ^ (rng.random(n) < 0.1), b, a)
+    if kind == 5:  # two adjacent doubles that follow the label; their midpoint may round up
+        a = rng.normal()
+        b = np.nextafter(a, np.inf)
+        return np.where((y == 1) ^ (rng.random(n) < 0.1), b, a)
+    # values 2 apart where the spacing of doubles is 2: quantile cuts round to either value
+    return 1e16 + 2 * rng.integers(0, 3, n).astype(float)
+
+
+def _rounds_up(sorted_vals, levels):
+    """Whether a quantile of the column equals the upper of two distinct values it lies between."""
+    virtual = (sorted_vals.size - 1) * levels
+    lo = np.floor(virtual).astype(int)
+    hi = np.minimum(lo + 1, sorted_vals.size - 1)
+    cuts = np.quantile(sorted_vals, levels)
+    return bool(((cuts == sorted_vals[hi]) & (sorted_vals[lo] < sorted_vals[hi])).any())
 
 
 def _random_node(rng):
@@ -635,6 +659,20 @@ def _padded_bucket(nodes):
     return columns.reshape(-1, width), keys.reshape(-1, width), cost0, cost1, sizes, parent
 
 
+def _bucket_of_small_nodes(rng, sizes, n_cols):
+    """Random nodes of the given sizes, each column of any ``_random_column`` kind."""
+    nodes = []
+    for n in rng.permutation(sizes):
+        y = rng.integers(0, 2, n)
+        X = np.column_stack([_random_column(rng, n, y, kinds=7) for _ in range(n_cols)])
+        if rng.random() < 0.3:  # unit costs: many tied gains
+            c0, c1 = (y == 1).astype(float), (y == 0).astype(float)
+        else:
+            c0, c1 = rng.exponential(size=(2, n)) * (rng.random((2, n)) < 0.7)
+        nodes.append((X, c0, c1))
+    return nodes
+
+
 class TestRaggedKernel:
     @overflow_warnings_ok
     @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
@@ -667,6 +705,31 @@ class TestRaggedKernel:
                 assert got == expected
                 found += expected is not None
         assert found > 100
+
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("n_quantiles", [2, 10, 62, 63, 64, 100])
+    def test_merged_small_nodes_match_the_reference_alone(self, n_quantiles):
+        # the widest node has 63 rows, so n_quantiles 63 and above score
+        # positions, and 62 and below score levels
+        rng = np.random.default_rng([n_quantiles, 1012])
+        levels = csdt._cut_levels(CsdtConfig(n_quantiles=n_quantiles))
+        found = rounded = 0
+        for _ in range(40):
+            n_cols = int(rng.integers(1, 6))
+            sizes = [2, 63] + rng.integers(2, 64, int(rng.integers(0, 8))).tolist()
+            nodes = _bucket_of_small_nodes(rng, sizes, n_cols)
+            columns, keys, cost0, cost1, node_sizes, parent = _padded_bucket(nodes)
+            assert (columns.shape[1] - 1 <= levels.size) == (n_quantiles >= 63)
+            results = csdt._best_split(
+                columns, keys, cost0, cost1, node_sizes.repeat(n_cols), levels, parent
+            )
+            for (X, c0, c1), got in zip(nodes, results, strict=True):
+                expected = reference_best_split(X, c0, c1, range(n_cols), levels)
+                assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0
+                found += expected is not None
+                rounded += any(_rounds_up(np.sort(x), levels) for x in X.T)
+        assert found > 100
+        assert rounded > 10  # some cut equals the upper of two distinct values
 
 
 def _tied_dataset(rng, n):
@@ -948,3 +1011,32 @@ class TestLevelWiseGrowth:
         model = grow(ds, config)
         assert model.n_nodes() > 7
         assert model_to_dict(model) == model_to_dict(grow_oracle(ds, config))
+
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("n_quantiles", [2, 10, 100])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_oracle_at_n_quantiles(self, kind, n_quantiles, monkeypatch):
+        scored = []
+        cut_positions = csdt._cut_positions
+        monkeypatch.setattr(
+            csdt, "_cut_positions", lambda *args: scored.append(1) or cut_positions(*args)
+        )
+        rng = np.random.default_rng([n_quantiles, 81])
+        ds = _tied_dataset(rng, 400)
+        X = np.column_stack([ds.X, 1e16 + 2 * rng.integers(0, 3, ds.n)])
+        ds = CostedDataset(X, ds.y, ds.costs)
+        config = CsdtConfig(n_quantiles=n_quantiles, pruning=False)
+        samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=9))
+        for j, sample in enumerate(samples):
+            rows = sample.example_indices
+            cells = rows if sample.feature_indices is None else np.ix_(rows, sample.feature_indices)
+            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
+            kwargs = {}
+            if sample.node_features is not None:
+                kwargs = dict(rng=np.random.default_rng(j), node_features=sample.node_features)
+            model = grow(sub, config, **kwargs)
+            if sample.node_features is not None:
+                kwargs["rng"] = np.random.default_rng(j)
+            assert model_to_dict(model) == model_to_dict(grow_oracle(sub, config, **kwargs))
+        # a random_forest tree searches one node per step, by level
+        assert bool(scored) == (kind != "random_forest")
