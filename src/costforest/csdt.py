@@ -29,7 +29,7 @@ import numpy as np
 from .config import from_json
 from .cost_model import CostedDataset
 from .errors import ConfigError, ValidationError
-from .inducers import node_feature_subset
+from .rng import feature_subsets, mix64_array
 
 FORMAT_VERSION = "1"  # of csdt and ensemble model files
 
@@ -154,14 +154,6 @@ class CsdtModel:
         self.config = config
         self.k = k
         self.stats_of: CostedDataset | None = None
-        self._root: TreeNode | None = None
-
-    @property
-    def root(self) -> TreeNode:
-        """The tree as nested nodes, built on first use."""
-        if self._root is None:
-            self._root = _nested(self.tree, 0)
-        return self._root
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return predict_many(self, X)
@@ -193,19 +185,6 @@ def _append_subtree(node: TreeNode, nodes: list[list]) -> None:
     _append_subtree(node.left, nodes)
     row[2] = len(nodes)
     _append_subtree(node.right, nodes)
-
-
-def _nested(tree: Tree, i: int) -> TreeNode:
-    if tree.feature[i] < 0:
-        return Leaf(
-            predicted_class=int(tree.predicted_class[i]),
-            cost_f0=float(tree.cost_f0[i]),
-            cost_f1=float(tree.cost_f1[i]),
-            n=int(tree.n[i]),
-            n_pos=int(tree.n_pos[i]),
-        )
-    rule = SplitRule(int(tree.feature[i]), float(tree.threshold[i]))
-    return Internal(rule, _nested(tree, i + 1), _nested(tree, int(tree.right[i])))
 
 
 def _layout(tree: Tree) -> tuple[list[int], list[int], list[int]]:
@@ -276,11 +255,11 @@ def _best_split(
     last position is none. With ``levels`` None every run end is a
     candidate, with the midpoint as threshold. Otherwise the candidates are
     the run ends that the column's quantiles at ``levels`` fall in, each
-    keeping its first quantile as threshold. A block of several nodes with
-    no more positions than levels (``width - 1 <= levels.size``) computes
-    the gain once per position, as exact mode does, and keeps the positions
-    some cut reaches (``_cut_positions``); a larger block, or a single
-    node, computes it once per level. Both give the same floats. Every
+    keeping its first quantile as threshold. A block with no more
+    positions than levels (``width - 1 <= levels.size``) computes the gain
+    once per position, as exact mode does, and keeps the positions some
+    cut reaches (``_cut_positions``); a larger block computes it once per
+    level. Both give the same floats. Every
     threshold sends exactly the examples it was scored with to the left.
     Ties go to the first column, then the first position. Pads add zero to
     the running sums and lie past every cut, so each node gets the answer
@@ -293,8 +272,7 @@ def _best_split(
     order = keys.argsort(axis=1, kind="stable")
     offset = np.arange(0, rows * width, width)[:, None]  # flat index of each row's start
     sv = columns.take(order + offset)
-    if n_nodes > 1:  # row r reads the costs of node r // n_cols
-        order += np.arange(0, cost0.size, width).repeat(n_cols)[:, None]
+    order += np.arange(0, cost0.size, width).repeat(n_cols)[:, None]  # row r: node r // n_cols
     cum0 = cost0.take(order).cumsum(axis=1)
     cum1 = cost1.take(order).cumsum(axis=1)
     top = (n - 1)[:, None]  # each row's last position
@@ -309,10 +287,8 @@ def _best_split(
         i_right = np.minimum(total0 - left0, total1 - left1)
         return parent - (n_left / size) * i_left - ((size - n_left) / size) * i_right
 
-    # Several nodes whose positions are no more than the levels are scored
-    # per position; a single node, as a random-forest step searches, costs
-    # less per level.
-    by_position = levels is not None and n_nodes > 1 and width - 1 <= levels.size
+    # a block with no more positions than levels is scored per position
+    by_position = levels is not None and width - 1 <= levels.size
     if levels is None or by_position:
         gains = gains_at(
             cum0[:, :-1].reshape(by_node), cum1[:, :-1].reshape(by_node), np.arange(1, width)
@@ -456,7 +432,7 @@ def _cut_positions(
 def grow(
     train: CostedDataset,
     config: CsdtConfig | None = None,
-    rng: np.random.Generator | None = None,
+    seed: int | None = None,
     node_features: int | None = None,
     ranks: np.ndarray | None = None,
 ) -> CsdtModel:
@@ -469,10 +445,11 @@ def grow(
     count. It scores each bucket with one ``_best_split`` call on a padded
     block, then splits the nodes and opens their children.
     ``node_features`` activates random-forest style feature sampling: each
-    node considers a fresh uniform subset of that many features, drawn
-    from ``rng`` in depth-first preorder. A tree that draws subsets (fewer
-    features than ``train.k``) therefore takes one open node per step, the
-    next in preorder, with its right child pushed before its left.
+    node considers its own subset of that many features, drawn by
+    ``rng.feature_subsets`` from a key for the node. The root's key is
+    ``seed``, an int in [0, 2**64); a child's is ``mix64(key, side)``,
+    side 0 for left and 1 for right. So the tree does not depend on the
+    order in which nodes are grown.
     ``ranks`` are the sort keys of ``train.X``: its own ``column_ranks`` by
     default, or the rows' slice of a larger table's, if those rows are in
     increasing order. Either gives the same tree.
@@ -480,8 +457,8 @@ def grow(
     config = config or CsdtConfig()
     config.validate()
     if node_features is not None:
-        if rng is None:
-            raise ConfigError("node_features requires an rng")
+        if seed is None or not 0 <= seed < 2**64:
+            raise ConfigError(f"node_features needs a seed in [0, 2**64), got {seed!r}")
         if not 1 <= node_features <= train.k:
             raise ConfigError(
                 f"node_features must be in [1, {train.k}], got {node_features}"
@@ -504,74 +481,71 @@ def grow(
     key_table[:, :pad] = ranks.T
     key_table[:, pad] = np.iinfo(ranks.dtype).max if ranks.dtype.kind in "ui" else np.inf
     cost0, cost1 = (np.append(c, 0.0) for c in _prediction_costs(train, config.impurity))
-    all_features = np.arange(train.k)
+    all_features, sides = np.arange(train.k)[None], np.arange(2, dtype=np.uint64)
 
     nodes: list[list] = []  # one row of Tree's fields per node, in the order opened
     left_of: list[int] = []  # each node's left child, -1 at a leaf
-    frontier: list[tuple] = []  # (node, rows, depth, costs 0, costs 1) of open nodes
+    frontier: list[tuple] = []  # (node, rows, depth, key) of open nodes
 
-    def open_node(idx: np.ndarray, n_pos: int, depth: int) -> int:
-        c0, c1 = cost0.take(idx), cost1.take(idx)
-        s0, s1 = float(c0.sum()), float(c1.sum())
+    def open_node(idx: np.ndarray, n_pos: int, depth: int, key: int | None) -> int:
+        s0, s1 = float(cost0.take(idx).sum()), float(cost1.take(idx).sum())
         nodes.append([-1, 0.0, -1, 0 if s0 <= s1 else 1, s0, s1, idx.size, n_pos])
         left_of.append(-1)
         if depth < config.max_depth and idx.size >= config.min_samples_split and (
             0 < n_pos < idx.size
         ):
-            frontier.append((len(nodes) - 1, idx, depth, c0, c1))
+            frontier.append((len(nodes) - 1, idx, depth, key))
         return len(nodes) - 1
 
     def search(bucket: list[tuple]) -> None:
         """Score a bucket's nodes with one kernel call, then split them."""
         sizes = np.array([node[1].size for node in bucket])
         n_max = int(sizes.max())
-        if len(bucket) == 1:
-            _, rows, _, c0, c1 = bucket[0]
-            rows, c0, c1 = rows[None], c0[None], c1[None]
-        else:
-            rows = np.full((len(bucket), n_max), pad)
-            rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[1] for node in bucket])
-            c0, c1 = cost0.take(rows), cost1.take(rows)
+        rows = np.full((len(bucket), n_max), pad)
+        rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[1] for node in bucket])
         if sampled:
-            features = node_feature_subset(train.k, node_features, rng)
-            cells = (features * width)[:, None, None] + rows
-            gathered = table.take(cells), key_table.take(cells)
+            keys = np.array([node[3] for node in bucket], dtype=np.uint64)
+            features = feature_subsets(keys, train.k, node_features)
+            children = mix64_array(keys[:, None], sides).tolist()
+            # each node's features at its rows: (nodes, features, n_max)
+            cells = (features * width)[:, :, None] + rows[:, None, :]
+            block, block_keys = table.take(cells), key_table.take(cells)
         else:
-            features = all_features
-            gathered = table.take(rows, axis=1), key_table.take(rows, axis=1)
-        # (features, nodes, n_max) gathers as C-ordered (nodes * features, n_max) blocks
-        block, keys = (g.swapaxes(0, 1).reshape(-1, n_max) for g in gathered)
+            features = all_features.repeat(len(bucket), axis=0)
+            children = [[None, None]] * len(bucket)
+            # (features, nodes, n_max), swapped to nodes of features
+            block, block_keys = (t.take(rows, axis=1).swapaxes(0, 1)
+                                 for t in (table, key_table))
+        n_cols = features.shape[1]
+        block, block_keys = block.reshape(-1, n_max), block_keys.reshape(-1, n_max)
         found = _best_split(
             block,
-            keys,
-            c0,
-            c1,
-            sizes.repeat(features.size),
+            block_keys,
+            cost0.take(rows),
+            cost1.take(rows),
+            sizes.repeat(n_cols),
             levels,
             np.array([min(nodes[i][4:6]) for i, *_ in bucket]),
         )
-        for b, ((i, idx, depth, _, _), best) in enumerate(zip(bucket, found)):
+        for b, ((i, idx, depth, _), best) in enumerate(zip(bucket, found)):
             if best is None or best[0] <= config.min_gain:
                 continue
             _, col, cut = best
-            nodes[i][:2] = int(features[col]), cut
-            goes_left = block[b * features.size + col, :idx.size] <= cut
+            nodes[i][:2] = int(features[b, col]), cut
+            goes_left = block[b * n_cols + col, :idx.size] <= cut
             left, right = idx[goes_left], idx[~goes_left]
             n_pos_left = int(train.y.take(left).sum())
-            # right first, so that the frontier's stack takes the left child next
-            nodes[i][2] = open_node(right, nodes[i][7] - n_pos_left, depth + 1)
-            left_of[i] = open_node(left, n_pos_left, depth + 1)
+            key_left, key_right = children[b]
+            left_of[i] = open_node(left, n_pos_left, depth + 1, key_left)
+            nodes[i][2] = open_node(right, nodes[i][7] - n_pos_left, depth + 1, key_right)
 
-    open_node(np.arange(train.n), int(train.y.sum()), 0)
+    open_node(np.arange(train.n), int(train.y.sum()), 0, seed)
     while frontier:
-        if sampled:  # one node per step keeps the rng's draws in preorder
-            step = [frontier.pop()]
-        else:
-            step, frontier = frontier, []
         buckets: dict[int, list] = {}
-        for node in step:
+        for node in frontier:
             size = node[1].size
             buckets.setdefault(0 if size <= small else size.bit_length(), []).append(node)
+        frontier = []
         for bucket in buckets.values():
             search(bucket)
     # renumber the nodes in preorder

@@ -24,7 +24,7 @@ from .cost_model import CostedDataset, savings, savings_of_costs  # noqa: F401
 from .csdt import CsdtConfig, CsdtModel
 from .errors import ConfigError, ValidationError
 from .inducers import BaseSample, InducerConfig, draw_samples
-from .rng import STREAM_NODES, make_rng
+from .rng import STREAM_NODES, mix64
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,9 @@ def _train_one(
         )
         model = csdt.grow(sub, config.tree, ranks=ranks[patch])
         return model, sample.feature_indices
-    rng = None if sample.node_features is None else make_rng(
-        config.inducer.seed, STREAM_NODES, j
-    )
+    seed = None if sample.node_features is None else mix64(config.inducer.seed, STREAM_NODES, j)
     model = csdt.grow(
-        train_set.subset(rows), config.tree, rng=rng, node_features=sample.node_features,
+        train_set.subset(rows), config.tree, seed=seed, node_features=sample.node_features,
         ranks=ranks[rows],
     )
     return model, None

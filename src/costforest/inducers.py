@@ -139,10 +139,3 @@ def draw_samples(dataset_size: int, k: int, config: InducerConfig) -> list[BaseS
             )
         )
     return samples
-
-
-def node_feature_subset(k: int, n_features: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform feature subset without replacement, for per-node randomization."""
-    if not 1 <= n_features <= k:
-        raise ConfigError(f"n_features must be in [1, {k}], got {n_features}")
-    return np.sort(rng.choice(k, size=n_features, replace=False))

@@ -7,7 +7,7 @@ from costforest import CostedDataset, ValidationError, total_cost
 from costforest.combiners import StackingWeights, as_vote_matrix
 from costforest import csdt
 from costforest.csdt import CsdtConfig, CsdtModel, Internal, Leaf, SplitRule, TreeNode, predict_many
-from costforest.inducers import node_feature_subset
+from costforest.rng import feature_subsets, mix64
 
 
 def strict_random_dataset(rng, n, k, binaryish=False):
@@ -59,6 +59,20 @@ def four_examples():
 
 
 # --- per-row oracles for the library's vectorized paths ----------------------
+
+
+def nested(model: CsdtModel) -> TreeNode:
+    """The model's tree as nested ``Leaf``/``Internal`` nodes."""
+    tree = model.tree
+
+    def node(i: int) -> TreeNode:
+        if tree.feature[i] < 0:
+            return Leaf(int(tree.predicted_class[i]), float(tree.cost_f0[i]),
+                        float(tree.cost_f1[i]), int(tree.n[i]), int(tree.n_pos[i]))
+        rule = SplitRule(int(tree.feature[i]), float(tree.threshold[i]))
+        return Internal(rule, node(i + 1), node(int(tree.right[i])))
+
+    return node(0)
 
 
 def cost_impurity(subset: CostedDataset | None) -> float:
@@ -135,7 +149,7 @@ def prune_oracle(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
     constant's); the first largest nonnegative decrease is collapsed.
     """
     cost0, cost1 = _oracle_costs(prune_set, model.config.impurity)
-    root = model.root
+    root = nested(model)
 
     def stats(node: TreeNode, idx: np.ndarray, acc: list) -> float:
         c0, c1 = cost0[idx], cost1[idx]
@@ -172,20 +186,21 @@ def route_oracle(model: CsdtModel, X: np.ndarray, value) -> list:
         route(node.left, idx[left])
         route(node.right, idx[~left])
 
-    route(model.root, np.arange(X.shape[0]))
+    route(nested(model), np.arange(X.shape[0]))
     return out
 
 
 def grow_oracle(
     train: CostedDataset,
     config: CsdtConfig | None = None,
-    rng: np.random.Generator | None = None,
+    seed: int | None = None,
     node_features: int | None = None,
 ) -> CsdtModel:
     """``csdt.grow`` by depth-first recursion, one kernel call per node.
 
     Each node's block holds exactly its rows, unpadded; the tree is built in
-    preorder and pruned as ``grow`` prunes it.
+    preorder and pruned as ``grow`` prunes it. A sampling node draws its
+    features from its key: ``seed`` at the root, ``mix64(key, side)`` below.
     """
     config = config or CsdtConfig()
     cost0, cost1 = _oracle_costs(train, config.impurity)
@@ -193,7 +208,7 @@ def grow_oracle(
     table, key_table = train.X.T, csdt.column_ranks(train.X).T
     nodes: list[list] = []  # one row of Tree's fields per node, in preorder
 
-    def build(idx: np.ndarray, depth: int) -> None:
+    def build(idx: np.ndarray, depth: int, key: int | None) -> None:
         y_sub = train.y[idx]
         c0, c1 = cost0[idx], cost1[idx]
         s0, s1 = float(c0.sum()), float(c1.sum())
@@ -206,7 +221,8 @@ def grow_oracle(
         ):
             return
         if node_features is not None and node_features < train.k:
-            features = node_feature_subset(train.k, node_features, rng)
+            features = feature_subsets(np.array([key], dtype=np.uint64), train.k,
+                                       node_features)[0]
         else:
             features = np.arange(train.k)
         block = table[np.ix_(features, idx)]
@@ -219,11 +235,11 @@ def grow_oracle(
         _, col, cut = found
         node[0], node[1] = int(features[col]), cut
         left_mask = block[col] <= cut
-        build(idx[left_mask], depth + 1)
+        build(idx[left_mask], depth + 1, None if key is None else mix64(key, 0))
         node[2] = len(nodes)
-        build(idx[~left_mask], depth + 1)
+        build(idx[~left_mask], depth + 1, None if key is None else mix64(key, 1))
 
-    build(np.arange(train.n), 0)
+    build(np.arange(train.n), 0, seed)
     model = CsdtModel(csdt.Tree(*zip(*nodes)), config, train.k)
     if config.pruning:
         model.stats_of = train

@@ -9,6 +9,7 @@ from conftest import (
     deep_chain,
     four_example_set,
     grow_oracle,
+    nested,
     prune_oracle,
     route_oracle,
     split_gain,
@@ -134,17 +135,17 @@ class TestSplitGain:
 class TestGrow:
     def test_four_examples_depth_one(self, four_examples):
         model = grow(four_examples, EXACT)
-        assert isinstance(model.root, Internal)
-        assert model.root.rule == SplitRule(0, 2.5)
-        assert isinstance(model.root.left, Leaf)
-        assert isinstance(model.root.right, Leaf)
+        assert isinstance(nested(model), Internal)
+        assert nested(model).rule == SplitRule(0, 2.5)
+        assert isinstance(nested(model).left, Leaf)
+        assert isinstance(nested(model).right, Leaf)
         assert training_cost(model, four_examples) == 0.0
 
     def test_single_example(self):
         ds = CostedDataset(np.zeros((1, 1)), np.array([1]), np.array([[0.0, 5, 10, 0]]))
         model = grow(ds, EXACT)
-        assert isinstance(model.root, Leaf)
-        assert model.root.predicted_class == 1
+        assert isinstance(nested(model), Leaf)
+        assert nested(model).predicted_class == 1
 
     def test_constant_feature(self):
         ds = CostedDataset(
@@ -152,7 +153,7 @@ class TestGrow:
             np.tile([0.0, 5, 10, 0], (4, 1)),
         )
         model = grow(ds, EXACT)
-        assert isinstance(model.root, Leaf)
+        assert isinstance(nested(model), Leaf)
 
     def test_depth_limit(self):
         rng = np.random.default_rng(1)
@@ -166,8 +167,8 @@ class TestGrow:
             np.array([[2.0, 5, 6, 0], [2.0, 4, 6, 0]]),  # cost_f0 = 6 = cost_f1
         )
         model = grow(ds, EXACT)
-        assert isinstance(model.root, Leaf)
-        assert model.root.predicted_class == 0
+        assert isinstance(nested(model), Leaf)
+        assert nested(model).predicted_class == 0
 
     def test_zero_gain_not_taken(self):
         # duplicated rows: any split has zero gain, tree must stay a leaf
@@ -177,7 +178,7 @@ class TestGrow:
             np.tile([0.0, 5, 5, 0], (4, 1)),
         )
         model = grow(ds, EXACT)
-        assert isinstance(model.root, Leaf)
+        assert isinstance(nested(model), Leaf)
 
     def test_adjacent_double_midpoint_keeps_split(self):
         # 0.5 * (a + b) == b for these adjacent doubles, so the midpoint
@@ -189,7 +190,7 @@ class TestGrow:
             np.tile([0.0, 1, 1, 0], (4, 1)),
         )
         model = grow(ds, CsdtConfig(candidate_thresholds="exact_midpoints", pruning=False))
-        assert model.root.rule == SplitRule(0, a)
+        assert nested(model).rule == SplitRule(0, a)
         assert model.depth() == 1
         assert training_cost(model, ds) == 0.0
 
@@ -238,8 +239,8 @@ class TestPrune:
             np.tile([1.0, 5, 9, 0], (2, 1)),
         )
         pruned = prune(tree, ds)
-        assert isinstance(pruned.root, Leaf)
-        assert pruned.root.predicted_class == 1
+        assert isinstance(nested(pruned), Leaf)
+        assert nested(pruned).predicted_class == 1
 
     def test_separable_training_prune_keeps_cost(self, four_examples):
         model = grow(four_examples, CsdtConfig(candidate_thresholds="exact_midpoints", pruning=False))
@@ -369,7 +370,7 @@ class TestSerialization:
                 + thresholds(node.right)
             )
 
-        assert thresholds(again.root) == thresholds(model.root)
+        assert thresholds(nested(again)) == thresholds(nested(model))
 
     def test_version_check(self, tmp_path):
         with pytest.raises(ValidationError, match="format version"):
@@ -545,8 +546,8 @@ class TestSplitKernel:
         ds = CostedDataset(X, y, np.tile([0.0, 1.0, 5.0, 0.0], (y.size, 1)))
         config = CsdtConfig(n_quantiles=3, max_depth=1)
         model = grow(ds, config)
-        assert model.root.rule == SplitRule(0, 0.0)
-        assert not np.signbit(model.root.rule.threshold)
+        assert nested(model).rule == SplitRule(0, 0.0)
+        assert not np.signbit(nested(model).rule.threshold)
         assert '"threshold": 0.0' in json.dumps(model_to_dict(model))
 
         monkeypatch.setitem(globals(), "_quantile_cuts", np.quantile)
@@ -558,7 +559,7 @@ class TestSplitKernel:
             ],
         )
         with_np_quantile = grow(ds, config)
-        assert with_np_quantile.root.rule == SplitRule(0, 0.0)
+        assert nested(with_np_quantile).rule == SplitRule(0, 0.0)
         probes = np.vstack([X, [[-0.0], [0.0], [5e-324], [-5e-324]]])
         assert np.array_equal(predict_many(model, probes), predict_many(with_np_quantile, probes))
 
@@ -786,7 +787,7 @@ class TestColumnRanks:
 
             def fit(**kwargs):
                 if sample.node_features is not None:
-                    kwargs.update(rng=np.random.default_rng(j), node_features=sample.node_features)
+                    kwargs.update(seed=j, node_features=sample.node_features)
                 return model_to_dict(grow(sub, config, **kwargs))
 
             assert fit(ranks=ranks[cells]) == fit()
@@ -873,8 +874,8 @@ class TestFlatTreesMatchOracles:
         for _ in range(150):
             model, _, held_out = _random_grown(rng, impurity)
             assert _bits(prune(model, held_out)) == _bits(prune_oracle(model, held_out))
-            nested = CsdtModel(_random_nested(rng, held_out.k, 5), model.config, held_out.k)
-            assert _bits(prune(nested, held_out)) == _bits(prune_oracle(nested, held_out))
+            built = CsdtModel(_random_nested(rng, held_out.k, 5), model.config, held_out.k)
+            assert _bits(prune(built, held_out)) == _bits(prune_oracle(built, held_out))
 
     def test_prune_leaves_its_input_unchanged(self):
         rng = np.random.default_rng(73)
@@ -913,7 +914,7 @@ class TestFlatTreesMatchOracles:
             sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
             kwargs = {}
             if sample.node_features is not None:
-                kwargs = dict(rng=np.random.default_rng(j), node_features=sample.node_features)
+                kwargs = dict(seed=j, node_features=sample.node_features)
             tree = grow(sub, config, **kwargs).tree
             assert tree.size > 1
             routed = csdt._node_stats(tree, sub, impurity)
@@ -931,10 +932,10 @@ class TestFlatTreesMatchOracles:
         # the right leaf predicts its costlier class; flattening must keep it
         root = Internal(SplitRule(0, 0.5), Leaf(0, 1.0, 4.0, 3, 1), Leaf(0, 9.0, 2.0, 5, 4))
         model = CsdtModel(root, CsdtConfig(), 1)
-        assert model.root == root
+        assert nested(model) == root
         assert model.n_nodes() == 3 and model.depth() == 1
         assert predict_many(model, np.array([[0.0], [0.5], [1.0]])).tolist() == [0, 0, 0]
-        assert model_from_dict(model_to_dict(model)).root == root
+        assert nested(model_from_dict(model_to_dict(model))) == root
 
 
 # --- level-wise growth against the depth-first oracle ----------------------
@@ -973,7 +974,7 @@ class TestLevelWiseGrowth:
             def fit(grower):
                 kwargs = {}
                 if sample.node_features is not None:
-                    kwargs = dict(rng=np.random.default_rng(j), node_features=sample.node_features)
+                    kwargs = dict(seed=j, node_features=sample.node_features)
                 return model_to_dict(grower(sub, config, **kwargs))
 
             assert fit(grow) == fit(grow_oracle)
@@ -1033,10 +1034,7 @@ class TestLevelWiseGrowth:
             sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
             kwargs = {}
             if sample.node_features is not None:
-                kwargs = dict(rng=np.random.default_rng(j), node_features=sample.node_features)
+                kwargs = dict(seed=j, node_features=sample.node_features)
             model = grow(sub, config, **kwargs)
-            if sample.node_features is not None:
-                kwargs["rng"] = np.random.default_rng(j)
             assert model_to_dict(model) == model_to_dict(grow_oracle(sub, config, **kwargs))
-        # a random_forest tree searches one node per step, by level
-        assert bool(scored) == (kind != "random_forest")
+        assert scored  # small nodes were scored by position

@@ -160,9 +160,15 @@ class TestRunExperiment:
             assert not next(iter(report.cells.values())).failed
 
     def test_jobs_do_not_change_results(self):
-        spec = ExperimentSpec(tiny_algorithms()[:2], tiny_bundles()[:1], repetitions=2, seed=9)
+        forest = {"T": 5, "tree": {"max_depth": 3}}
+        algorithms = tiny_algorithms()[:2] + [
+            AlgorithmSpec("ci", "RF-t", "rf", "t", forest),
+            AlgorithmSpec("bmr", "BMR-RF-t", "rf", "t", forest),
+        ]
+        spec = ExperimentSpec(algorithms, tiny_bundles()[:1], repetitions=2, seed=9)
         sequential = run_experiment(spec, jobs=1)
         parallel = run_experiment(spec, jobs=2)
+        assert not any(cell.failed for cell in sequential.cells.values())
         assert sequential.to_json() == parallel.to_json()
 
     def test_invalid_specs(self):

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from costforest import ConfigError
 from costforest.inducers import (
     BaseSample,
     InducerConfig,
     draw_samples,
-    node_feature_subset,
 )
 from costforest.rng import STREAM_SAMPLES, make_rng
 
@@ -122,23 +120,3 @@ class TestDrawSamples:
         for sa, sb in zip(small, big[:5]):
             assert np.array_equal(sa.example_indices, sb.example_indices)
 
-
-class TestNodeFeatureSubset:
-    def test_full_subset_degenerates(self):
-        rng = make_rng(0, 99)
-        assert node_feature_subset(4, 4, rng).tolist() == [0, 1, 2, 3]
-
-    def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            node_feature_subset(4, 5, make_rng(0, 99))
-
-    def test_uniformity_chi_square(self):
-        rng = make_rng(123, 98)
-        k, size, draws = 8, 3, 10_000
-        counts = np.zeros(k)
-        for _ in range(draws):
-            counts[node_feature_subset(k, size, rng)] += 1
-        expected = draws * size / k
-        chi2 = ((counts - expected) ** 2 / expected).sum()
-        p = stats.chi2.sf(chi2, df=k - 1)
-        assert p > 0.01
