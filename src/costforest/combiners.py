@@ -24,15 +24,15 @@ COMBINER_KINDS = ("mv", "wv", "wv-acc", "stacking")
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative voting weights summing to one."""
+    """Finite, nonnegative voting weights summing to one."""
 
     alphas: np.ndarray
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.float64)
         object.__setattr__(self, "alphas", alphas)
-        if (alphas < 0).any():
-            raise ValidationError("voting weights must be nonnegative")
+        if not (np.isfinite(alphas) & (alphas >= 0)).all():
+            raise ValidationError("voting weights must be finite and nonnegative")
         if abs(alphas.sum() - 1.0) > 1e-9:
             raise ValidationError(f"voting weights must sum to 1, got {alphas.sum()}")
 
@@ -50,6 +50,8 @@ class StackingWeights:
         self.betas = np.asarray(self.betas, dtype=np.float64)
         if not np.isfinite(self.betas).all() or not np.isfinite(self.intercept):
             raise ValidationError("stacking weights must be finite")
+        if not 0.0 <= self.threshold <= 1.0:  # NaN fails too
+            raise ValidationError(f"stacking threshold must be in [0, 1], got {self.threshold}")
 
     def scores(self, base_predictions: np.ndarray) -> np.ndarray:
         votes = as_vote_matrix(base_predictions)

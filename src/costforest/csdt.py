@@ -20,9 +20,8 @@ learner into a plain error-count tree: the cost-insensitive baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -31,39 +30,24 @@ from .cost_model import CostedDataset
 from .errors import ConfigError, ValidationError
 from .rng import feature_subsets, mix64_array
 
-FORMAT_VERSION = "1"  # of csdt and ensemble model files
+FORMAT_VERSION = "2"  # of csdt and ensemble model files; version "1" files are still read
 
 THRESHOLD_MODES = ("exact_midpoints", "quantiles")
 IMPURITY_MODES = ("cost", "gini")
 
 
 @dataclass(frozen=True)
-class SplitRule:
-    """Send x to the left child iff x[feature_index] <= threshold."""
-
-    feature_index: int
-    threshold: float
-
-
-@dataclass(frozen=True)
 class Leaf:
-    """Terminal node: the cheapest constant for the examples that reached it."""
+    """A one-node tree: the cheapest constant for the examples that reached it.
+
+    Trees are :class:`Tree` arrays; a ``Leaf`` is a short way to build a
+    one-node :class:`CsdtModel` by hand, as perfbench's tests do."""
 
     predicted_class: int
     cost_f0: float  # cost of predicting all-0 here
     cost_f1: float  # cost of predicting all-1 here
     n: int
     n_pos: int
-
-
-@dataclass(frozen=True)
-class Internal:
-    rule: SplitRule
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Union[Leaf, Internal]
 
 
 @dataclass(frozen=True)
@@ -111,10 +95,9 @@ class Tree:
     ``right[i]``, so the subtree of node i is a contiguous range. Every node
     holds the class its rows predict as a leaf and four statistics of those
     rows: the cost of predicting all-0 and all-1 (pairwise sums over the
-    rows in increasing order), their count and their positive count. A
-    grown tree records them at every node; a tree flattened from nested
-    nodes has them at its leaves only, and NaN costs and zero counts at its
-    internal nodes. The arrays are read-only.
+    rows in increasing order), their count and their positive count. Model
+    files store the eight arrays as they are (see :func:`tree_from_dict`).
+    The arrays are read-only.
     """
 
     feature: np.ndarray
@@ -142,15 +125,16 @@ class Tree:
 class CsdtModel:
     """A cost-sensitive tree: its node arrays, its config and its feature count.
 
-    ``root`` is a :class:`Tree`, or a nested ``Leaf``/``Internal`` root that
-    is flattened into one. ``stats_of`` is the dataset whose rows the node
-    statistics describe, set by :func:`grow` only while it prunes, so that
-    :func:`prune` on that dataset needs no routing; ``grow`` returns every
-    model with it empty.
+    ``tree`` is a :class:`Tree`, or a :class:`Leaf` for a one-node tree.
+    ``stats_of`` is the dataset whose rows the node statistics describe,
+    set by :func:`grow` only while it prunes, so that :func:`prune` on that
+    dataset needs no routing; ``grow`` returns every model with it empty.
     """
 
-    def __init__(self, root: Tree | TreeNode, config: CsdtConfig, k: int):
-        self.tree = root if isinstance(root, Tree) else _flatten(root)
+    def __init__(self, tree: Tree | Leaf, config: CsdtConfig, k: int):
+        if isinstance(tree, Leaf):
+            tree = Tree([-1], [0.0], [-1], *([value] for value in astuple(tree)))
+        self.tree = tree
         self.config = config
         self.k = k
         self.stats_of: CostedDataset | None = None
@@ -166,25 +150,6 @@ class CsdtModel:
 
     def n_nodes(self) -> int:
         return self.tree.size
-
-
-def _flatten(root: TreeNode) -> Tree:
-    nodes: list[list] = []
-    _append_subtree(root, nodes)
-    return Tree(*zip(*nodes))
-
-
-def _append_subtree(node: TreeNode, nodes: list[list]) -> None:
-    """Append a row of Tree's fields per node of the nested subtree, in preorder."""
-    if isinstance(node, Leaf):
-        nodes.append([-1, 0.0, -1, node.predicted_class, node.cost_f0, node.cost_f1,
-                      node.n, node.n_pos])
-        return
-    row = [node.rule.feature_index, node.rule.threshold, -1, 0, np.nan, np.nan, 0, 0]
-    nodes.append(row)
-    _append_subtree(node.left, nodes)
-    row[2] = len(nodes)
-    _append_subtree(node.right, nodes)
 
 
 def _layout(tree: Tree) -> tuple[list[int], list[int], list[int]]:
@@ -724,46 +689,71 @@ def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
 
 # --- serialization ---------------------------------------------------------
 
-
-def _node_to_dict(columns: dict, i: int) -> dict:
-    if columns["feature"][i] < 0:
-        return {
-            "leaf": {
-                "class": columns["predicted_class"][i],
-                "cost_f0": columns["cost_f0"][i],
-                "cost_f1": columns["cost_f1"][i],
-                "n": columns["n"][i],
-                "n_pos": columns["n_pos"][i],
-            }
-        }
-    return {
-        "rule": {"feature": columns["feature"][i], "threshold": columns["threshold"][i]},
-        "left": _node_to_dict(columns, i + 1),
-        "right": _node_to_dict(columns, columns["right"][i]),
-    }
+def tree_to_dict(tree: Tree) -> dict:
+    """The tree's eight arrays as lists, as model files store it."""
+    return {name: array.tolist() for name, array in vars(tree).items()}
 
 
-def _node_from_dict(data: dict, k: int) -> TreeNode:
-    if "leaf" in data:
-        leaf = data["leaf"]
-        return Leaf(
-            predicted_class=int(leaf["class"]),
-            cost_f0=float(leaf["cost_f0"]),
-            cost_f1=float(leaf["cost_f1"]),
-            n=int(leaf["n"]),
-            n_pos=int(leaf["n_pos"]),
-        )
-    if not {"rule", "left", "right"} <= set(data):
-        raise ValidationError(
-            f"tree node with keys {sorted(data)} is neither a leaf nor a rule "
-            "with both children"
-        )
-    rule = SplitRule(int(data["rule"]["feature"]), float(data["rule"]["threshold"]))
-    if not 0 <= rule.feature_index < k:
-        raise ValidationError(f"split feature {rule.feature_index} is outside [0, {k})")
-    if not np.isfinite(rule.threshold):
-        raise ValidationError(f"split threshold {rule.threshold} is not finite")
-    return Internal(rule, _node_from_dict(data["left"], k), _node_from_dict(data["right"], k))
+def tree_from_dict(arrays: dict, k: int) -> Tree:
+    """The tree stored as ``arrays``, one list per Tree field.
+
+    A ValidationError unless the lists are nonempty and of equal length, the
+    features in [-1, k), internal thresholds finite, classes 0 or 1, and a walk
+    that pushes ``right[i]``, then ``i + 1``, pops node i at step i, with
+    ``i + 1 < right[i] < size`` at internal nodes: a preorder tree, in which
+    routing ends at a leaf. Conversion errors (KeyError, TypeError, ValueError,
+    OverflowError) are the caller's to handle.
+    """
+    tree = Tree(*(arrays[field.name] for field in fields(Tree)))
+    size = tree.size
+    if size == 0 or any(array.shape != (size,) for array in vars(tree).values()):
+        raise ValidationError("tree arrays must be nonempty lists of equal length")
+    outside = tree.feature[(tree.feature < -1) | (tree.feature >= k)]
+    if outside.size:
+        raise ValidationError(f"split feature {outside[0]} is outside [0, {k})")
+    if not np.isfinite(tree.threshold[tree.feature >= 0]).all():
+        raise ValidationError("a split threshold is not finite")
+    if ((tree.predicted_class != 0) & (tree.predicted_class != 1)).any():
+        raise ValidationError("a predicted class is not 0 or 1")
+    right, internal = tree.right.tolist(), (tree.feature >= 0).tolist()
+    stack, visited = [0], 0
+    while stack:
+        i = stack.pop()
+        if i != visited or internal[i] and not i + 1 < right[i] < size:
+            raise ValidationError(f"tree arrays are not a preorder tree at node {visited}")
+        visited += 1
+        if internal[i]:
+            stack += (right[i], i + 1)
+    if visited != size:
+        raise ValidationError(f"tree arrays are not a preorder tree: node {visited} is unreached")
+    return tree
+
+
+def tree_dict_from_v1(root: dict) -> dict:
+    """The arrays of a version-1 file's nested ``rule``/``leaf`` tree, built without
+    recursion. Version 1 stored statistics at the leaves only, so an internal
+    node gets its children's sums and the class of the cheaper sum."""
+    rows: list[list] = []  # one row of Tree's fields per node, in preorder; 3 at a rule
+    pending = [(root, -1)]  # (node, the row whose right child it is, or -1)
+    while pending:
+        node, parent = pending.pop()
+        if parent >= 0:
+            rows[parent][2] = len(rows)
+        if isinstance(node, dict) and "leaf" in node:
+            leaf = node["leaf"]
+            rows.append([-1, 0.0, -1, int(leaf["class"]), float(leaf["cost_f0"]),
+                         float(leaf["cost_f1"]), int(leaf["n"]), int(leaf["n_pos"])])
+        elif isinstance(node, dict) and {"rule", "left", "right"} <= node.keys():
+            rows.append([int(node["rule"]["feature"]), float(node["rule"]["threshold"]), -1])
+            pending += [(node["right"], len(rows) - 1), (node["left"], -1)]
+        else:
+            raise ValidationError("a tree node is neither a leaf nor a rule with both children")
+    for i in reversed(range(len(rows))):  # children come after their parent
+        if len(rows[i]) == 3:
+            left, right = rows[i + 1], rows[rows[i][2]]
+            s0, s1 = left[4] + right[4], left[5] + right[5]
+            rows[i] += [0 if s0 <= s1 else 1, s0, s1, left[6] + right[6], left[7] + right[7]]
+    return tree_to_dict(Tree(*zip(*rows)))
 
 
 def model_to_dict(model: CsdtModel) -> dict:
@@ -772,32 +762,30 @@ def model_to_dict(model: CsdtModel) -> dict:
         "kind": "csdt",
         "k": model.k,
         "config": asdict(model.config),
-        "root": _node_to_dict(
-            {f.name: getattr(model.tree, f.name).tolist() for f in fields(Tree)}, 0
-        ),
+        "tree": tree_to_dict(model.tree),
     }
 
 
-def check_model_header(data, kind: str) -> None:
-    """Reject ``data`` unless it is a model object of this format version and ``kind``."""
+def check_model_header(data, kind: str) -> str:
+    """The format version of ``data``, a model object of a readable version and ``kind``."""
     if not isinstance(data, dict):
         raise ValidationError(f"a model must be a JSON object, got {type(data).__name__}")
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(f"unsupported model format version {data.get('format_version')!r}")
+    version = data.get("format_version")
+    if version not in ("1", FORMAT_VERSION):
+        raise ValidationError(f"unsupported model format version {version!r}")
     if data.get("kind") != kind:
         raise ValidationError(f"not a {kind!r} model file: kind={data.get('kind')!r}")
+    return version
 
 
 def model_from_dict(data: dict) -> CsdtModel:
-    check_model_header(data, "csdt")
+    version = check_model_header(data, "csdt")
     try:
         k = int(data["k"])
-        return CsdtModel(
-            root=_node_from_dict(data["root"], k),
-            config=from_json(CsdtConfig, data["config"], "config", complete=True),
-            k=k,
-        )
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        arrays = data["tree"] if version == FORMAT_VERSION else tree_dict_from_v1(data["root"])
+        config = from_json(CsdtConfig, data["config"], "config", complete=True)
+        return CsdtModel(tree_from_dict(arrays, k), config, k)
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed csdt model: {type(exc).__name__}: {exc}") from None
 
 

@@ -191,7 +191,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "feature_subsets": [
             None if s is None else [int(i) for i in s] for s in model.feature_subsets
         ],
-        "base_models": [csdt.model_to_dict(m) for m in model.base_models],
+        "base_models": [csdt.tree_to_dict(m.tree) for m in model.base_models],
         "weights": None if model.weights is None else model.weights.alphas.tolist(),
         "stacking": None if model.stacking is None else {
             "betas": model.stacking.betas.tolist(),
@@ -202,20 +202,31 @@ def model_to_dict(model: EnsembleModel) -> dict:
 
 
 def model_from_dict(data: dict) -> EnsembleModel:
-    csdt.check_model_header(data, "ecsdt")
+    """The ensemble a model file stores. Each base tree's config is the file's
+    ``config.tree``, and it reads the features of its subset (all k without one)."""
+    version = csdt.check_model_header(data, "ecsdt")
     try:
         weights = data.get("weights")
         stacking = data.get("stacking")
+        k = int(data["k"])
+        config = from_json(EcsdtConfig, data["config"], "config", complete=True)
+        subsets = [None if s is None else np.asarray(s, dtype=np.int64)
+                   for s in data["feature_subsets"]]
+        stored = data["base_models"]
+        if version != csdt.FORMAT_VERSION:
+            stored = [csdt.tree_dict_from_v1(entry["root"]) for entry in stored]
+        if len(stored) != len(subsets):
+            raise ValidationError(f"{len(stored)} base models but {len(subsets)} feature subsets")
+        widths = [k if subset is None else subset.size for subset in subsets]
+        base_models = [CsdtModel(csdt.tree_from_dict(arrays, width), config.tree, width)
+                       for arrays, width in zip(stored, widths)]
         model = EnsembleModel(
-            base_models=[csdt.model_from_dict(d) for d in data["base_models"]],
-            feature_subsets=[
-                None if s is None else np.asarray(s, dtype=np.int64)
-                for s in data["feature_subsets"]
-            ],
+            base_models=base_models,
+            feature_subsets=subsets,
             oob_savings=np.asarray(data["oob_savings"], dtype=np.float64),
             combiner=data["combiner"],
-            config=from_json(EcsdtConfig, data["config"], "config", complete=True),
-            k=int(data["k"]),
+            config=config,
+            k=k,
             weights=None if weights is None else WeightVector(np.asarray(weights)),
             stacking=None if stacking is None else StackingWeights(
                 betas=np.asarray(stacking["betas"]),
@@ -223,7 +234,7 @@ def model_from_dict(data: dict) -> EnsembleModel:
                 threshold=float(stacking["threshold"]),
             ),
         )
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed ensemble model: {type(exc).__name__}: {exc}") from None
     _check_consistent(model)
     return model
@@ -232,7 +243,6 @@ def model_from_dict(data: dict) -> EnsembleModel:
 def _check_consistent(model: EnsembleModel) -> None:
     """Reject a loaded model whose parts disagree on T, k or the combiner."""
     lengths = {
-        "feature_subsets": len(model.feature_subsets),
         "oob_savings": model.oob_savings.size,
         "weights": None if model.weights is None else model.weights.alphas.size,
         "betas": None if model.stacking is None else model.stacking.betas.size,
@@ -240,14 +250,11 @@ def _check_consistent(model: EnsembleModel) -> None:
     wrong = {name: size for name, size in lengths.items() if size not in (None, model.T)}
     if wrong:
         raise ValidationError(f"model has {model.T} base models but lengths {wrong}")
-    for j, (tree, subset) in enumerate(zip(model.base_models, model.feature_subsets)):
+    for j, subset in enumerate(model.feature_subsets):
         if subset is not None and (
             subset.ndim != 1 or ((subset < 0) | (subset >= model.k)).any()
         ):
             raise ValidationError(f"feature subset {j} is not a list of indices in [0, {model.k})")
-        width = model.k if subset is None else subset.size
-        if tree.k != width:
-            raise ValidationError(f"base model {j} reads {tree.k} features but is given {width}")
     if (
         model.combiner not in combiners.COMBINER_KINDS
         or (model.combiner in ("wv", "wv-acc")) != (model.weights is not None)

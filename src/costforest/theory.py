@@ -104,6 +104,8 @@ def ensemble_correct_prob(T: int, rho: float) -> float:
 
 def mc_majority_correct(T: int, rho: float, n_samples: int, seed: int = 0) -> float:
     """Monte-Carlo estimate of :func:`ensemble_correct_prob`."""
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     rng = make_rng(seed, STREAM_TRIALS)
     correct = rng.random((n_samples, T)) < rho
     return float((correct.sum(axis=1) * 2 > T).mean())

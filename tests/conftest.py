@@ -1,12 +1,15 @@
 """Shared fixtures and oracles for the test suite."""
 
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Union
+
 import numpy as np
 import pytest
 
 from costforest import CostedDataset, ValidationError, total_cost
 from costforest.combiners import StackingWeights, as_vote_matrix
-from costforest import csdt
-from costforest.csdt import CsdtConfig, CsdtModel, Internal, Leaf, SplitRule, TreeNode, predict_many
+from costforest import csdt, ensemble
+from costforest.csdt import CsdtConfig, CsdtModel, Leaf, predict_many
 from costforest.rng import feature_subsets, mix64
 
 
@@ -35,10 +38,53 @@ def four_example_set():
 
 
 def deep_chain(depth):
-    """JSON text of a chain of ``depth`` rules on feature 0, built without recursion."""
+    """JSON text of a version-1 chain of ``depth`` rules on feature 0, built without recursion."""
     leaf = '{"leaf": {"class": 0, "cost_f0": 0.0, "cost_f1": 0.0, "n": 1, "n_pos": 0}}'
     rule = '{"rule": {"feature": 0, "threshold": 0.5}, "right": ' + leaf + ', "left": '
     return rule * depth + leaf + "}" * depth
+
+
+def chain_tree(depth):
+    """Version-2 arrays of a chain of ``depth`` rules ``x[0] <= 10``, each with a
+    right leaf: node i < depth splits and its right child is node 2 * depth - i.
+    A row with x[0] <= 10 passes every rule to node ``depth``, the only leaf
+    that predicts 1."""
+    size = 2 * depth + 1
+    return {
+        "feature": [0] * depth + [-1] * (depth + 1),
+        "threshold": [10.0] * depth + [0.0] * (depth + 1),
+        "right": [2 * depth - i for i in range(depth)] + [-1] * (depth + 1),
+        "predicted_class": [0] * depth + [1] + [0] * depth,
+        "cost_f0": [0.0] * size,
+        "cost_f1": [0.0] * size,
+        "n": [1] * size,
+        "n_pos": [0] * size,
+    }
+
+
+def _set(name, i, value):
+    return lambda arrays: arrays[name].__setitem__(i, value)
+
+
+# Corruptions of ``chain_tree(3)`` on one feature, each with the message it
+# must raise: nodes 0-2 split, node 3 is the deepest leaf, and node i < 3 has
+# its right leaf at 6 - i.
+MALFORMED_V2 = {
+    "right-before-left-child": (_set("right", 2, 1), "not a preorder tree"),
+    "right-to-itself": (_set("right", 2, 2), "not a preorder tree"),
+    "right-to-ancestor": (_set("right", 2, 0), "not a preorder tree"),
+    "right-is-left-child": (_set("right", 2, 3), "not a preorder tree"),
+    "right-past-end": (_set("right", 2, 7), "not a preorder tree"),
+    "overlapping-subtrees": (_set("right", 0, 5), "not a preorder tree"),
+    "unreached-nodes": (_set("feature", 0, -1), "unreached"),
+    "unequal-lengths": (lambda arrays: arrays["n"].pop(), "equal length"),
+    "empty": (lambda arrays: [column.clear() for column in arrays.values()], "nonempty"),
+    "feature-past-width": (_set("feature", 1, 1), "feature 1 is outside"),
+    "feature-below-leaf": (_set("feature", 1, -2), "feature -2 is outside"),
+    "class-2": (_set("predicted_class", 3, 2), "not 0 or 1"),
+    "threshold-nan": (_set("threshold", 1, float("nan")), "not finite"),
+    "threshold-inf": (_set("threshold", 1, float("inf")), "not finite"),
+}
 
 
 def gaussian_cost_dataset(rng, n, k=10, shift=1.2, amount_sigma=1.0, admin=3.0):
@@ -58,7 +104,25 @@ def four_examples():
     return four_example_set()
 
 
-# --- per-row oracles for the library's vectorized paths ----------------------
+# --- nested trees and the version-1 file format -----------------------------
+
+
+@dataclass(frozen=True)
+class SplitRule:
+    """Send x to the left child iff x[feature_index] <= threshold."""
+
+    feature_index: int
+    threshold: float
+
+
+@dataclass(frozen=True)
+class Internal:
+    rule: SplitRule
+    left: "TreeNode"
+    right: "TreeNode"
+
+
+TreeNode = Union[Leaf, Internal]
 
 
 def nested(model: CsdtModel) -> TreeNode:
@@ -73,6 +137,83 @@ def nested(model: CsdtModel) -> TreeNode:
         return Internal(rule, node(i + 1), node(int(tree.right[i])))
 
     return node(0)
+
+
+def flatten(root: TreeNode) -> csdt.Tree:
+    """A nested tree as preorder ``Tree`` arrays. An internal node holds its
+    children's summed statistics and the class of the cheaper sum, as a
+    version-1 model file loads it."""
+    rows: list[list] = []
+
+    def visit(node: TreeNode) -> list:
+        if isinstance(node, Leaf):
+            rows.append([-1, 0.0, -1, *astuple(node)])
+            return rows[-1]
+        row = [node.rule.feature_index, node.rule.threshold, -1]
+        rows.append(row)
+        left = visit(node.left)
+        row[2] = len(rows)
+        right = visit(node.right)
+        s0, s1 = left[4] + right[4], left[5] + right[5]
+        row += [0 if s0 <= s1 else 1, s0, s1, left[6] + right[6], left[7] + right[7]]
+        return row
+
+    visit(root)
+    return csdt.Tree(*zip(*rows))
+
+
+def tree_lists(model: CsdtModel, internal_stats: bool = True) -> dict:
+    """The model's eight ``Tree`` arrays as lists. Without ``internal_stats``
+    an internal node's class and statistics read None, for comparing with
+    trees built from nested nodes, which hold none."""
+    lists = {field.name: getattr(model.tree, field.name).tolist()
+             for field in fields(csdt.Tree)}
+    if not internal_stats:
+        for i in np.flatnonzero(model.tree.feature >= 0).tolist():
+            for name in ("predicted_class", "cost_f0", "cost_f1", "n", "n_pos"):
+                lists[name][i] = None
+    return lists
+
+
+def node_to_dict(columns: dict, i: int) -> dict:
+    """Node i of a tree's columns as a version-1 file wrote it, with its subtree."""
+    if columns["feature"][i] < 0:
+        return {
+            "leaf": {
+                "class": columns["predicted_class"][i],
+                "cost_f0": columns["cost_f0"][i],
+                "cost_f1": columns["cost_f1"][i],
+                "n": columns["n"][i],
+                "n_pos": columns["n_pos"][i],
+            }
+        }
+    return {
+        "rule": {"feature": columns["feature"][i], "threshold": columns["threshold"][i]},
+        "left": node_to_dict(columns, i + 1),
+        "right": node_to_dict(columns, columns["right"][i]),
+    }
+
+
+def v1_dict(model: CsdtModel) -> dict:
+    """The csdt model as a version-1 file: a nested ``rule``/``leaf`` root."""
+    return {
+        "format_version": "1",
+        "kind": "csdt",
+        "k": model.k,
+        "config": asdict(model.config),
+        "root": node_to_dict(tree_lists(model), 0),
+    }
+
+
+def v1_ensemble_dict(model) -> dict:
+    """The ensemble as a version-1 file: every base tree a whole csdt model."""
+    data = ensemble.model_to_dict(model)
+    data["format_version"] = "1"
+    data["base_models"] = [v1_dict(m) for m in model.base_models]
+    return data
+
+
+# --- per-row oracles for the library's vectorized paths ----------------------
 
 
 def cost_impurity(subset: CostedDataset | None) -> float:
@@ -170,7 +311,7 @@ def prune_oracle(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
             break
         replacement = _oracle_leaf(prune_set.y[idx], cost0[idx], cost1[idx])
         root = _oracle_replace(root, target, replacement)
-    return CsdtModel(root, model.config, model.k)
+    return CsdtModel(flatten(root), model.config, model.k)
 
 
 def route_oracle(model: CsdtModel, X: np.ndarray, value) -> list:

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import split_gain, stacking_cost, strict_random_dataset, training_cost
+from conftest import SplitRule, split_gain, stacking_cost, strict_random_dataset, training_cost
 from costforest import (
     CostedDataset,
     costless_class_cost,
@@ -29,7 +29,7 @@ from costforest.combiners import (
     majority_vote,
     weighted_vote,
 )
-from costforest.csdt import CsdtConfig, grow, prune, SplitRule
+from costforest.csdt import CsdtConfig, grow, prune
 from costforest.data import SplitSpec, split
 from costforest.ensemble import EcsdtConfig, predict, train
 from costforest.evaluation import (

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import deep_chain, gaussian_cost_dataset
-from costforest import cli, sampling
+from conftest import MALFORMED_V2, chain_tree, deep_chain, gaussian_cost_dataset, v1_ensemble_dict
+from costforest import cli, ensemble, sampling
 from costforest.cli import main
 
 FOUR_ROWS = (
@@ -169,38 +169,79 @@ class TestPredictInputChecks:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("corrupt, message", [
-        (lambda d: d["base_models"][0].update(
+    def _predict(self, tmp_path, data, model):
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model), "--data", data, "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("version, corrupt, message", [
+        ("2", lambda d: d["base_models"][0]["feature"].__setitem__(0, 99), "outside [0, 1)"),
+        ("1", lambda d: d["base_models"][0].update(
             root={"rule": {"feature": 99, "threshold": 0.5},
                   "left": d["base_models"][0]["root"], "right": d["base_models"][0]["root"]}),
          "outside [0, 1)"),
-        (lambda d: d["base_models"][0].update(
+        ("1", lambda d: d["base_models"][0].update(
             root={"rule": {"feature": 0, "threshold": 0.5}}), "neither a leaf"),
-        (lambda d: d.update(oob_savings=[0.0]), "oob_savings"),
-        (lambda d: d["base_models"][0]["config"].update(max_depth="3"),
-         "'config.max_depth' must be an integer, got '3'"),
-    ])
-    def test_malformed_model_exit_2(self, tmp_path, capsys, corrupt, message):
-        data, model = self._model(tmp_path)
+        ("2", lambda d: d.update(oob_savings=[0.0]), "oob_savings"),
+        ("2", lambda d: d["config"]["tree"].update(max_depth="3"),
+         "'config.tree.max_depth' must be an integer, got '3'"),
+        ("2", lambda d: d["stacking"].update(threshold=float("nan")), "stacking threshold"),
+        ("2", lambda d: d["stacking"].update(threshold=float("-inf")), "stacking threshold"),
+        ("wv", lambda d: d["weights"].__setitem__(0, float("nan")), "finite"),
+    ], ids=["feature-v2", "feature-v1", "rule-without-children-v1", "oob-length",
+            "tree-config", "threshold-nan", "threshold-minus-infinity", "weight-nan"])
+    def test_malformed_model_exit_2(self, tmp_path, capsys, version, corrupt, message):
+        combiner = {"kind": "wv"} if version == "wv" else {
+            "kind": "stacking", "ga": {"generations": 2, "population": 8}}
+        data, model = self._model(tmp_path, dict(TRAIN_CONFIG, combiner=combiner))
         payload = json.loads(model.read_text())
+        if version == "1":
+            payload = v1_ensemble_dict(ensemble.load(model))
         corrupt(payload)
         model.write_text(json.dumps(payload))
-        out = str(tmp_path / "p.csv")
-        assert main(["predict", "--model", str(model), "--data", data, "--out", out]) == 2
+        code, out = self._predict(tmp_path, data, model)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_V2))
+    def test_malformed_tree_arrays_exit_2(self, tmp_path, capsys, name):
+        corrupt, message = MALFORMED_V2[name]
+        data, model = self._model(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["base_models"][0] = chain_tree(3)
+        model.write_text(json.dumps(payload))
+        assert self._predict(tmp_path, data, model)[0] == 0
+        corrupt(payload["base_models"][0])
+        model.write_text(json.dumps(payload))
+        assert self._predict(tmp_path, data, model)[0] == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda text: text[:len(text) // 2], "JSONDecodeError"),
-        (lambda text: text.replace('"root": ', '"root": ' + deep_chain(1200) + ', "unused": ', 1),
-         "RecursionError"),
-        (None, "FileNotFoundError"),
-    ], ids=["truncated", "too-deep", "missing"])
-    def test_unreadable_model_exit_2(self, tmp_path, capsys, edit, message):
+    def test_5000_deep_chain_predicts(self, tmp_path):
+        data, model = self._model(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["base_models"] = [chain_tree(5000)] * 3
+        model.write_text(json.dumps(payload))
+        code, out = self._predict(tmp_path, data, model)
+        assert code == 0
+        # every row has x <= 10, so it passes all 5000 rules to the leaf predicting 1
+        assert out.read_text().split() == ["prediction", "1", "1", "1", "1"]
+
+    @pytest.mark.parametrize("version, edit, message", [
+        ("2", lambda text: text[:len(text) // 2], "JSONDecodeError"),
+        ("1", lambda text: text.replace('"root": ', '"root": ' + deep_chain(1200) + ', "unused": ',
+                                        1), "RecursionError"),
+        ("2", None, "FileNotFoundError"),
+    ], ids=["truncated", "too-deep-v1", "missing"])
+    def test_unreadable_model_exit_2(self, tmp_path, capsys, version, edit, message):
         data, model = self._model(tmp_path)
         if edit is None:
             model.unlink()
         else:
-            model.write_text(edit(model.read_text()))
+            text = model.read_text()
+            if version == "1":
+                text = json.dumps(v1_ensemble_dict(ensemble.load(model)), indent=1)
+            model.write_text(edit(text))
         out = tmp_path / "p.csv"
         assert main(["predict", "--model", str(model), "--data", data, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
@@ -447,6 +488,15 @@ class TestBenchmark:
 
 
 class TestVerifyTheory:
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_mc_samples_below_one_exit_1(self, tmp_path, capsys, samples):
+        out = tmp_path / "t.json"
+        code = main(["verify-theory", "--T", "5", "--rho", "0.7", "--trials", "50", "--n", "60",
+                     "--mc-samples", samples, "--out", str(out)])
+        assert code == 1
+        assert f"n_samples must be >= 1, got {samples}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         code = main([

@@ -70,6 +70,23 @@ class TestWeightVector:
         with pytest.raises(ValidationError):
             WeightVector(np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite(self, bad):
+        # NaN fails both the sign and the sum test, so it needs its own
+        with pytest.raises(ValidationError, match="finite"):
+            WeightVector(np.array([bad, 0.5]))
+
+
+class TestStackingWeights:
+    @pytest.mark.parametrize("threshold", [np.nan, -np.inf, -0.1, 1.5, np.inf])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValidationError, match="threshold"):
+            StackingWeights(np.zeros(2), 0.0, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+    def test_threshold_in_unit_interval_accepted(self, threshold):
+        assert StackingWeights(np.zeros(2), 0.0, threshold).threshold == threshold
+
 
 class TestSavingsWeights:
     def test_already_normalized(self):

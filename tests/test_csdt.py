@@ -1,12 +1,17 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import (
+    MALFORMED_V2,
+    Internal,
+    SplitRule,
+    chain_tree,
     cost_impurity,
     deep_chain,
+    flatten,
     four_example_set,
     grow_oracle,
     nested,
@@ -15,16 +20,16 @@ from conftest import (
     split_gain,
     strict_random_dataset,
     training_cost,
+    tree_lists,
+    v1_dict,
 )
 from costforest import CostedDataset, ValidationError, total_cost
-from costforest import csdt, ensemble
+from costforest import baselines, csdt, ensemble
 from costforest.combiners import GaConfig
 from costforest.csdt import (
     CsdtConfig,
     CsdtModel,
-    Internal,
     Leaf,
-    SplitRule,
     grow,
     load,
     model_from_dict,
@@ -230,7 +235,7 @@ class TestPrune:
     def test_same_class_leaves_collapse(self):
         leaf = Leaf(1, 5.0, 1.0, 2, 2)
         tree = CsdtModel(
-            root=Internal(SplitRule(0, 0.5), leaf, Leaf(1, 4.0, 1.0, 2, 2)),
+            flatten(Internal(SplitRule(0, 0.5), leaf, Leaf(1, 4.0, 1.0, 2, 2))),
             config=CsdtConfig(),
             k=1,
         )
@@ -296,7 +301,7 @@ class TestGiniMode:
             cost_cfg = CsdtConfig(candidate_thresholds="exact_midpoints", impurity="cost", max_depth=4)
             a = grow(ds, gini_cfg)
             b = grow(unit, cost_cfg)
-            assert model_to_dict(a)["root"] == model_to_dict(b)["root"]
+            assert tree_lists(a) == tree_lists(b)
 
     def test_pure_split_agreement(self, four_examples):
         gini = grow(four_examples, CsdtConfig(candidate_thresholds="exact_midpoints", impurity="gini"))
@@ -376,38 +381,112 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="format version"):
             model_from_dict({"format_version": "999", "kind": "csdt"})
 
-    @pytest.mark.parametrize("text, match", [
-        (lambda text: text[:len(text) // 2], "JSONDecodeError"),
-        (lambda text: text.replace('"root": ', '"root": ' + deep_chain(1200) + ', "unused": ', 1),
-         "RecursionError"),
-    ], ids=["truncated", "too-deep"])
-    def test_unreadable_file_rejected(self, four_examples, tmp_path, text, match):
+    @pytest.mark.parametrize("version, text, match", [
+        ("2", lambda text: text[:len(text) // 2], "JSONDecodeError"),
+        ("1", lambda text: text[:len(text) // 2], "JSONDecodeError"),
+        ("1", lambda text: text.replace('"root": ', '"root": ' + deep_chain(1200) + ', "unused": ',
+                                        1), "RecursionError"),
+    ], ids=["truncated", "truncated-v1", "too-deep-v1"])
+    def test_unreadable_file_rejected(self, four_examples, tmp_path, version, text, match):
         path = tmp_path / "tree.json"
-        save(grow(four_examples, EXACT), path)
-        path.write_text(text(path.read_text()))
+        model = grow(four_examples, EXACT)
+        data = model_to_dict(model) if version == "2" else v1_dict(model)
+        path.write_text(text(json.dumps(data, indent=1, sort_keys=True)))
         with pytest.raises(ValidationError, match=match):
             load(path)
 
     @pytest.mark.parametrize("corrupt, match", [
         (lambda d: d["root"]["rule"].update(feature=99), "outside"),
-        (lambda d: d["root"]["rule"].update(feature=-1), "outside"),
+        (lambda d: d["root"]["rule"].update(feature=-2), "outside"),
+        (lambda d: d["root"]["rule"].update(feature=-1), "unreached"),
         (lambda d: d["root"]["rule"].update(threshold=float("nan")), "not finite"),
         (lambda d: d["root"]["rule"].update(threshold=float("inf")), "not finite"),
         (lambda d: d["root"].pop("left"), "neither a leaf"),
         (lambda d: d["root"].update(right=[1, 2]), "neither a leaf"),
         (lambda d: d["root"]["rule"].pop("threshold"), "KeyError"),
         (lambda d: d["root"]["left"]["leaf"].pop("n_pos"), "KeyError"),
+        (lambda d: d["root"]["left"]["leaf"].update(n=float("inf")), "OverflowError"),
+        (lambda d: d["root"]["left"]["leaf"].update({"class": 2}), "not 0 or 1"),
         (lambda d: d.pop("k"), "KeyError"),
         (lambda d: d["config"].update(depth=3), "unknown keys"),
         (lambda d: d["root"]["rule"].update(feature="x"), "ValueError"),
     ])
-    def test_malformed_model_rejected(self, four_examples, corrupt, match):
-        data = json.loads(json.dumps(model_to_dict(grow(four_examples, EXACT))))
+    def test_malformed_version_1_model_rejected(self, four_examples, corrupt, match):
+        data = json.loads(json.dumps(v1_dict(grow(four_examples, EXACT))))
         assert "rule" in data["root"]
         model_from_dict(data)
         corrupt(data)
         with pytest.raises(ValidationError, match=match):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_V2))
+    def test_malformed_tree_arrays_rejected(self, name, tmp_path):
+        corrupt, match = MALFORMED_V2[name]
+        data = {"format_version": "2", "kind": "csdt", "k": 1, "config": asdict(CsdtConfig()),
+                "tree": chain_tree(3)}
+        model_from_dict(data)
+        corrupt(data["tree"])
+        with pytest.raises(ValidationError, match=match):
+            csdt.tree_from_dict(data["tree"], 1)
+        (tmp_path / "tree.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=match):
+            load(tmp_path / "tree.json")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.pop("tree"),
+        lambda d: d["tree"].pop("n_pos"),
+        lambda d: d.update(tree=[1, 2]),
+        lambda d: d["tree"].update(n=["x"] * 7),
+        lambda d: d["tree"].update(feature=[2**70] * 7),
+    ], ids=["no-tree", "no-field", "list", "text", "overflow"])
+    def test_unconvertible_tree_arrays_rejected(self, corrupt):
+        data = {"format_version": "2", "kind": "csdt", "k": 1, "config": asdict(CsdtConfig()),
+                "tree": chain_tree(3)}
+        corrupt(data)
+        with pytest.raises(ValidationError, match="malformed csdt model"):
+            model_from_dict(data)
+
+    def test_5000_deep_chain_loads_and_predicts(self, tmp_path):
+        data = {"format_version": "2", "kind": "csdt", "k": 1, "config": asdict(CsdtConfig()),
+                "tree": chain_tree(5000)}
+        (tmp_path / "tree.json").write_text(json.dumps(data))
+        model = load(tmp_path / "tree.json")
+        assert model.depth() == 5000
+        assert predict_many(model, np.array([[1.0], [10.0], [11.0]])).tolist() == [1, 1, 0]
+
+    def test_gini_tree_round_trip_keeps_all_eight_arrays(self, tmp_path):
+        ds = strict_random_dataset(np.random.default_rng(12), 120, 3)
+        model = baselines.gini_tree(ds)
+        assert model.n_nodes() > 3
+        save(model, tmp_path / "tree.json")
+        loaded = load(tmp_path / "tree.json")
+        for field in fields(csdt.Tree):
+            assert getattr(loaded.tree, field.name).tobytes() == \
+                getattr(model.tree, field.name).tobytes(), field.name
+        assert loaded.config == model.config and loaded.k == model.k
+
+    def test_version_1_file_loads_to_the_same_tree(self, tmp_path):
+        ds = strict_random_dataset(np.random.default_rng(13), 150, 3)
+        model = grow(ds, CsdtConfig(max_depth=6, pruning=False))
+        assert model.depth() > 2
+        (tmp_path / "v1.json").write_text(json.dumps(v1_dict(model), indent=1, sort_keys=True))
+        loaded = load(tmp_path / "v1.json")
+        assert tree_lists(loaded, internal_stats=False) == tree_lists(model, internal_stats=False)
+        assert loaded.tree.n.tolist() == model.tree.n.tolist()
+        assert loaded.tree.n_pos.tolist() == model.tree.n_pos.tolist()
+        internal = model.tree.feature >= 0
+        for name in ("cost_f0", "cost_f1"):
+            assert np.allclose(getattr(loaded.tree, name), getattr(model.tree, name),
+                               rtol=1e-12, atol=0)
+        assert not np.isnan(loaded.tree.cost_f0[internal]).any()
+        assert np.array_equal(predict_many(loaded, ds.X), predict_many(model, ds.X))
+        assert np.array_equal(loaded.predict_proba_many(ds.X), model.predict_proba_many(ds.X))
+
+    def test_leaf_builds_a_one_node_model(self):
+        model = CsdtModel(Leaf(1, 5.0, 2.0, 4, 3), CsdtConfig(), 2)
+        assert model.n_nodes() == 1 and model.depth() == 0
+        assert predict_many(model, np.zeros((3, 2))).tolist() == [1, 1, 1]
+        assert tree_lists(model)["n_pos"] == [3]
 
 
 # --- split search kernel against the per-feature loop it replaced ----------
@@ -548,7 +627,7 @@ class TestSplitKernel:
         model = grow(ds, config)
         assert nested(model).rule == SplitRule(0, 0.0)
         assert not np.signbit(nested(model).rule.threshold)
-        assert '"threshold": 0.0' in json.dumps(model_to_dict(model))
+        assert json.dumps(model_to_dict(model)["tree"]["threshold"]).startswith("[0.0, ")
 
         monkeypatch.setitem(globals(), "_quantile_cuts", np.quantile)
         monkeypatch.setattr(
@@ -847,8 +926,9 @@ def _threshold_rows(rng, model, n):
 
 
 def _bits(model):
-    """The model file's tree, as text (its config may differ in ``pruning``)."""
-    return json.dumps(model_to_dict(model)["root"], sort_keys=True)
+    """The model's tree arrays as text, without internal nodes' statistics,
+    which nested oracles do not record."""
+    return json.dumps(tree_lists(model, internal_stats=False))
 
 
 class TestFlatTreesMatchOracles:
@@ -874,7 +954,8 @@ class TestFlatTreesMatchOracles:
         for _ in range(150):
             model, _, held_out = _random_grown(rng, impurity)
             assert _bits(prune(model, held_out)) == _bits(prune_oracle(model, held_out))
-            built = CsdtModel(_random_nested(rng, held_out.k, 5), model.config, held_out.k)
+            built = CsdtModel(flatten(_random_nested(rng, held_out.k, 5)), model.config,
+                              held_out.k)
             assert _bits(prune(built, held_out)) == _bits(prune_oracle(built, held_out))
 
     def test_prune_leaves_its_input_unchanged(self):
@@ -890,7 +971,8 @@ class TestFlatTreesMatchOracles:
         for _ in range(40):
             model, _, _ = _random_grown(rng, "cost")
             if rng.random() < 0.5:
-                model = CsdtModel(_random_nested(rng, model.k, 6), model.config, model.k)
+                model = CsdtModel(flatten(_random_nested(rng, model.k, 6)), model.config,
+                                  model.k)
             X = _threshold_rows(rng, model, n_rows)
             expected = route_oracle(model, X, lambda leaf: leaf.predicted_class)
             assert predict_many(model, X).tolist() == expected
@@ -928,13 +1010,17 @@ class TestFlatTreesMatchOracles:
         monkeypatch.setattr(csdt, "prune", lambda model, prune_set: model)
         assert grow(ds, CsdtConfig(pruning=pruning)).stats_of is None
 
-    def test_nested_root_flattens_and_keeps_leaf_classes(self):
-        # the right leaf predicts its costlier class; flattening must keep it
+    def test_version_1_tree_keeps_leaf_classes_and_sums_internal_statistics(self):
+        # the right leaf predicts its costlier class; reading must keep it
         root = Internal(SplitRule(0, 0.5), Leaf(0, 1.0, 4.0, 3, 1), Leaf(0, 9.0, 2.0, 5, 4))
-        model = CsdtModel(root, CsdtConfig(), 1)
+        model = CsdtModel(flatten(root), CsdtConfig(), 1)
         assert nested(model) == root
         assert model.n_nodes() == 3 and model.depth() == 1
         assert predict_many(model, np.array([[0.0], [0.5], [1.0]])).tolist() == [0, 0, 0]
+        loaded = model_from_dict(v1_dict(model))
+        assert tree_lists(loaded) == tree_lists(model)
+        assert tree_lists(loaded)["cost_f0"][0] == 10.0 and loaded.tree.n[0] == 8
+        assert loaded.tree.predicted_class[0] == 1  # 6.0 is the cheaper sum
         assert nested(model_from_dict(model_to_dict(model))) == root
 
 

@@ -4,9 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import four_example_set, gaussian_cost_dataset, strict_random_dataset
+from conftest import (
+    four_example_set,
+    gaussian_cost_dataset,
+    strict_random_dataset,
+    tree_lists,
+    v1_ensemble_dict,
+)
 from costforest import ConfigError, ValidationError, savings
 from costforest.combiners import GaConfig, weights_from_scores
+from costforest import csdt
 from costforest.csdt import CsdtConfig
 from costforest.ensemble import (
     EcsdtConfig,
@@ -17,7 +24,7 @@ from costforest.ensemble import (
     save,
     train,
 )
-from costforest.inducers import InducerConfig, draw_samples
+from costforest.inducers import KINDS, InducerConfig, draw_samples
 
 FAST_TREE = CsdtConfig(max_depth=4, candidate_thresholds="exact_midpoints")
 
@@ -212,6 +219,44 @@ class TestSerialization:
             assert np.array_equal(predict(loaded, ds), predict(model, ds))
             assert model_to_dict(loaded) == model_to_dict(model)
 
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_trip_keeps_all_eight_arrays(self, tmp_path, kind, mode, impurity):
+        ds = strict_random_dataset(np.random.default_rng(14), 80, 4)
+        config = dataclasses.replace(
+            small_config("wv", kind=kind, T=3, seed=15),
+            tree=CsdtConfig(max_depth=4, candidate_thresholds=mode, impurity=impurity),
+        )
+        model = train(ds, config)
+        save(model, tmp_path / "m.json")
+        stored = json.loads((tmp_path / "m.json").read_text())["base_models"]
+        assert [set(tree) for tree in stored] == [set(tree_lists(model.base_models[0]))] * 3
+        loaded = load(tmp_path / "m.json")
+        assert sum(m.n_nodes() for m in loaded.base_models) > 3
+        for a, b in zip(loaded.base_models, model.base_models):
+            assert (a.config, a.k) == (b.config, b.k)
+            for field in dataclasses.fields(csdt.Tree):
+                assert getattr(a.tree, field.name).tobytes() == \
+                    getattr(b.tree, field.name).tobytes(), field.name
+        assert np.array_equal(predict(loaded, ds), predict(model, ds))
+
+    @pytest.mark.parametrize("combiner", ["wv", "stacking"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_version_1_file_loads_to_the_same_model(self, tmp_path, kind, combiner):
+        ds = strict_random_dataset(np.random.default_rng(16), 80, 4)
+        model = train(ds, small_config(combiner, kind=kind, T=3, seed=17))
+        (tmp_path / "v1.json").write_text(json.dumps(v1_ensemble_dict(model), indent=1))
+        loaded = load(tmp_path / "v1.json")
+        for a, b in zip(loaded.base_models, model.base_models):
+            assert (a.config, a.k) == (b.config, b.k)
+            assert tree_lists(a, internal_stats=False) == tree_lists(b, internal_stats=False)
+            assert a.tree.n.tolist() == b.tree.n.tolist()
+            assert a.tree.n_pos.tolist() == b.tree.n_pos.tolist()
+        assert model_to_dict(loaded)["stacking"] == model_to_dict(model)["stacking"]
+        assert model_to_dict(loaded)["weights"] == model_to_dict(model)["weights"]
+        assert np.array_equal(predict(loaded, ds), predict(model, ds))
+
     def test_config_block_pinned(self, tmp_path):
         ds = strict_random_dataset(np.random.default_rng(12), 40, 5)
         cfg = EcsdtConfig(
@@ -249,19 +294,21 @@ class TestSerialization:
     @pytest.mark.parametrize("corrupt, match", [
         (lambda d: d["feature_subsets"][0].append(d["k"] + 3), "subset 0"),
         (lambda d: d["feature_subsets"][1].__setitem__(0, -1), "subset 1"),
-        (lambda d: d["feature_subsets"][2].append(d["feature_subsets"][2][0]), "base model 2"),
-        (lambda d: d["feature_subsets"].__setitem__(0, None), "base model 0"),
-        (lambda d: d["feature_subsets"].pop(), "feature_subsets"),
-        (lambda d: d["base_models"].pop(), "lengths"),
+        (lambda d: d["base_models"][2]["feature"].__setitem__(0, len(d["feature_subsets"][2])),
+         "outside"),
+        (lambda d: d["base_models"][1]["feature"].__setitem__(0, -2), "outside"),
+        (lambda d: d["feature_subsets"].pop(), "3 base models but 2 feature subsets"),
+        (lambda d: d["base_models"].pop(), "2 base models but 3 feature subsets"),
         (lambda d: d["oob_savings"].pop(), "oob_savings"),
         (lambda d: d["weights"].append(0.0), "weights"),
         (lambda d: d.update(weights=None), "combiner"),
         (lambda d: d.update(combiner="stacking"), "combiner"),
-        (lambda d: d["base_models"][0]["root"].update(rule={"feature": 99, "threshold": 0.0},
-                                                      left={}, right={}), "outside"),
+        (lambda d: d["base_models"][0]["feature"].__setitem__(0, 99), "outside"),
+        (lambda d: d["base_models"][0]["right"].__setitem__(0, 0), "not a preorder tree"),
         (lambda d: d.pop("k"), "KeyError"),
         (lambda d: d["config"].pop("inducer"), "missing keys"),
-        (lambda d: d["base_models"].__setitem__(0, []), "JSON object"),
+        (lambda d: d["base_models"].__setitem__(0, []), "TypeError"),
+        (lambda d: d["base_models"][0].pop("n"), "KeyError"),
     ])
     def test_malformed_model_rejected(self, tmp_path, corrupt, match):
         ds = strict_random_dataset(np.random.default_rng(10), 60, 4)
