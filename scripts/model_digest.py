@@ -7,7 +7,7 @@ Usage, from the root of a source checkout:
 Per seed: the fit-patches, fit-stacking and score models of the perfbench
 set-ups, and a wv-acc, a pasting and a random_forest fit on the fit-patches
 data (the file ``ensemble.save`` writes); two single trees on the
-fit-patches data, a CSDT with exact midpoints and ``baselines.gini_tree``
+fit-patches data, a CSDT with exact midpoints and a gini (error-count) tree
 (the file ``csdt.save`` writes); then one grid experiment's JSON report.
 Each model gets two lines: the digest of its file, and an ``arrays`` line,
 the digest of its trees' eight ``csdt.Tree`` arrays and its combiner
@@ -27,7 +27,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from costforest import baselines, csdt, ensemble  # noqa: E402
+from costforest import csdt, ensemble  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -54,7 +54,7 @@ def models(seed: int, work: Path) -> tuple[dict, dict]:
         "tree exact_midpoints": csdt.grow(
             patches.train, csdt.CsdtConfig(candidate_thresholds="exact_midpoints")
         ),
-        "tree gini": baselines.gini_tree(patches.train),
+        "tree gini": csdt.grow(patches.train, csdt.CsdtConfig(impurity="gini")),
     }
     return ensembles, trees
 

@@ -3,23 +3,24 @@
 The logistic model trains by plain gradient descent on L2-regularized
 cross-entropy over z-scored features. BMR turns any positive-class
 probability into a per-example decision by comparing expected costs.
-The tree and forest baselines reuse the cost-sensitive machinery with the
-error-count impurity, which ignores the money columns entirely.
+The tree and forest baselines are the cost-sensitive learners grown with
+the error-count impurity, which ignores the money columns entirely;
+``evaluation`` builds their configs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import ensemble
 from .combiners import _sigmoid
 from .cost_model import CostedDataset
-from .csdt import CsdtConfig, CsdtModel, grow, leaf_proba, predict_proba_many, route
-from .ensemble import EcsdtConfig, EnsembleModel
+# grow and predict_proba_many are not called here; they stay importable as
+# baselines.grow and baselines.predict_proba_many, names that perfbench's
+# traced runs wrap
+from .csdt import _check_finite, as_features, grow, predict_proba_many  # noqa: F401
 from .errors import ConfigError, ValidationError
-from .inducers import InducerConfig
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class LogisticModel:
     std: np.ndarray
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = as_features(X, self.weights.size)
+        _check_finite(X)
         z = (X - self.mean) / self.std
         return _sigmoid(z @ self.weights + self.intercept)
 
@@ -54,26 +56,14 @@ class LogisticModel:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
 
-def logistic_loss_grad(
-    X: np.ndarray, y: np.ndarray, weights: np.ndarray, intercept: float, l2: float
-) -> tuple[float, np.ndarray, float]:
-    """Mean cross-entropy with L2 on the weights (intercept unpenalized)."""
-    n = X.shape[0]
-    z = X @ weights + intercept
-    p = _sigmoid(z)
-    eps = 1e-12
-    loss = float(
-        -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-        + 0.5 * l2 * (weights @ weights)
-    )
-    residual = p - y
-    grad_w = X.T @ residual / n + l2 * weights
-    grad_b = float(residual.mean())
-    return loss, grad_w, grad_b
-
-
 def train_logistic(train: CostedDataset, config: LrConfig | None = None) -> LogisticModel:
-    """Deterministic full-batch gradient descent from a zero start."""
+    """Deterministic full-batch gradient descent from a zero start.
+
+    A step raises if the loss, mean cross-entropy plus L2 on the weights
+    (intercept unpenalized), is not finite at the current weights. The
+    probabilities lie in [0, 1] unless one is NaN, so that is when a
+    probability is NaN or the L2 term is not finite.
+    """
     config = config or LrConfig()
     config.validate()
     X = train.X
@@ -89,14 +79,15 @@ def train_logistic(train: CostedDataset, config: LrConfig | None = None) -> Logi
     w = np.zeros(train.k)
     b = 0.0
     for _ in range(config.n_iter):
-        loss, grad_w, grad_b = logistic_loss_grad(Xz, y, w, b, config.l2)
-        if not np.isfinite(loss):
+        p = _sigmoid(Xz @ w + b)
+        if np.isnan(p).any() or not np.isfinite(0.5 * config.l2 * (w @ w)):
             raise ValidationError(
                 "logistic training diverged (non-finite loss); try a smaller "
                 "learning_rate"
             )
-        w -= config.learning_rate * grad_w
-        b -= config.learning_rate * grad_b
+        residual = p - y
+        w -= config.learning_rate * (Xz.T @ residual / train.n + config.l2 * w)
+        b -= config.learning_rate * float(residual.mean())
     return LogisticModel(weights=w, intercept=b, mean=mean, std=std)
 
 
@@ -105,7 +96,7 @@ def bmr_predict_dataset(p_hats: np.ndarray, dataset: CostedDataset) -> np.ndarra
     p = np.asarray(p_hats, dtype=np.float64)
     if p.shape != (dataset.n,):
         raise ValidationError(f"p_hats have shape {p.shape}, expected ({dataset.n},)")
-    if ((p < 0) | (p > 1)).any():
+    if not ((p >= 0) & (p <= 1)).all():
         raise ValidationError("p_hats must be in [0, 1]")
     c_tp, c_fp, c_fn, c_tn = dataset.costs.T
     risk_pos = p * c_tp + (1 - p) * c_fp
@@ -121,58 +112,3 @@ class BmrWrapper:
 
     def predict_on(self, dataset: CostedDataset) -> np.ndarray:
         return bmr_predict_dataset(self.base.predict_proba(dataset.X), dataset)
-
-
-def gini_tree(train: CostedDataset, config: CsdtConfig | None = None) -> CsdtModel:
-    """Plain error-count decision tree (the DT baseline)."""
-    return grow(train, replace(config or CsdtConfig(), impurity="gini"))
-
-
-@dataclass
-class ForestModel:
-    """Majority-vote forest with probability output for the BMR layer."""
-
-    inner: EnsembleModel
-
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        return self.inner.predict_many(X)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean of the trees' leaf probabilities; ``X`` is checked once."""
-        X = self.inner.features(X)
-        probs = np.zeros(X.shape[0])
-        for model, subset in zip(self.inner.base_models, self.inner.feature_subsets):
-            probs += leaf_proba(model.tree, route(model.tree, X, subset))
-        return probs / len(self.inner.base_models)
-
-
-def plain_forest(
-    train: CostedDataset,
-    T: int = 100,
-    seed: int = 0,
-    tree: CsdtConfig | None = None,
-) -> ForestModel:
-    """Classical random forest: bootstrap, per-node features, majority vote."""
-    return ForestModel(inner=ensemble.train(train, forest_config(T, seed, tree)))
-
-
-def forest_config(T: int = 100, seed: int = 0, tree: CsdtConfig | None = None) -> EcsdtConfig:
-    """The ensemble config :func:`plain_forest` trains with."""
-    return EcsdtConfig(
-        inducer=InducerConfig(kind="random_forest", T=T, seed=seed),
-        tree=replace(tree or CsdtConfig(), impurity="gini"),
-        combiner="mv",
-    )
-
-
-@dataclass
-class TreeProbaModel:
-    """Probability adapter for a single tree (leaf frequency, Laplace smoothed)."""
-
-    inner: CsdtModel
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return predict_proba_many(self.inner, X)
-
-    def predict_many(self, X: np.ndarray) -> np.ndarray:
-        return self.inner.predict_many(X)

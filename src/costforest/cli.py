@@ -27,6 +27,7 @@ from .data import (
     RawTable,
     SplitSpec,
     dataset_from_table,
+    feature_columns,
     read_table,
     split,
     write_table,
@@ -190,9 +191,7 @@ def _cmd_train(args) -> int:
 
 
 def _feature_matrix(table: RawTable, args, k: int) -> np.ndarray:
-    schema = _schema_from_args(args)
-    ignore = {schema.label_col, *schema.cost_cols, *schema.drop_cols}
-    feature_cols = [c for c in table.columns if c not in ignore]
+    feature_cols = feature_columns(table, _schema_from_args(args))
     if len(feature_cols) != k:
         raise ValidationError(
             f"{table.path}: {len(feature_cols)} feature columns but the model expects {k}"

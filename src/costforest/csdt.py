@@ -142,7 +142,7 @@ class CsdtModel:
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return predict_many(self, X)
 
-    def predict_proba_many(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return predict_proba_many(self, X)
 
     def depth(self) -> int:

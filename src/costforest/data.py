@@ -120,16 +120,21 @@ def write_table(table: RawTable, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def feature_columns(table: RawTable, schema: CsvSchema) -> list[str]:
+    """The table's columns that are neither the label, a cost nor dropped, in order."""
+    named = {schema.label_col, *schema.cost_cols, *schema.drop_cols}
+    return [c for c in table.columns if c not in named]
+
+
 def dataset_from_table(table: RawTable, schema: CsvSchema) -> CostedDataset:
     """Assemble a validated :class:`CostedDataset` from a parsed table."""
-    named = {schema.label_col, *schema.cost_cols, *schema.drop_cols}
     for col in (schema.label_col, *schema.cost_cols):
         if col not in table.columns:
             raise ValidationError(
                 f"{table.path or 'table'}: required column '{col}' missing "
                 f"(have {table.columns})"
             )
-    feature_cols = [c for c in table.columns if c not in named]
+    feature_cols = feature_columns(table, schema)
     if not feature_cols:
         raise ValidationError(
             f"{table.path or 'table'}: no feature columns left after "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -73,13 +74,25 @@ class EnsembleModel:
             raise ValidationError("features contain non-finite values")
         return X
 
+    def leaves(self, X: np.ndarray) -> Iterator[tuple[csdt.Tree, np.ndarray]]:
+        """Each base tree, in order, with the leaf that each row of ``X`` (as
+        :meth:`features` returns it) reaches in it."""
+        for model, subset in zip(self.base_models, self.feature_subsets):
+            yield model.tree, csdt.route(model.tree, X, subset)
+
     def base_votes(self, X: np.ndarray) -> np.ndarray:
         """(T, N) matrix of base-tree predictions, feature subsets remapped."""
         X = self.features(X)
         votes = np.empty((self.T, X.shape[0]), dtype=np.int64)
-        for j, (model, subset) in enumerate(zip(self.base_models, self.feature_subsets)):
-            votes[j] = model.tree.predicted_class[csdt.route(model.tree, X, subset)]
+        for j, (tree, leaves) in enumerate(self.leaves(X)):
+            votes[j] = tree.predicted_class[leaves]
         return votes
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the base trees' leaf probabilities (the forest estimate that
+        BMR reads); the combiner plays no part."""
+        leaves = self.leaves(self.features(X))
+        return sum(csdt.leaf_proba(tree, at) for tree, at in leaves) / self.T
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         votes = self.base_votes(X)

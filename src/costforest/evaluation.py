@@ -39,6 +39,7 @@ LEARNER_CONFIG_KEYS = {
     "ecsdt": {"inducer", "T", "n_examples", "n_features", "tree", "combiner", "ga"},
 }
 LEARNERS = tuple(LEARNER_CONFIG_KEYS)
+BMR_LEARNERS = ("dt", "lr", "rf")  # the probability models the BMR layer reads
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,10 @@ class AlgorithmSpec:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.learner not in LEARNERS:
             raise ConfigError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
+        if self.family == "bmr" and self.learner not in BMR_LEARNERS:
+            raise ConfigError(
+                f"family 'bmr' needs a learner in {BMR_LEARNERS}, got {self.learner!r}"
+            )
         try:
             config = _learner_config(self, seed=0)
             unread = sorted(self.config.keys() - LEARNER_CONFIG_KEYS[self.learner])
@@ -208,7 +213,8 @@ class EvaluationReport:
 
 
 def _learner_config(algo: AlgorithmSpec, seed: int):
-    """The config that ``algo``'s learner trains with, read from ``algo.config``."""
+    """The config that ``algo``'s learner trains with, read from ``algo.config``;
+    the cost-insensitive ``dt`` and ``rf`` grow gini (error-count) trees."""
     cfg = from_json(AlgorithmConfig, algo.config)
     if algo.learner == "lr":
         return cfg.lr
@@ -216,7 +222,7 @@ def _learner_config(algo: AlgorithmSpec, seed: int):
     if algo.learner in ("dt", "csdt"):
         return tree
     if algo.learner == "rf":
-        return baselines.forest_config(cfg.T, seed, tree)
+        return EcsdtConfig(InducerConfig("random_forest", cfg.T, seed=seed), tree, "mv")
     inducer = InducerConfig(cfg.inducer, cfg.T, cfg.n_examples, cfg.n_features, seed)
     return EcsdtConfig(inducer, tree, cfg.combiner, replace(cfg.ga, seed=seed))
 
@@ -230,19 +236,14 @@ def _fit_predict(
         train = sampling.resample(train, sampling.SamplingSpec(method, seed))
 
     config = _learner_config(algo, seed)
-    if algo.learner == "csdt":
-        return csdt.grow(train, config).predict_many(test.X)
-    if algo.learner == "ecsdt":
-        return ensemble.train(train, config).predict_many(test.X)
     if algo.learner == "lr":
-        model = proba = baselines.train_logistic(train, config)
-    elif algo.learner == "dt":
-        model = baselines.gini_tree(train, config)
-        proba = baselines.TreeProbaModel(model)
+        model = baselines.train_logistic(train, config)
+    elif algo.learner in ("dt", "csdt"):
+        model = csdt.grow(train, config)
     else:
-        model = proba = baselines.plain_forest(train, config.inducer.T, seed, config.tree)
+        model = ensemble.train(train, config)
     if algo.family == "bmr":
-        return baselines.BmrWrapper(proba).predict_on(test)
+        return baselines.BmrWrapper(model).predict_on(test)
     return model.predict_many(test.X)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from costforest import CostedDataset, ValidationError, total_cost
 from costforest.combiners import StackingWeights, as_vote_matrix
-from costforest import csdt, ensemble
+from costforest import csdt, ensemble, evaluation
 from costforest.csdt import CsdtConfig, CsdtModel, Leaf, predict_many
 from costforest.rng import feature_subsets, mix64
 
@@ -97,6 +97,13 @@ def gaussian_cost_dataset(rng, n, k=10, shift=1.2, amount_sigma=1.0, admin=3.0):
         [np.full(n, admin), np.full(n, admin), amounts, np.zeros(n)]
     )
     return CostedDataset(X, y, costs)
+
+
+def plain_forest(train: CostedDataset, T: int, seed: int, tree: CsdtConfig):
+    """The benchmark's ``rf`` learner (bootstrap, per-node features, majority
+    vote of gini trees), trained from the config the harness builds for it."""
+    algo = evaluation.AlgorithmSpec("ci", "rf", "rf", config={"T": T, "tree": asdict(tree)})
+    return ensemble.train(train, evaluation._learner_config(algo, seed))
 
 
 @pytest.fixture

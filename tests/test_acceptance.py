@@ -12,7 +12,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import SplitRule, split_gain, stacking_cost, strict_random_dataset, training_cost
+from conftest import (
+    SplitRule,
+    plain_forest,
+    split_gain,
+    stacking_cost,
+    strict_random_dataset,
+    training_cost,
+)
 from costforest import (
     CostedDataset,
     costless_class_cost,
@@ -20,7 +27,6 @@ from costforest import (
     savings,
     total_cost,
 )
-from costforest.baselines import plain_forest
 from costforest.combiners import (
     GaConfig,
     StackingWeights,

@@ -1,23 +1,17 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from conftest import gaussian_cost_dataset, strict_random_dataset
+from conftest import gaussian_cost_dataset, plain_forest, strict_random_dataset
 from costforest import ConfigError, CostedDataset, CostMatrixRow, ValidationError, ensemble
 from costforest.baselines import (
     BmrWrapper,
-    ForestModel,
     LrConfig,
-    TreeProbaModel,
     bmr_predict_dataset,
-    forest_config,
-    gini_tree,
-    logistic_loss_grad,
-    plain_forest,
     train_logistic,
 )
+from costforest.combiners import _sigmoid
 from costforest.csdt import CsdtConfig, grow, predict_proba_many
+from costforest.ensemble import EcsdtConfig
 from costforest.inducers import InducerConfig
 
 
@@ -29,6 +23,44 @@ def linear_dataset(rng, n, margin=1.0):
     n = y.size
     costs = np.column_stack([np.ones(n), np.full(n, 5.0), np.full(n, 10.0), np.zeros(n)])
     return CostedDataset(X, y, costs)
+
+
+def logistic_loss_grad(
+    X: np.ndarray, y: np.ndarray, weights: np.ndarray, intercept: float, l2: float
+) -> tuple[float, np.ndarray, float]:
+    """Oracle: mean cross-entropy with L2 on the weights (intercept unpenalized),
+    and its gradient."""
+    n = X.shape[0]
+    p = _sigmoid(X @ weights + intercept)
+    eps = 1e-12
+    loss = float(
+        -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
+        + 0.5 * l2 * (weights @ weights)
+    )
+    residual = p - y
+    return loss, X.T @ residual / n + l2 * weights, float(residual.mean())
+
+
+def train_logistic_oracle(train: CostedDataset, config: LrConfig) -> tuple[np.ndarray, float]:
+    """Oracle: gradient descent that computes the full loss at every step and
+    stops when it is not finite."""
+    X = train.X
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    if config.standardize:
+        std = np.where(std > 0, std, 1.0)
+    else:
+        mean, std = np.zeros(train.k), np.ones(train.k)
+    Xz = (X - mean) / std
+    y = train.y.astype(np.float64)
+    w, b = np.zeros(train.k), 0.0
+    for _ in range(config.n_iter):
+        loss, grad_w, grad_b = logistic_loss_grad(Xz, y, w, b, config.l2)
+        if not np.isfinite(loss):
+            nan = np.isnan(_sigmoid(Xz @ w + b)).any()
+            raise ValidationError("NaN probability" if nan else "non-finite L2 term")
+        w -= config.learning_rate * grad_w
+        b -= config.learning_rate * grad_b
+    return w, b
 
 
 class TestLogistic:
@@ -56,28 +88,61 @@ class TestLogistic:
         assert abs(model.predict_proba(ds.X).mean() - prior) < 0.02
 
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(40, 3))
-        y = rng.integers(0, 2, 40).astype(float)
-        w = rng.normal(size=3)
-        b = float(rng.normal())
-        l2 = 1e-3
-        _, grad_w, grad_b = logistic_loss_grad(X, y, w, b, l2)
-        h = 1e-6
-        for i in range(3):
-            wp, wm = w.copy(), w.copy()
-            wp[i] += h
-            wm[i] -= h
-            num = (
-                logistic_loss_grad(X, y, wp, b, l2)[0]
-                - logistic_loss_grad(X, y, wm, b, l2)[0]
+        # the library's gradient at step k's weights is (w_k - w_{k+1}) / learning_rate
+        ds = strict_random_dataset(np.random.default_rng(2), 40, 3)
+        X, y = ds.X, ds.y.astype(float)
+        l2, h = 1e-3, 1e-6
+        for k in (0, 1, 5):
+            step = LrConfig(learning_rate=1.0, n_iter=k + 1, l2=l2, standardize=False)
+            after = train_logistic(ds, step)
+            if k == 0:
+                w, b = np.zeros(3), 0.0
+            else:
+                before = train_logistic(ds, LrConfig(1.0, k, l2, standardize=False))
+                w, b = before.weights, before.intercept
+            grad_w, grad_b = w - after.weights, b - after.intercept
+            for i in range(3):
+                wp, wm = w.copy(), w.copy()
+                wp[i] += h
+                wm[i] -= h
+                num = (
+                    logistic_loss_grad(X, y, wp, b, l2)[0]
+                    - logistic_loss_grad(X, y, wm, b, l2)[0]
+                ) / (2 * h)
+                assert abs(num - grad_w[i]) <= 1e-5
+            num_b = (
+                logistic_loss_grad(X, y, w, b + h, l2)[0]
+                - logistic_loss_grad(X, y, w, b - h, l2)[0]
             ) / (2 * h)
-            assert abs(num - grad_w[i]) <= 1e-5
-        num_b = (
-            logistic_loss_grad(X, y, w, b + h, l2)[0]
-            - logistic_loss_grad(X, y, w, b - h, l2)[0]
-        ) / (2 * h)
-        assert abs(num_b - grad_b) <= 1e-5
+            assert abs(num_b - grad_b) <= 1e-5
+
+    def test_same_weights_and_divergence_verdicts_as_full_loss_oracle(self):
+        # without the loss, a step raises when a probability is NaN or the L2
+        # term is not finite: exactly when the oracle's loss is not finite.
+        # Huge features with a tiny rate overflow X @ w before w @ w.
+        verdicts = set()
+        for seed in range(3):
+            ds = gaussian_cost_dataset(np.random.default_rng(30 + seed), 200, k=4)
+            for scale in (1.0, 1e200):
+                scaled = CostedDataset(ds.X * scale, ds.y, ds.costs)
+                for rate in (1e-80, 0.1, 5.0, 1e3, 1e8, 1e160, 1e300):
+                    for l2 in (1e-4, 0.0):
+                        for standardize in (True, False):
+                            config = LrConfig(rate, 40, l2, standardize)
+                            with np.errstate(all="ignore"):
+                                try:
+                                    w, b = train_logistic_oracle(scaled, config)
+                                except ValidationError as exc:
+                                    with pytest.raises(ValidationError, match="diverged"):
+                                        train_logistic(scaled, config)
+                                    verdicts.add((str(exc), l2))
+                                    continue
+                                model = train_logistic(scaled, config)
+                            assert model.weights.tobytes() == w.tobytes()
+                            assert model.intercept == b
+                            verdicts.add(("finite", l2))
+        assert verdicts == {(verdict, l2) for l2 in (1e-4, 0.0)
+                            for verdict in ("finite", "NaN probability", "non-finite L2 term")}
 
     def test_divergence_detected(self):
         ds = linear_dataset(np.random.default_rng(3), 100)
@@ -89,6 +154,19 @@ class TestLogistic:
         a = train_logistic(ds)
         b = train_logistic(ds)
         assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize("method", ["predict_proba", "predict_many"])
+    def test_bad_features_rejected(self, method):
+        ds = linear_dataset(np.random.default_rng(4), 100)
+        predict = getattr(train_logistic(ds, LrConfig(n_iter=20)), method)
+        X = ds.X.copy()
+        X[3, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict(X)
+        with pytest.raises(ValidationError, match=r"expected \(n, 2\)"):
+            predict(ds.X[:, :1])
+        with pytest.raises(ValidationError, match=r"expected \(n, 2\)"):
+            predict(ds.X[0])
 
 
 def bmr_threshold(costs: CostMatrixRow) -> float:
@@ -144,10 +222,18 @@ class TestBmr:
         scalar = [bmr_predict(pi, ds.example(i).costs) for i, pi in enumerate(p)]
         assert vec.tolist() == scalar
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        ds = strict_random_dataset(np.random.default_rng(7), 10, 2)
+        p = np.full(ds.n, 0.5)
+        p[4] = bad
+        with pytest.raises(ValidationError, match=r"in \[0, 1\]"):
+            bmr_predict_dataset(p, ds)
+
     def test_wrapper_uses_dataset_costs(self):
         rng = np.random.default_rng(8)
         ds = gaussian_cost_dataset(rng, 300, k=3)
-        tree = TreeProbaModel(gini_tree(ds, CsdtConfig(max_depth=4)))
+        tree = grow(ds, CsdtConfig(max_depth=4, impurity="gini"))
         preds = BmrWrapper(tree).predict_on(ds)
         assert preds.shape == (ds.n,)
         assert set(np.unique(preds)) <= {0, 1}
@@ -158,7 +244,8 @@ class TestGiniTree:
         rng = np.random.default_rng(9)
         ds = strict_random_dataset(rng, 50, 2)
         unit = CostedDataset(ds.X, ds.y, np.tile([0.0, 1, 1, 0], (ds.n, 1)))
-        a = gini_tree(ds, CsdtConfig(candidate_thresholds="exact_midpoints", max_depth=3))
+        a = grow(ds, CsdtConfig(candidate_thresholds="exact_midpoints", max_depth=3,
+                                impurity="gini"))
         b = grow(unit, CsdtConfig(candidate_thresholds="exact_midpoints", max_depth=3))
         assert np.array_equal(a.predict_many(ds.X), b.predict_many(ds.X))
 
@@ -166,8 +253,8 @@ class TestGiniTree:
         rng = np.random.default_rng(10)
         ds = strict_random_dataset(rng, 60, 2)
         scaled = CostedDataset(ds.X, ds.y, ds.costs * 250.0)
-        a = gini_tree(ds, CsdtConfig(max_depth=4))
-        b = gini_tree(scaled, CsdtConfig(max_depth=4))
+        a = grow(ds, CsdtConfig(max_depth=4, impurity="gini"))
+        b = grow(scaled, CsdtConfig(max_depth=4, impurity="gini"))
         assert np.array_equal(a.predict_many(ds.X), b.predict_many(ds.X))
 
 
@@ -192,7 +279,7 @@ class TestPlainForest:
             tr = noisy.subset(np.arange(0, 250))
             te = noisy.subset(np.arange(250, 400))
             forest = plain_forest(tr, T=25, seed=seed, tree=CsdtConfig(max_depth=6))
-            tree = gini_tree(tr, CsdtConfig(max_depth=6))
+            tree = grow(tr, CsdtConfig(max_depth=6, impurity="gini"))
             acc_f = (forest.predict_many(te.X) == te.y).mean()
             acc_t = (tree.predict_many(te.X) == te.y).mean()
             if acc_f >= acc_t:
@@ -210,12 +297,12 @@ class TestPlainForest:
     def test_probability_equals_per_tree_sum(self, kind):
         rng = np.random.default_rng(13)
         ds = gaussian_cost_dataset(rng, 200, k=4)
-        config = replace(forest_config(6, 3, CsdtConfig(max_depth=4)),
-                         inducer=InducerConfig(kind=kind, T=6, seed=3))
-        forest = ForestModel(inner=ensemble.train(ds, config))
+        config = EcsdtConfig(InducerConfig(kind=kind, T=6, seed=3),
+                             CsdtConfig(max_depth=4, impurity="gini"), "mv")
+        forest = ensemble.train(ds, config)
         X = rng.normal(size=(300, 4))
         expected = np.zeros(300)
-        for model, subset in zip(forest.inner.base_models, forest.inner.feature_subsets):
+        for model, subset in zip(forest.base_models, forest.feature_subsets):
             expected += predict_proba_many(model, X if subset is None else X[:, subset])
         assert forest.predict_proba(X).tobytes() == (expected / 6).tobytes()
         X[5, 0] = np.nan

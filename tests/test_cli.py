@@ -84,6 +84,17 @@ class TestTrainPredictEvaluate:
         assert len(preds.read_text().strip().splitlines()) == 61  # header + rows
 
 
+    def test_predict_reads_a_features_only_file(self, tmp_path):
+        data = write(tmp_path / "d.csv", FOUR_ROWS)
+        features = write(tmp_path / "x.csv", "f1\n4\n3\n2\n1\n")
+        cfg = write(tmp_path / "cfg.json", json.dumps(TRAIN_CONFIG))
+        model = str(tmp_path / "model.json")
+        preds = tmp_path / "preds.csv"
+        assert main(["train", "--config", cfg, "--train", data, "--model-out", model]) == 0
+        assert main(["predict", "--model", model, "--data", features, "--out", str(preds)]) == 0
+        assert preds.read_text().split() == ["prediction", "1", "1", "0", "0"]
+
+
 class TestExitCodes:
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         bad = dict(TRAIN_CONFIG)
@@ -466,6 +477,10 @@ class TestBenchmark:
          "config of 'CSB-mv-t': fractional n_examples must be in (0, 1], got 1.5"),
         (lambda spec: spec["algorithms"][2]["config"].update(n_features=1.5),
          "config of 'CSB-mv-t': fractional n_features must be in (0, 1], got 1.5"),
+        (lambda spec: spec["algorithms"][1].update(family="bmr"),
+         "family 'bmr' needs a learner in ('dt', 'lr', 'rf'), got 'csdt'"),
+        (lambda spec: spec["algorithms"][2].update(family="bmr"),
+         "family 'bmr' needs a learner in ('dt', 'lr', 'rf'), got 'ecsdt'"),
     ])
     def test_malformed_spec_exit_1(self, tmp_path, capsys, monkeypatch, edit, message):
         spec_path = self._spec(tmp_path)

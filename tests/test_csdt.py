@@ -24,7 +24,7 @@ from conftest import (
     v1_dict,
 )
 from costforest import CostedDataset, ValidationError, total_cost
-from costforest import baselines, csdt, ensemble
+from costforest import csdt, ensemble
 from costforest.combiners import GaConfig
 from costforest.csdt import (
     CsdtConfig,
@@ -228,7 +228,7 @@ class TestPredict:
         with pytest.raises(ValidationError, match="non-finite"):
             predict(model, np.array([bad]))
         with pytest.raises(ValidationError, match="non-finite"):
-            model.predict_proba_many(np.array([[bad]]))
+            model.predict_proba(np.array([[bad]]))
 
 
 class TestPrune:
@@ -456,7 +456,7 @@ class TestSerialization:
 
     def test_gini_tree_round_trip_keeps_all_eight_arrays(self, tmp_path):
         ds = strict_random_dataset(np.random.default_rng(12), 120, 3)
-        model = baselines.gini_tree(ds)
+        model = grow(ds, CsdtConfig(impurity="gini"))
         assert model.n_nodes() > 3
         save(model, tmp_path / "tree.json")
         loaded = load(tmp_path / "tree.json")
@@ -480,7 +480,7 @@ class TestSerialization:
                                rtol=1e-12, atol=0)
         assert not np.isnan(loaded.tree.cost_f0[internal]).any()
         assert np.array_equal(predict_many(loaded, ds.X), predict_many(model, ds.X))
-        assert np.array_equal(loaded.predict_proba_many(ds.X), model.predict_proba_many(ds.X))
+        assert np.array_equal(loaded.predict_proba(ds.X), model.predict_proba(ds.X))
 
     def test_leaf_builds_a_one_node_model(self):
         model = CsdtModel(Leaf(1, 5.0, 2.0, 4, 3), CsdtConfig(), 2)
@@ -978,7 +978,7 @@ class TestFlatTreesMatchOracles:
             assert predict_many(model, X).tolist() == expected
             # Laplace-smoothed positive-class frequency of the leaf
             expected = route_oracle(model, X, lambda leaf: (leaf.n_pos + 1.0) / (leaf.n + 2.0))
-            assert model.predict_proba_many(X).tolist() == expected
+            assert model.predict_proba(X).tolist() == expected
 
     @overflow_warnings_ok
     @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)

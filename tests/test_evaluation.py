@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_cost_dataset
-from costforest import ConfigError, ValidationError
+from costforest import ConfigError, ValidationError, ensemble, sampling
+from costforest.baselines import LrConfig, bmr_predict_dataset, train_logistic
+from costforest.csdt import CsdtConfig, grow, leaf_proba, predict_proba_many, route
 from costforest.data import SplitSpec, split
+from costforest.ensemble import EcsdtConfig
 from costforest.evaluation import (
     AlgorithmSpec,
     ExperimentSpec,
+    _fit_predict,
     f1_score,
     friedman_rank,
     per_best,
     run_experiment,
 )
+from costforest.inducers import InducerConfig
+from costforest.sampling import SAMPLING_CODES
 
 
 class TestF1:
@@ -204,3 +210,45 @@ class TestRunExperiment:
         config = {"tree": {"max_depth": 3}, "ga": {"population": 8, "generations": 2}}
         AlgorithmSpec("ecsdt", "x", "ecsdt", config=config).validate()
         AlgorithmSpec("ci", "x", "lr", config={"lr": {"n_iter": 5, "l2": 0.0}}).validate()
+
+
+def forest_proba(forest, X):
+    """Mean leaf frequency of a forest's trees, each routed on its own."""
+    probs = np.zeros(X.shape[0])
+    for model, subset in zip(forest.base_models, forest.feature_subsets):
+        probs += leaf_proba(model.tree, route(model.tree, X, subset))
+    return probs / len(forest.base_models)
+
+
+class TestBmrCells:
+    @pytest.mark.parametrize("learner", ["csdt", "ecsdt"])
+    def test_learner_without_probabilities_rejected(self, learner):
+        with pytest.raises(ConfigError, match=f"'bmr' needs a learner .* got '{learner}'"):
+            AlgorithmSpec("bmr", "x", learner).validate()
+
+    @pytest.mark.parametrize("learner, code", [
+        ("dt", "t"), ("dt", "u"), ("lr", "t"), ("lr", "o"), ("rf", "t"), ("rf", "r"),
+    ])
+    def test_predictions_equal_each_learners_probability_composition(self, learner, code):
+        # each learner's probabilities composed by hand (gini tree leaf
+        # frequency, logistic sigmoid, forest mean leaf frequency), then BMR
+        bundle = tiny_bundles(3)[0][1]
+        test, seed = bundle.test, 12345
+        train = bundle.train
+        if SAMPLING_CODES[code] is not None:
+            train = sampling.resample(train, sampling.SamplingSpec(SAMPLING_CODES[code], seed))
+        tree = CsdtConfig(max_depth=4, impurity="gini")
+        if learner == "dt":
+            p = predict_proba_many(grow(train, tree), test.X)
+        elif learner == "lr":
+            p = train_logistic(train, LrConfig(n_iter=50)).predict_proba(test.X)
+        else:
+            inducer = InducerConfig(kind="random_forest", T=5, seed=seed)
+            p = forest_proba(ensemble.train(train, EcsdtConfig(inducer, tree, "mv")), test.X)
+        expected = bmr_predict_dataset(p, test)
+        config = {"lr": {"n_iter": 50}} if learner == "lr" else {"tree": {"max_depth": 4}}
+        if learner == "rf":
+            config["T"] = 5
+        algo = AlgorithmSpec("bmr", "x", learner, code, config)
+        got = _fit_predict(algo, bundle.train, test, seed)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
