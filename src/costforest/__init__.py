@@ -19,11 +19,8 @@ from . import (
     theory,
 )
 from .cost_model import (
-    AugmentedExample,
-    CostMatrixRow,
     CostedDataset,
     costless_class_cost,
-    example_cost,
     normalized_cost,
     savings,
     total_cost,
@@ -33,8 +30,6 @@ from .errors import ConfigError, CostForestError, ValidationError
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedExample",
-    "CostMatrixRow",
     "CostedDataset",
     "ConfigError",
     "CostForestError",
@@ -48,7 +43,6 @@ __all__ = [
     "data",
     "ensemble",
     "evaluation",
-    "example_cost",
     "inducers",
     "normalized_cost",
     "sampling",

@@ -35,8 +35,8 @@ class LrConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.n_iter < 1:
             raise ConfigError(f"n_iter must be >= 1, got {self.n_iter}")
-        if not self.l2 >= 0:
-            raise ConfigError(f"l2 must be >= 0, got {self.l2}")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 @dataclass

@@ -213,7 +213,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     dataset = dataset_from_table(read_table(args.data), _schema_from_args(args))
     pred_table = read_table(args.pred)
-    preds = pred_table.column("prediction").astype(np.int64)
+    preds = pred_table.column("prediction")
     metrics = {
         "n": dataset.n,
         "total_cost": total_cost(dataset, preds),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_model import CostedDataset
+from .cost_model import CostedDataset, check_binary
 from .errors import ConfigError, ValidationError
 from .rng import STREAM_GA, make_rng
 
@@ -129,8 +129,7 @@ def as_vote_matrix(base_predictions) -> np.ndarray:
     votes = np.asarray(votes)
     if votes.ndim != 2 or votes.shape[0] < 1:
         raise ValidationError(f"vote matrix must be (T, N) with T >= 1, got {votes.shape}")
-    if not np.isin(votes, (0, 1)).all():
-        raise ValidationError("votes must be binary in {0, 1}")
+    check_binary(votes, "votes")
     return votes.astype(np.int64)
 
 

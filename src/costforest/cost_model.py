@@ -8,8 +8,7 @@ All operations are pure functions over immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,49 +18,10 @@ from .errors import ValidationError
 COST_COLUMNS = ("c_tp", "c_fp", "c_fn", "c_tn")
 
 
-@dataclass(frozen=True)
-class CostMatrixRow:
-    """One example's classification costs: correct and incorrect, per class."""
-
-    c_tp: float
-    c_fp: float
-    c_fn: float
-    c_tn: float
-
-    def validate(self, strict: bool = True) -> None:
-        """Check finiteness, nonnegativity and (strict mode) reasonableness.
-
-        Reasonableness demands misclassifying costs more than classifying
-        correctly: c_fp > c_tn and c_fn > c_tp. Relaxed mode keeps only the
-        finite/nonnegative checks, because some domains (churn rows with a
-        low acceptance probability) legitimately violate reasonableness.
-        """
-        vals = (self.c_tp, self.c_fp, self.c_fn, self.c_tn)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValidationError(f"costs must be finite, got {vals}")
-        if any(v < 0 for v in vals):
-            raise ValidationError(f"costs must be nonnegative, got {vals}")
-        if strict and unreasonable_rows(np.array([vals]))[0]:
-            if self.c_fp <= self.c_tn:
-                raise ValidationError(
-                    f"reasonableness violated: c_fp={self.c_fp} <= c_tn={self.c_tn}"
-                )
-            raise ValidationError(f"reasonableness violated: c_fn={self.c_fn} <= c_tp={self.c_tp}")
-
-
 def unreasonable_rows(costs: np.ndarray) -> np.ndarray:
     """Mask of the (N, 4) cost rows that break reasonableness: c_fp <= c_tn or c_fn <= c_tp."""
     c_tp, c_fp, c_fn, c_tn = costs.T
     return (c_fp <= c_tn) | (c_fn <= c_tp)
-
-
-@dataclass(frozen=True)
-class AugmentedExample:
-    """A feature vector together with its label and cost matrix row."""
-
-    features: np.ndarray
-    label: int
-    costs: CostMatrixRow
 
 
 class CostedDataset:
@@ -85,12 +45,14 @@ class CostedDataset:
         # copy before freezing: constructing a dataset must not make the
         # caller's arrays read-only or let later caller writes leak in
         self.X = np.array(X, dtype=np.float64, order="C")
-        self.y = np.array(y, dtype=np.int64)
+        self.y = np.array(y)
         self.costs = np.array(costs, dtype=np.float64, order="C")
         self.feature_names = list(feature_names) if feature_names is not None else None
         self.strict = strict
         if validate:
             self._validate()
+        # cast only after the check, which must see a label of 0.7 as given
+        self.y = self.y.astype(np.int64, copy=False)
         for arr in (self.X, self.y, self.costs):
             arr.setflags(write=False)
 
@@ -110,8 +72,7 @@ class CostedDataset:
             raise ValidationError("feature_names length does not match feature count")
         if not np.isfinite(self.X).all():
             raise ValidationError("features contain non-finite values")
-        if not np.isin(self.y, (0, 1)).all():
-            raise ValidationError("labels must be binary in {0, 1}")
+        check_binary(self.y, "labels")
         if not np.isfinite(self.costs).all():
             raise ValidationError("costs contain non-finite values")
         if (self.costs < 0).any():
@@ -126,23 +87,6 @@ class CostedDataset:
                     + (f" and {rows.size - 5} more" if rows.size > 5 else "")
                 )
 
-    @classmethod
-    def from_examples(
-        cls,
-        examples: Iterable[AugmentedExample],
-        feature_names: Sequence[str] | None = None,
-        strict: bool = True,
-    ) -> "CostedDataset":
-        examples = list(examples)
-        if not examples:
-            raise ValidationError("dataset must be nonempty")
-        X = np.array([np.asarray(e.features, dtype=float) for e in examples])
-        y = np.array([e.label for e in examples])
-        costs = np.array(
-            [[e.costs.c_tp, e.costs.c_fp, e.costs.c_fn, e.costs.c_tn] for e in examples]
-        )
-        return cls(X, y, costs, feature_names=feature_names, strict=strict)
-
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -153,13 +97,6 @@ class CostedDataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def example(self, i: int) -> AugmentedExample:
-        return AugmentedExample(
-            features=self.X[i].copy(),
-            label=int(self.y[i]),
-            costs=CostMatrixRow(*self.costs[i]),
-        )
 
     def subset(self, indices: np.ndarray | Sequence[int]) -> "CostedDataset":
         """Row subset (duplicates allowed); skips re-validation of row contents."""
@@ -193,28 +130,21 @@ class CostedDataset:
         return cost0, cost1
 
 
+def check_binary(values: np.ndarray, what: str) -> None:
+    """Raise unless every value is exactly 0 or 1; check before any cast to int."""
+    bad = ~np.isin(values, (0, 1))
+    if bad.any():
+        raise ValidationError(f"{what} must be exactly 0 or 1, got {values[bad][0]}")
+
+
 def _check_alignment(dataset: CostedDataset, predictions: np.ndarray) -> np.ndarray:
-    preds = np.asarray(predictions, dtype=np.int64)
+    preds = np.asarray(predictions)
     if preds.shape != (dataset.n,):
         raise ValidationError(
             f"predictions have shape {preds.shape}, expected ({dataset.n},)"
         )
-    if not np.isin(preds, (0, 1)).all():
-        raise ValidationError("predictions must be binary in {0, 1}")
-    return preds
-
-
-def example_cost(example: AugmentedExample, prediction: int) -> float:
-    """Cost charged to one example for one predicted label.
-
-    y*(c*C_TP + (1-c)*C_FN) + (1-y)*(c*C_FP + (1-c)*C_TN) for label y and
-    prediction c.
-    """
-    if prediction not in (0, 1):
-        raise ValidationError(f"prediction must be 0 or 1, got {prediction}")
-    y, c = example.label, prediction
-    m = example.costs
-    return y * (c * m.c_tp + (1 - c) * m.c_fn) + (1 - y) * (c * m.c_fp + (1 - c) * m.c_tn)
+    check_binary(preds, "predictions")
+    return preds.astype(np.int64, copy=False)
 
 
 def total_cost(dataset: CostedDataset, predictions: np.ndarray) -> float:

@@ -574,14 +574,6 @@ def route(tree: Tree, X: np.ndarray, subset: np.ndarray | None = None) -> np.nda
     return at
 
 
-def predict(model: CsdtModel, features: np.ndarray) -> int:
-    """Predict one example's class."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (model.k,):
-        raise ValidationError(f"feature vector has shape {x.shape}, expected ({model.k},)")
-    return int(predict_many(model, x[None, :])[0])
-
-
 def predict_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
     X = as_features(X, model.k)
     _check_finite(X)

@@ -29,6 +29,20 @@ def strict_random_dataset(rng, n, k, binaryish=False):
     return CostedDataset(X, y, np.column_stack([c_tp, c_fp, c_fn, c_tn]))
 
 
+def costed(y, costs, X=None, strict=True):
+    """Dataset from labels and cost rows (c_tp, c_fp, c_fn, c_tn): one row
+    shared by every example, or one per example. ``X`` defaults to a single
+    zero feature."""
+    y = np.asarray(y)
+    X = np.zeros((y.size, 1)) if X is None else X
+    return CostedDataset(X, y, np.broadcast_to(costs, (y.size, 4)), strict=strict)
+
+
+def two_example_fraud():
+    """One positive and one negative, features 0 and 1, both costed (3, 3, 100, 0)."""
+    return costed([1, 0], (3, 3, 100, 0), X=[[0.0], [1.0]])
+
+
 def four_example_set():
     """Labels (0,0,1,1), shared costs (tp=0, fp=5, fn=10, tn=0), feature 1..4."""
     X = np.array([[1.0], [2.0], [3.0], [4.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_cost_dataset, plain_forest, strict_random_dataset
-from costforest import ConfigError, CostedDataset, CostMatrixRow, ValidationError, ensemble
+from costforest import ConfigError, CostedDataset, ValidationError, ensemble
 from costforest.baselines import (
     BmrWrapper,
     LrConfig,
@@ -66,6 +66,7 @@ def train_logistic_oracle(train: CostedDataset, config: LrConfig) -> tuple[np.nd
 class TestLogistic:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", 0.0), ("learning_rate", float("nan")), ("n_iter", 0), ("l2", -1.0),
+        ("l2", float("inf")), ("l2", float("nan")),
     ])
     def test_out_of_range_config_rejected(self, field, value):
         ds = linear_dataset(np.random.default_rng(0), 50)
@@ -169,25 +170,29 @@ class TestLogistic:
             predict(ds.X[0])
 
 
-def bmr_threshold(costs: CostMatrixRow) -> float:
-    """Probability above which predicting positive has the lower expected cost."""
-    denom = (costs.c_fp - costs.c_tn) + (costs.c_fn - costs.c_tp)
+def bmr_threshold(costs) -> float:
+    """Probability above which predicting positive has the lower expected cost,
+    for one (c_tp, c_fp, c_fn, c_tn) row."""
+    c_tp, c_fp, c_fn, c_tn = costs
+    denom = (c_fp - c_tn) + (c_fn - c_tp)
     if denom == 0:
         return 0.5
-    return (costs.c_fp - costs.c_tn) / denom
+    return (c_fp - c_tn) / denom
 
 
-def bmr_predict(p_hat: float, costs: CostMatrixRow) -> int:
-    """Scalar oracle for bmr_predict_dataset: the lower-risk class, ties positive."""
+def bmr_predict(p_hat: float, costs) -> int:
+    """Scalar oracle for bmr_predict_dataset on one (c_tp, c_fp, c_fn, c_tn)
+    row: the lower-risk class, ties positive."""
     if not 0.0 <= p_hat <= 1.0:
         raise ValidationError(f"p_hat must be in [0, 1], got {p_hat}")
-    risk_pos = p_hat * costs.c_tp + (1 - p_hat) * costs.c_fp
-    risk_neg = p_hat * costs.c_fn + (1 - p_hat) * costs.c_tn
+    c_tp, c_fp, c_fn, c_tn = costs
+    risk_pos = p_hat * c_tp + (1 - p_hat) * c_fp
+    risk_neg = p_hat * c_fn + (1 - p_hat) * c_tn
     return 1 if risk_pos <= risk_neg else 0
 
 
 class TestBmr:
-    FRAUD = CostMatrixRow(3, 3, 100, 0)
+    FRAUD = (3, 3, 100, 0)
 
     def test_low_probability_still_positive(self):
         # expected cost of predicting 1 is 3, of predicting 0 is 10
@@ -201,7 +206,7 @@ class TestBmr:
         rng = np.random.default_rng(5)
         for _ in range(50):
             c_tp, c_tn = rng.uniform(0, 3, 2)
-            row = CostMatrixRow(c_tp, c_tn + rng.uniform(0.1, 9), c_tp + rng.uniform(0.1, 9), c_tn)
+            row = (c_tp, c_tn + rng.uniform(0.1, 9), c_tp + rng.uniform(0.1, 9), c_tn)
             p1, p2 = np.sort(rng.uniform(0, 1, 2))
             if bmr_predict(p1, row) == 1:
                 assert bmr_predict(p2, row) == 1
@@ -210,7 +215,7 @@ class TestBmr:
         rng = np.random.default_rng(6)
         for _ in range(200):
             c_tp, c_tn = rng.uniform(0, 3, 2)
-            row = CostMatrixRow(c_tp, c_tn + rng.uniform(0.1, 9), c_tp + rng.uniform(0.1, 9), c_tn)
+            row = (c_tp, c_tn + rng.uniform(0.1, 9), c_tp + rng.uniform(0.1, 9), c_tn)
             p = float(rng.uniform(0, 1))
             assert bmr_predict(p, row) == int(p >= bmr_threshold(row))
 
@@ -219,7 +224,7 @@ class TestBmr:
         ds = strict_random_dataset(rng, 30, 2)
         p = rng.uniform(0, 1, ds.n)
         vec = bmr_predict_dataset(p, ds)
-        scalar = [bmr_predict(pi, ds.example(i).costs) for i, pi in enumerate(p)]
+        scalar = [bmr_predict(pi, row) for pi, row in zip(p, ds.costs)]
         assert vec.tolist() == scalar
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])

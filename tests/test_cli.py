@@ -120,6 +120,16 @@ class TestExitCodes:
         cfg = write(tmp_path / "cfg.json", json.dumps(TRAIN_CONFIG))
         assert main(["train", "--config", cfg, "--train", data, "--model-out", "x"]) == 2
 
+    @pytest.mark.parametrize("value", ["0.9", "2", "nan"])
+    def test_prediction_not_exactly_binary_exit_2(self, tmp_path, capsys, value):
+        # 0.9 was read as 0 and scored as a perfect prediction
+        data = write(tmp_path / "d.csv", FOUR_ROWS)
+        preds = write(tmp_path / "p.csv", f"prediction\n{value}\n0\n1\n1\n")
+        metrics = tmp_path / "metrics.json"
+        assert main(["evaluate", "--data", data, "--pred", preds, "--out", str(metrics)]) == 2
+        assert "predictions must be exactly 0 or 1" in capsys.readouterr().err
+        assert not metrics.exists()
+
     def test_wrongly_typed_value_exit_1(self, tmp_path, capsys):
         cfg = write(tmp_path / "t.json", json.dumps({"version": "1", "inducer": {"T": "5"}}))
         data = write(tmp_path / "d.csv", FOUR_ROWS)
@@ -459,6 +469,9 @@ class TestBenchmark:
         (lambda spec: spec["algorithms"].append(
             {"family": "ci", "name": "LR-t", "learner": "lr", "config": {"lr": {"n_iter": "5"}}}),
          "config of 'LR-t': 'lr.n_iter' must be an integer, got '5'"),
+        (lambda spec: spec["algorithms"].append(
+            {"family": "ci", "name": "LR-t", "learner": "lr", "config": {"lr": {"l2": np.inf}}}),
+         "config of 'LR-t': l2 must be finite and >= 0, got inf"),
         (lambda spec: spec["datasets"][0]["split"].update(train_frac=-0.5),
          "split fractions must be positive"),
         (lambda spec: spec["algorithms"][2]["config"].update(T="10"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import stacking_cost, strict_random_dataset
+from conftest import stacking_cost, strict_random_dataset, two_example_fraud
 from costforest import ConfigError, CostedDataset, ValidationError, combiners, ensemble
 from costforest.combiners import (
     GaConfig,
@@ -16,20 +16,9 @@ from costforest.combiners import (
     weighted_vote,
     weights_from_scores,
 )
-from costforest.cost_model import AugmentedExample, CostMatrixRow
 from costforest.csdt import CsdtConfig
 from costforest.ensemble import EcsdtConfig
 from costforest.inducers import InducerConfig
-
-
-def two_example_fraud():
-    row = CostMatrixRow(3, 3, 100, 0)
-    return CostedDataset.from_examples(
-        [
-            AugmentedExample(np.array([0.0]), 1, row),
-            AugmentedExample(np.array([1.0]), 0, row),
-        ]
-    )
 
 
 def closed_form_zero_beta(ds):

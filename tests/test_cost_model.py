@@ -3,28 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import costed, two_example_fraud
 from costforest import (
-    AugmentedExample,
-    CostMatrixRow,
     CostedDataset,
     ValidationError,
     costless_class_cost,
-    example_cost,
     normalized_cost,
     savings,
     total_cost,
 )
 
 
-def two_example_fraud():
-    """Hand fixture: one positive, one negative, both costed (3, 3, 100, 0)."""
-    row = CostMatrixRow(c_tp=3, c_fp=3, c_fn=100, c_tn=0)
-    return CostedDataset.from_examples(
-        [
-            AugmentedExample(np.array([0.0]), 1, row),
-            AugmentedExample(np.array([1.0]), 0, row),
-        ]
-    )
+def row_cost(label, prediction, costs):
+    """Scalar oracle: one example's cost for one prediction, from its
+    (c_tp, c_fp, c_fn, c_tn) row, as y*(c*C_TP + (1-c)*C_FN) + (1-y)*(c*C_FP + (1-c)*C_TN)."""
+    c_tp, c_fp, c_fn, c_tn = costs
+    y, c = label, prediction
+    return y * (c * c_tp + (1 - c) * c_fn) + (1 - y) * (c * c_fp + (1 - c) * c_tn)
 
 
 # Strategy: random strictly-reasonable costed datasets.
@@ -35,33 +30,40 @@ def costed_datasets(draw, max_n=30):
     money = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
     margin = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
     rows = []
-    for label in y:
+    for _ in y:
         c_tp = draw(money)
         c_tn = draw(money)
         c_fn = c_tp + draw(margin)
         c_fp = c_tn + draw(margin)
-        rows.append(AugmentedExample(np.array([0.0]), label, CostMatrixRow(c_tp, c_fp, c_fn, c_tn)))
-    return CostedDataset.from_examples(rows)
-
-
-class TestCostMatrixRow:
-    def test_strict_rejects_equal_fn_tp(self):
-        with pytest.raises(ValidationError):
-            CostMatrixRow(3, 3, 3, 0).validate(strict=True)
-
-    def test_relaxed_accepts_unreasonable(self):
-        CostMatrixRow(203, 13, 200, 0).validate(strict=False)
-
-    def test_negative_rejected_even_relaxed(self):
-        with pytest.raises(ValidationError):
-            CostMatrixRow(-1, 3, 100, 0).validate(strict=False)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValidationError):
-            CostMatrixRow(np.inf, 3, 100, 0).validate(strict=False)
+        rows.append((c_tp, c_fp, c_fn, c_tn))
+    return costed(y, rows)
 
 
 class TestDatasetInvariants:
+    @pytest.mark.parametrize("row, strict, accepted", [
+        ((3, 3, 3, 0), True, False),  # c_fn == c_tp breaks reasonableness
+        ((203, 13, 200, 0), False, True),  # relaxed mode allows unreasonable rows
+        ((-1, 3, 100, 0), False, False),  # negative, even relaxed
+        ((np.inf, 3, 100, 0), False, False),  # non-finite, even relaxed
+    ])
+    def test_cost_row_rules(self, row, strict, accepted):
+        if accepted:
+            costed([1], row, strict=strict)
+        else:
+            with pytest.raises(ValidationError):
+                costed([1], row, strict=strict)
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.2], [0, 0.5], [1, 2], [0, -1], [0, np.nan]])
+    def test_labels_not_exactly_binary_rejected(self, labels):
+        # checked as given: a cast to int first would store 0.7 as 0
+        with pytest.raises(ValidationError, match="labels must be exactly 0 or 1"):
+            costed(labels, (3, 3, 100, 0))
+
+    def test_float_and_bool_labels_stored_as_int(self):
+        for labels in ([1.0, 0.0], [True, False]):
+            ds = costed(labels, (3, 3, 100, 0))
+            assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0]
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             CostedDataset(np.empty((0, 1)), np.empty(0), np.empty((0, 4)))
@@ -95,28 +97,30 @@ class TestDatasetInvariants:
 
 
 class TestExampleCost:
-    ROW = CostMatrixRow(c_tp=2, c_fp=5, c_fn=10, c_tn=0)
+    """One example's cost is ``total_cost`` of a dataset of that row alone."""
+
+    ROW = (2, 5, 10, 0)  # c_tp, c_fp, c_fn, c_tn
+
+    def one(self, label, prediction):
+        return total_cost(costed([label], self.ROW), [prediction])
 
     def test_true_positive(self):
-        assert example_cost(AugmentedExample(np.zeros(1), 1, self.ROW), 1) == 2
+        assert self.one(1, 1) == row_cost(1, 1, self.ROW) == 2
 
     def test_false_negative(self):
-        assert example_cost(AugmentedExample(np.zeros(1), 1, self.ROW), 0) == 10
+        assert self.one(1, 0) == row_cost(1, 0, self.ROW) == 10
 
     def test_false_positive(self):
-        assert example_cost(AugmentedExample(np.zeros(1), 0, self.ROW), 1) == 5
+        assert self.one(0, 1) == row_cost(0, 1, self.ROW) == 5
 
     def test_invalid_prediction(self):
         with pytest.raises(ValidationError):
-            example_cost(AugmentedExample(np.zeros(1), 0, self.ROW), 2)
+            self.one(0, 2)
 
 
 class TestTotalCost:
     def test_free_true_positive(self):
-        ds = CostedDataset.from_examples(
-            [AugmentedExample(np.zeros(1), 1, CostMatrixRow(0, 3, 100, 0))]
-        )
-        assert total_cost(ds, np.array([1])) == 0
+        assert total_cost(costed([1], (0, 3, 100, 0)), np.array([1])) == 0
 
     def test_hand_sum_all_positive_predictions(self):
         assert total_cost(two_example_fraud(), np.array([1, 1])) == 6
@@ -138,12 +142,7 @@ class TestNormalizedCost:
         assert normalized_cost(two_example_fraud(), np.array([0, 1])) == pytest.approx(1.0)
 
     def test_perfect_with_free_correct_is_zero(self):
-        ds = CostedDataset.from_examples(
-            [
-                AugmentedExample(np.zeros(1), 1, CostMatrixRow(0, 5, 10, 0)),
-                AugmentedExample(np.zeros(1), 0, CostMatrixRow(0, 5, 10, 0)),
-            ]
-        )
+        ds = costed([1, 0], (0, 5, 10, 0))
         assert normalized_cost(ds, np.array([1, 0])) == 0.0
 
     def test_zero_denominator_rejected(self):
@@ -159,20 +158,26 @@ class TestCostlessClass:
         assert costless_class_cost(two_example_fraud()) == (6, 1)
 
     def test_all_negative_free(self):
-        ds = CostedDataset.from_examples(
-            [AugmentedExample(np.zeros(1), 0, CostMatrixRow(1, 5, 10, 0))] * 3
-        )
-        assert costless_class_cost(ds) == (0, 0)
+        assert costless_class_cost(costed([0, 0, 0], (1, 5, 10, 0))) == (0, 0)
 
     def test_tie_goes_to_class_zero(self):
         # Cost(f_0) = c_fn = 6, Cost(f_1) = c_tp + c_fp = 6.
-        ds = CostedDataset.from_examples(
-            [
-                AugmentedExample(np.zeros(1), 1, CostMatrixRow(2, 5, 6, 0)),
-                AugmentedExample(np.zeros(1), 0, CostMatrixRow(2, 4, 6, 0)),
-            ]
-        )
+        ds = costed([1, 0], [(2, 5, 6, 0), (2, 4, 6, 0)])
         assert costless_class_cost(ds) == (6, 0)
+
+
+class TestPredictionsChecked:
+    @pytest.mark.parametrize("metric", [total_cost, normalized_cost, savings])
+    @pytest.mark.parametrize("preds", [[0.9, 1, 1], [0, 1, 0.5], [0, 1, 2], [0, np.nan, 1]])
+    def test_not_exactly_binary_rejected(self, metric, preds):
+        # checked as given: a cast to int first would score 0.9 as 0
+        ds = costed([0, 1, 1], (3, 3, 100, 0))
+        with pytest.raises(ValidationError, match="predictions must be exactly 0 or 1"):
+            metric(ds, preds)
+
+    def test_float_and_bool_predictions_accepted(self):
+        ds = costed([0, 1, 1], (3, 3, 100, 0))
+        assert savings(ds, [0.0, 1.0, 1.0]) == savings(ds, [False, True, True]) == savings(ds, [0, 1, 1])
 
 
 class TestSavings:
@@ -189,11 +194,8 @@ class TestSavings:
         assert got == pytest.approx((6 - 103) / 6, abs=1e-12)
 
     def test_zero_costless_cost_rejected(self):
-        ds = CostedDataset.from_examples(
-            [AugmentedExample(np.zeros(1), 0, CostMatrixRow(1, 5, 10, 0))]
-        )
         with pytest.raises(ValidationError):
-            savings(ds, np.array([0]))
+            savings(costed([0], (1, 5, 10, 0)), np.array([0]))
 
     def test_tiny_positive_cost_stays_below_one(self):
         # the cost vanishes in cost_l - cost; savings must still say it is not 0
@@ -220,6 +222,14 @@ def test_savings_one_iff_zero_cost(ds):
     except ValidationError:
         return  # costless class free: savings undefined by contract
     assert (s == 1.0) == (total_cost(ds, ds.y) == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(costed_datasets(), st.integers(0, 2**32 - 1))
+def test_total_cost_sums_row_costs(ds, seed):
+    preds = np.random.default_rng(seed).integers(0, 2, size=ds.n)
+    expected = sum(row_cost(y, c, row) for y, c, row in zip(ds.y, preds, ds.costs))
+    assert total_cost(ds, preds) == pytest.approx(expected, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

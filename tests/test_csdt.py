@@ -34,7 +34,6 @@ from costforest.csdt import (
     load,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_many,
     prune,
     save,
@@ -203,19 +202,21 @@ class TestGrow:
 class TestPredict:
     def test_routes(self, four_examples):
         model = grow(four_examples, EXACT)
-        assert predict(model, np.array([1.0])) == 0
-        assert predict(model, np.array([2.5])) == 0  # boundary goes left
-        assert predict(model, np.array([4.0])) == 1
+        assert model.predict_many(np.array([[1.0]]))[0] == 0
+        assert model.predict_many(np.array([[2.5]]))[0] == 0  # boundary goes left
+        assert model.predict_many(np.array([[4.0]]))[0] == 1
 
     def test_many_matches_single(self, four_examples):
         model = grow(four_examples, EXACT)
         X = np.array([[0.3], [2.5], [2.6], [9.0]])
-        assert predict_many(model, X).tolist() == [predict(model, x) for x in X]
+        assert predict_many(model, X).tolist() == [model.predict_many(x[None])[0] for x in X]
 
     def test_dimension_mismatch(self, four_examples):
         model = grow(four_examples, EXACT)
         with pytest.raises(ValidationError):
-            predict(model, np.array([1.0, 2.0]))
+            model.predict_many(np.array([1.0, 2.0])[None])
+        with pytest.raises(ValidationError):
+            model.predict_many(np.array([1.0]))  # a bare vector is not a (1, k) matrix
         with pytest.raises(ValidationError):
             predict_many(model, np.zeros((3, 2)))
 
@@ -226,7 +227,7 @@ class TestPredict:
         with pytest.raises(ValidationError, match="non-finite"):
             predict_many(model, np.array([[1.0], [bad]]))
         with pytest.raises(ValidationError, match="non-finite"):
-            predict(model, np.array([bad]))
+            model.predict_many(np.array([bad])[None])
         with pytest.raises(ValidationError, match="non-finite"):
             model.predict_proba(np.array([[bad]]))
 
