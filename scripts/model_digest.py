@@ -9,11 +9,14 @@ set-ups, and a wv-acc, a pasting and a random_forest fit on the fit-patches
 data (the file ``ensemble.save`` writes); two single trees on the
 fit-patches data, a CSDT with exact midpoints and a gini (error-count) tree
 (the file ``csdt.save`` writes); then one grid experiment's JSON report.
-Each model gets two lines: the digest of its file, and an ``arrays`` line,
+Each model gets three lines: the digest of its file; an ``arrays`` line,
 the digest of its trees' eight ``csdt.Tree`` arrays and its combiner
-parameters as they are in memory, which does not depend on the file format.
+parameters as they are in memory, which does not depend on the file format;
+and a ``predictions`` line, the digest of its int64 predictions on its
+workload's held-out rows, which does not depend on how trees are stored.
 A refactor that claims no behaviour change prints the same lines as its
-parent commit; a file-format change prints the same ``arrays`` lines.
+parent commit; a file-format change prints the same ``arrays`` lines, and a
+change of tree representation the same ``predictions`` lines.
 """
 
 import dataclasses
@@ -31,10 +34,11 @@ from costforest import csdt, ensemble  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def models(seed: int, work: Path) -> tuple[dict, dict]:
-    """The seed's ensembles and single trees, by name."""
+def models(seed: int, work: Path) -> tuple[dict, dict, dict]:
+    """The seed's ensembles and single trees, by name, and each one's held-out rows."""
     patches = WORKLOADS["fit-patches"]().setup(seed, work)
     stacking = WORKLOADS["fit-stacking"]().setup(seed, work)
+    score = WORKLOADS["score"]().setup(seed, work)
     ensembles = {
         "fit-patches": ensemble.train(patches.train, patches.config),
         "fit-patches wv-acc": ensemble.train(
@@ -48,7 +52,7 @@ def models(seed: int, work: Path) -> tuple[dict, dict]:
             for kind in ("pasting", "random_forest")
         },
         "fit-stacking": ensemble.train(stacking.train, stacking.config),
-        "score": WORKLOADS["score"]().setup(seed, work).trained,
+        "score": score.trained,
     }
     trees = {
         "tree exact_midpoints": csdt.grow(
@@ -56,7 +60,9 @@ def models(seed: int, work: Path) -> tuple[dict, dict]:
         ),
         "tree gini": csdt.grow(patches.train, csdt.CsdtConfig(impurity="gini")),
     }
-    return ensembles, trees
+    held_out = {name: patches.test for name in [*ensembles, *trees]}
+    held_out.update({"fit-stacking": stacking.test, "score": score.pool})
+    return ensembles, trees, held_out
 
 
 def arrays_digest(trees: list, params: list) -> str:
@@ -69,6 +75,12 @@ def arrays_digest(trees: list, params: list) -> str:
     for param in params:
         digest.update(np.asarray(param, dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+def predictions_digest(model, rows) -> str:
+    """sha256 of the model's int64 predictions on a dataset's rows."""
+    preds = np.asarray(model.predict_many(rows.X), dtype=np.int64)
+    return hashlib.sha256(preds.tobytes()).hexdigest()
 
 
 def combiner_params(model) -> list:
@@ -84,16 +96,17 @@ def main(seeds: list[int]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for seed in seeds:
-            ensembles, trees = models(seed, work)
+            ensembles, trees, held_out = models(seed, work)
             for name, model in ensembles.items():
                 ensemble.save(model, work / "model.json")
                 print(seed, name, hashlib.sha256((work / "model.json").read_bytes()).hexdigest())
-                digest = arrays_digest([m.tree for m in model.base_models], combiner_params(model))
-                print(seed, name, "arrays", digest)
+                print(seed, name, "arrays", arrays_digest(model.trees, combiner_params(model)))
+                print(seed, name, "predictions", predictions_digest(model, held_out[name]))
             for name, tree in trees.items():
                 csdt.save(tree, work / "tree.json")
                 print(seed, name, hashlib.sha256((work / "tree.json").read_bytes()).hexdigest())
                 print(seed, name, "arrays", arrays_digest([tree.tree], []))
+                print(seed, name, "predictions", predictions_digest(tree, held_out[name]))
             grid = WORKLOADS["grid"]()
             report = grid.call(grid.setup(seed, work), None).to_json()
             print(seed, "grid", hashlib.sha256(report.encode()).hexdigest())

@@ -97,7 +97,8 @@ class Tree:
     rows: the cost of predicting all-0 and all-1 (pairwise sums over the
     rows in increasing order), their count and their positive count. Model
     files store the eight arrays as they are (see :func:`tree_from_dict`).
-    The arrays are read-only.
+    The arrays are read-only. An integer field takes only integers: a
+    fractional value is a ValidationError (see :func:`as_integers`).
     """
 
     feature: np.ndarray
@@ -113,13 +114,31 @@ class Tree:
         dtypes = (np.intp, np.float64, np.intp, np.int64, np.float64, np.float64, np.int64,
                   np.int64)
         for field, dtype in zip(fields(self), dtypes):
-            array = np.array(getattr(self, field.name), dtype=dtype)
+            value = getattr(self, field.name)
+            array = (np.array(value, dtype=dtype) if dtype is np.float64
+                     else as_integers(value, field.name, dtype))
             array.setflags(write=False)
             object.__setattr__(self, field.name, array)
 
     @property
     def size(self) -> int:
         return self.feature.size
+
+
+def as_integers(values, name: str, dtype=np.int64) -> np.ndarray:
+    """``values`` as a new integer array, checked before the cast: a
+    fractional value is a ValidationError, text a ValueError."""
+    given = np.asarray(values)
+    if given.dtype.kind in "bi":
+        return given.astype(dtype)
+    if given.dtype.kind in "US":
+        raise ValueError(f"{name} holds text, not numbers")
+    with np.errstate(invalid="ignore"):
+        array = np.array(values, dtype=dtype)
+    changed = array != given
+    if changed.any():
+        raise ValidationError(f"{name} holds {given[changed][0]}, which is not an integer")
+    return array
 
 
 class CsdtModel:
@@ -400,6 +419,7 @@ def grow(
     seed: int | None = None,
     node_features: int | None = None,
     ranks: np.ndarray | None = None,
+    features: np.ndarray | None = None,
 ) -> CsdtModel:
     """Grow (and by default prune) a cost-sensitive tree.
 
@@ -409,9 +429,12 @@ def grow(
     per position; every other node by the ``floor(log2 n)`` of its row
     count. It scores each bucket with one ``_best_split`` call on a padded
     block, then splits the nodes and opens their children.
+    ``features``, strictly increasing columns of ``train.X``, limits the
+    search to those columns (a random patch); by default every column is
+    searched. Either way the tree records columns of ``train.X``.
     ``node_features`` activates random-forest style feature sampling: each
-    node considers its own subset of that many features, drawn by
-    ``rng.feature_subsets`` from a key for the node. The root's key is
+    node considers its own subset of that many of the searched features,
+    drawn by ``rng.feature_subsets`` from a key for the node. The root's key is
     ``seed``, an int in [0, 2**64); a child's is ``mix64(key, side)``,
     side 0 for left and 1 for right. So the tree does not depend on the
     order in which nodes are grown.
@@ -421,32 +444,38 @@ def grow(
     """
     config = config or CsdtConfig()
     config.validate()
+    searched = np.arange(train.k) if features is None else np.asarray(features)
+    n_cols = searched.size
+    if features is not None and not (
+        searched.ndim == 1 and n_cols and searched.dtype.kind in "iu" and 0 <= searched[0]
+        and searched[-1] < train.k and (searched[1:] > searched[:-1]).all()
+    ):
+        raise ValidationError(f"features must be strictly increasing columns in [0, {train.k})")
     if node_features is not None:
         if seed is None or not 0 <= seed < 2**64:
             raise ConfigError(f"node_features needs a seed in [0, 2**64), got {seed!r}")
-        if not 1 <= node_features <= train.k:
-            raise ConfigError(
-                f"node_features must be in [1, {train.k}], got {node_features}"
-            )
+        if not 1 <= node_features <= n_cols:
+            raise ConfigError(f"node_features must be in [1, {n_cols}], got {node_features}")
     if ranks is None:
         ranks = column_ranks(train.X)
     elif ranks.shape != train.X.shape:
         raise ValidationError(f"ranks have shape {ranks.shape}, expected {train.X.shape}")
-    sampled = node_features is not None and node_features < train.k
+    sampled = node_features is not None and node_features < n_cols
     levels = _cut_levels(config)
     # nodes that _best_split scores by position share one bucket
     small = 0 if levels is None else levels.size + 1
-    # One row per feature, and a pad column past the last example: value
-    # -inf, the largest key and zero costs, so pads sort after every
+    # One row per searched feature, and a pad column past the last example:
+    # value -inf, the largest key and zero costs, so pads sort after every
     # example and add nothing.
     pad, width = train.n, train.n + 1
-    table = np.empty((train.k, width))
-    table[:, :pad], table[:, pad] = train.X.T, -np.inf
-    key_table = np.empty((train.k, width), dtype=ranks.dtype)
-    key_table[:, :pad] = ranks.T
+    table = np.empty((n_cols, width))
+    table[:, :pad] = train.X.T if features is None else train.X.T[searched]
+    table[:, pad] = -np.inf
+    key_table = np.empty((n_cols, width), dtype=ranks.dtype)
+    key_table[:, :pad] = ranks.T if features is None else ranks.T[searched]
     key_table[:, pad] = np.iinfo(ranks.dtype).max if ranks.dtype.kind in "ui" else np.inf
     cost0, cost1 = (np.append(c, 0.0) for c in _prediction_costs(train, config.impurity))
-    all_features, sides = np.arange(train.k)[None], np.arange(2, dtype=np.uint64)
+    all_rows, sides = np.arange(n_cols)[None], np.arange(2, dtype=np.uint64)
 
     nodes: list[list] = []  # one row of Tree's fields per node, in the order opened
     left_of: list[int] = []  # each node's left child, -1 at a leaf
@@ -470,25 +499,25 @@ def grow(
         rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[1] for node in bucket])
         if sampled:
             keys = np.array([node[3] for node in bucket], dtype=np.uint64)
-            features = feature_subsets(keys, train.k, node_features)
+            table_rows = feature_subsets(keys, n_cols, node_features)
             children = mix64_array(keys[:, None], sides).tolist()
             # each node's features at its rows: (nodes, features, n_max)
-            cells = (features * width)[:, :, None] + rows[:, None, :]
+            cells = (table_rows * width)[:, :, None] + rows[:, None, :]
             block, block_keys = table.take(cells), key_table.take(cells)
         else:
-            features = all_features.repeat(len(bucket), axis=0)
+            table_rows = all_rows.repeat(len(bucket), axis=0)
             children = [[None, None]] * len(bucket)
             # (features, nodes, n_max), swapped to nodes of features
             block, block_keys = (t.take(rows, axis=1).swapaxes(0, 1)
                                  for t in (table, key_table))
-        n_cols = features.shape[1]
+        per_node = table_rows.shape[1]
         block, block_keys = block.reshape(-1, n_max), block_keys.reshape(-1, n_max)
         found = _best_split(
             block,
             block_keys,
             cost0.take(rows),
             cost1.take(rows),
-            sizes.repeat(n_cols),
+            sizes.repeat(per_node),
             levels,
             np.array([min(nodes[i][4:6]) for i, *_ in bucket]),
         )
@@ -496,8 +525,8 @@ def grow(
             if best is None or best[0] <= config.min_gain:
                 continue
             _, col, cut = best
-            nodes[i][:2] = int(features[b, col]), cut
-            goes_left = block[b * n_cols + col, :idx.size] <= cut
+            nodes[i][:2] = int(searched[table_rows[b, col]]), cut
+            goes_left = block[b * per_node + col, :idx.size] <= cut
             left, right = idx[goes_left], idx[~goes_left]
             n_pos_left = int(train.y.take(left).sum())
             key_left, key_right = children[b]
@@ -536,37 +565,32 @@ def grow(
 
 
 def as_features(X: np.ndarray, k: int) -> np.ndarray:
-    """``X`` as a C-ordered float64 (n, k) matrix; shape checked, values not."""
+    """``X`` as a C-ordered float64 (n, k) matrix of finite values, the check
+    of every model's input: a NaN fails every <= test and would silently
+    route right, whether or not a tree reads its column."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != k:
         raise ValidationError(f"X has shape {X.shape}, expected (n, {k})")
+    if not np.isfinite(X).all():
+        raise ValidationError("features contain non-finite values")
     return X
 
 
-def _check_finite(X: np.ndarray) -> None:
-    if not np.isfinite(X).all():
-        # NaN fails every <= test and would silently route right
-        raise ValidationError("features contain non-finite values")
-
-
-def route(tree: Tree, X: np.ndarray, subset: np.ndarray | None = None) -> np.ndarray:
+def route(tree: Tree, X: np.ndarray) -> np.ndarray:
     """Preorder index of the leaf that each row of ``X`` reaches.
 
     ``X`` is C-ordered float64. The rows descend one level per step, and
-    only rows still at an internal node take the next step. ``subset`` maps
-    the tree's feature indices to columns of ``X`` (a patch's features).
+    only rows still at an internal node take the next step.
     """
     n_rows, width = X.shape
     at = np.zeros(n_rows, dtype=np.intp)
     if tree.feature[0] < 0:
         return at
-    # a leaf's -1 maps to the subset's last column, which no moving row reads
-    columns = tree.feature if subset is None else subset[tree.feature]
     internal = tree.feature >= 0
     flat = X.ravel()
     rows, nodes = np.arange(n_rows), np.zeros(n_rows, dtype=np.intp)
     while rows.size:
-        go_left = flat.take(rows * width + columns.take(nodes)) <= tree.threshold.take(nodes)
+        go_left = flat.take(rows * width + tree.feature.take(nodes)) <= tree.threshold.take(nodes)
         nodes = np.where(go_left, nodes + 1, tree.right.take(nodes))
         at[rows] = nodes
         moving = internal.take(nodes)
@@ -576,14 +600,12 @@ def route(tree: Tree, X: np.ndarray, subset: np.ndarray | None = None) -> np.nda
 
 def predict_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
     X = as_features(X, model.k)
-    _check_finite(X)
     return model.tree.predicted_class[route(model.tree, X)]
 
 
 def predict_proba_many(model: CsdtModel, X: np.ndarray) -> np.ndarray:
     """Positive-class probability per row (leaf frequency, Laplace smoothed)."""
     X = as_features(X, model.k)
-    _check_finite(X)
     return leaf_proba(model.tree, route(model.tree, X))
 
 
@@ -597,21 +619,21 @@ def _node_stats(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-node all-0 cost, all-1 cost, count and positive count of ``dataset``'s rows.
 
-    One pass routes the rows down the tree; each node sums its rows in
-    increasing order, as growth does.
+    :func:`route` finds each row's leaf. A node's rows are those whose leaf
+    lies in its preorder range; it sums them in increasing row order, as
+    growth does.
     """
     cost0, cost1 = _prediction_costs(dataset, impurity)
+    leaves = route(tree, dataset.X)
+    by_leaf = leaves.argsort(kind="stable")
+    lo, hi = leaves[by_leaf].searchsorted([np.arange(tree.size), _layout(tree)[2]])
     s0, s1 = np.zeros(tree.size), np.zeros(tree.size)
-    n, n_pos = np.zeros(tree.size, dtype=np.int64), np.zeros(tree.size, dtype=np.int64)
-    pending = [(0, np.arange(dataset.n))]
-    while pending:
-        i, idx = pending.pop()
-        s0[i], s1[i] = cost0[idx].sum(), cost1[idx].sum()
-        n[i], n_pos[i] = idx.size, dataset.y[idx].sum()
-        if tree.feature[i] >= 0:
-            left = dataset.X[idx, tree.feature[i]] <= tree.threshold[i]
-            pending += [(tree.right[i], idx[~left]), (i + 1, idx[left])]
-    return s0, s1, n, n_pos
+    n_pos = np.zeros(tree.size, dtype=np.int64)
+    for i, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
+        idx = np.sort(by_leaf[start:stop])
+        s0[i], s1[i] = cost0.take(idx).sum(), cost1.take(idx).sum()
+        n_pos[i] = dataset.y.take(idx).sum()
+    return s0, s1, (hi - lo).astype(np.int64), n_pos
 
 
 def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
@@ -733,10 +755,10 @@ def tree_dict_from_v1(root: dict) -> dict:
             rows[parent][2] = len(rows)
         if isinstance(node, dict) and "leaf" in node:
             leaf = node["leaf"]
-            rows.append([-1, 0.0, -1, int(leaf["class"]), float(leaf["cost_f0"]),
-                         float(leaf["cost_f1"]), int(leaf["n"]), int(leaf["n_pos"])])
+            rows.append([-1, 0.0, -1, leaf["class"], float(leaf["cost_f0"]),
+                         float(leaf["cost_f1"]), leaf["n"], leaf["n_pos"]])
         elif isinstance(node, dict) and {"rule", "left", "right"} <= node.keys():
-            rows.append([int(node["rule"]["feature"]), float(node["rule"]["threshold"]), -1])
+            rows.append([node["rule"]["feature"], float(node["rule"]["threshold"]), -1])
             pending += [(node["right"], len(rows) - 1), (node["left"], -1)]
         else:
             raise ValidationError("a tree node is neither a leaf nor a rule with both children")

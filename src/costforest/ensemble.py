@@ -10,7 +10,7 @@ them, so reports can always show per-tree quality.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -22,7 +22,7 @@ from .config import from_json
 # savings is not called here; it stays importable as ensemble.savings, a name
 # that perfbench's traced runs wrap
 from .cost_model import CostedDataset, savings, savings_of_costs  # noqa: F401
-from .csdt import CsdtConfig, CsdtModel
+from .csdt import CsdtConfig
 from .errors import ConfigError, ValidationError
 from .inducers import BaseSample, InducerConfig, draw_samples
 from .rng import STREAM_NODES, mix64
@@ -48,10 +48,10 @@ class EcsdtConfig:
 
 @dataclass
 class EnsembleModel:
-    """T base trees plus exactly one populated combiner parameter set."""
+    """T base trees, which split on columns of the ensemble's k features and were
+    grown with ``config.tree``, plus exactly one populated combiner parameter set."""
 
-    base_models: list[CsdtModel]
-    feature_subsets: list[np.ndarray | None]
+    trees: list[csdt.Tree]
     oob_savings: np.ndarray
     combiner: str
     config: EcsdtConfig
@@ -61,28 +61,17 @@ class EnsembleModel:
 
     @property
     def T(self) -> int:
-        return len(self.base_models)
-
-    def features(self, X: np.ndarray) -> np.ndarray:
-        """``X`` as the trees route it; rejects non-finite values in any
-        column that some tree reads."""
-        X = csdt.as_features(X, self.k)
-        finite = np.isfinite(X).all(axis=0)
-        if not finite.all() and any(
-            subset is None or not finite[subset].all() for subset in self.feature_subsets
-        ):
-            raise ValidationError("features contain non-finite values")
-        return X
+        return len(self.trees)
 
     def leaves(self, X: np.ndarray) -> Iterator[tuple[csdt.Tree, np.ndarray]]:
         """Each base tree, in order, with the leaf that each row of ``X`` (as
-        :meth:`features` returns it) reaches in it."""
-        for model, subset in zip(self.base_models, self.feature_subsets):
-            yield model.tree, csdt.route(model.tree, X, subset)
+        ``csdt.as_features`` returns it) reaches in it."""
+        for tree in self.trees:
+            yield tree, csdt.route(tree, X)
 
     def base_votes(self, X: np.ndarray) -> np.ndarray:
-        """(T, N) matrix of base-tree predictions, feature subsets remapped."""
-        X = self.features(X)
+        """(T, N) matrix of base-tree predictions."""
+        X = csdt.as_features(X, self.k)
         votes = np.empty((self.T, X.shape[0]), dtype=np.int64)
         for j, (tree, leaves) in enumerate(self.leaves(X)):
             votes[j] = tree.predicted_class[leaves]
@@ -91,7 +80,7 @@ class EnsembleModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Mean of the base trees' leaf probabilities (the forest estimate that
         BMR reads); the combiner plays no part."""
-        leaves = self.leaves(self.features(X))
+        leaves = self.leaves(csdt.as_features(X, self.k))
         return sum(csdt.leaf_proba(tree, at) for tree, at in leaves) / self.T
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
@@ -104,31 +93,15 @@ class EnsembleModel:
 
 
 def _train_one(
-    train_set: CostedDataset,
-    ranks: np.ndarray,
-    sample: BaseSample,
-    config: EcsdtConfig,
-    j: int,
-) -> tuple[CsdtModel, np.ndarray | None]:
+    train_set: CostedDataset, ranks: np.ndarray, sample: BaseSample, config: EcsdtConfig, j: int
+) -> csdt.Tree:
     """Grow tree j on its sample, sorting nodes on its rows' slice of ``ranks``."""
     rows = sample.example_indices
-    if sample.feature_indices is not None:
-        patch = np.ix_(rows, sample.feature_indices)
-        sub = CostedDataset(
-            train_set.X[patch],
-            train_set.y[rows],
-            train_set.costs[rows],
-            strict=train_set.strict,
-            validate=False,
-        )
-        model = csdt.grow(sub, config.tree, ranks=ranks[patch])
-        return model, sample.feature_indices
     seed = None if sample.node_features is None else mix64(config.inducer.seed, STREAM_NODES, j)
-    model = csdt.grow(
+    return csdt.grow(
         train_set.subset(rows), config.tree, seed=seed, node_features=sample.node_features,
-        ranks=ranks[rows],
-    )
-    return model, None
+        ranks=ranks[rows], features=sample.feature_indices,
+    ).tree
 
 
 def _oob_scores(
@@ -153,14 +126,11 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     # every sample's rows are sorted, so slices of one table's ranks sort
     # each tree's nodes as their own would
     ranks = csdt.column_ranks(train_set.X)
-    base_models, subsets = zip(
-        *(_train_one(train_set, ranks, sample, config, j) for j, sample in enumerate(samples))
-    )
+    trees = [_train_one(train_set, ranks, sample, config, j) for j, sample in enumerate(samples)]
     oob_savings = np.empty(len(samples))
     oob_accuracy = np.empty(len(samples))
     ensemble = EnsembleModel(
-        base_models=list(base_models),
-        feature_subsets=list(subsets),
+        trees=trees,
         oob_savings=oob_savings,
         combiner=config.combiner,
         config=config,
@@ -201,10 +171,9 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "combiner": model.combiner,
         "config": asdict(model.config),
         "oob_savings": model.oob_savings.tolist(),
-        "feature_subsets": [
-            None if s is None else [int(i) for i in s] for s in model.feature_subsets
-        ],
-        "base_models": [csdt.tree_to_dict(m.tree) for m in model.base_models],
+        # null: the tree splits on the file's k columns, to this reader and earlier ones
+        "feature_subsets": [None] * model.T,
+        "base_models": [csdt.tree_to_dict(tree) for tree in model.trees],
         "weights": None if model.weights is None else model.weights.alphas.tolist(),
         "stacking": None if model.stacking is None else {
             "betas": model.stacking.betas.tolist(),
@@ -216,26 +185,22 @@ def model_to_dict(model: EnsembleModel) -> dict:
 
 def model_from_dict(data: dict) -> EnsembleModel:
     """The ensemble a model file stores. Each base tree's config is the file's
-    ``config.tree``, and it reads the features of its subset (all k without one)."""
+    ``config.tree``."""
     version = csdt.check_model_header(data, "ecsdt")
     try:
         weights = data.get("weights")
         stacking = data.get("stacking")
         k = int(data["k"])
         config = from_json(EcsdtConfig, data["config"], "config", complete=True)
-        subsets = [None if s is None else np.asarray(s, dtype=np.int64)
-                   for s in data["feature_subsets"]]
+        subsets = data["feature_subsets"]
         stored = data["base_models"]
         if version != csdt.FORMAT_VERSION:
             stored = [csdt.tree_dict_from_v1(entry["root"]) for entry in stored]
         if len(stored) != len(subsets):
             raise ValidationError(f"{len(stored)} base models but {len(subsets)} feature subsets")
-        widths = [k if subset is None else subset.size for subset in subsets]
-        base_models = [CsdtModel(csdt.tree_from_dict(arrays, width), config.tree, width)
-                       for arrays, width in zip(stored, widths)]
         model = EnsembleModel(
-            base_models=base_models,
-            feature_subsets=subsets,
+            trees=[_read_tree(arrays, subset, k, j)
+                   for j, (arrays, subset) in enumerate(zip(stored, subsets))],
             oob_savings=np.asarray(data["oob_savings"], dtype=np.float64),
             combiner=data["combiner"],
             config=config,
@@ -253,6 +218,22 @@ def model_from_dict(data: dict) -> EnsembleModel:
     return model
 
 
+def _read_tree(arrays: dict, subset: list | None, k: int, j: int) -> csdt.Tree:
+    """Base tree j of a model file with k features.
+
+    Older files store a random-patches tree with a ``feature_subsets`` entry,
+    its features counted within that subset; such a tree is remapped to the
+    file's columns here, once.
+    """
+    if subset is None:
+        return csdt.tree_from_dict(arrays, k)
+    columns = csdt.as_integers(subset, f"feature subset {j}")
+    if columns.ndim != 1 or ((columns < 0) | (columns >= k)).any():
+        raise ValidationError(f"feature subset {j} is not a list of indices in [0, {k})")
+    tree = csdt.tree_from_dict(arrays, columns.size)
+    return replace(tree, feature=np.append(columns, -1)[tree.feature])
+
+
 def _check_consistent(model: EnsembleModel) -> None:
     """Reject a loaded model whose parts disagree on T, k or the combiner."""
     lengths = {
@@ -263,11 +244,6 @@ def _check_consistent(model: EnsembleModel) -> None:
     wrong = {name: size for name, size in lengths.items() if size not in (None, model.T)}
     if wrong:
         raise ValidationError(f"model has {model.T} base models but lengths {wrong}")
-    for j, subset in enumerate(model.feature_subsets):
-        if subset is not None and (
-            subset.ndim != 1 or ((subset < 0) | (subset >= model.k)).any()
-        ):
-            raise ValidationError(f"feature subset {j} is not a list of indices in [0, {model.k})")
     if (
         model.combiner not in combiners.COMBINER_KINDS
         or (model.combiner in ("wv", "wv-acc")) != (model.weights is not None)

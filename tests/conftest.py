@@ -101,6 +101,24 @@ MALFORMED_V2 = {
 }
 
 
+# Fractional values of ``chain_tree(3)``'s integer fields, which a reader
+# must reject rather than truncate, and the node each is written at.
+FRACTIONAL_V2 = [("predicted_class", 0.5), ("feature", 0.7), ("right", 6.9), ("n", 1.5),
+                 ("n_pos", 0.5)]
+FRACTIONAL_NODE = {"predicted_class": 3, "feature": 0, "right": 0, "n": 0, "n_pos": 3}
+
+# The same for a version-1 root rule with two leaves, each with the message
+# it must raise. A leaf's fractional count also makes the root's sum
+# fractional, and the root comes first.
+FRACTIONAL_V1 = [
+    (lambda root: root["rule"].update(feature=0.7), "^feature holds 0.7, which is not"),
+    (lambda root: root["left"]["leaf"].update({"class": 0.5}),
+     "^predicted_class holds 0.5, which is not"),
+    (lambda root: root["left"]["leaf"].update(n=1.5), "^n holds 3.5, which is not"),
+    (lambda root: root["right"]["leaf"].update(n_pos=0.25), "^n_pos holds 0.25, which is not"),
+]
+
+
 def gaussian_cost_dataset(rng, n, k=10, shift=1.2, amount_sigma=1.0, admin=3.0):
     """Two overlapping Gaussian classes with fraud-style lognormal costs."""
     y = (rng.random(n) < 0.3).astype(int)
@@ -230,8 +248,13 @@ def v1_ensemble_dict(model) -> dict:
     """The ensemble as a version-1 file: every base tree a whole csdt model."""
     data = ensemble.model_to_dict(model)
     data["format_version"] = "1"
-    data["base_models"] = [v1_dict(m) for m in model.base_models]
+    data["base_models"] = [v1_dict(base_model(model, j)) for j in range(model.T)]
     return data
+
+
+def base_model(model, j: int) -> CsdtModel:
+    """Base tree j of an ensemble as a single-tree model over the ensemble's k features."""
+    return CsdtModel(model.trees[j], model.config.tree, model.k)
 
 
 # --- per-row oracles for the library's vectorized paths ----------------------
@@ -357,12 +380,14 @@ def grow_oracle(
     config: CsdtConfig | None = None,
     seed: int | None = None,
     node_features: int | None = None,
+    features: np.ndarray | None = None,
 ) -> CsdtModel:
     """``csdt.grow`` by depth-first recursion, one kernel call per node.
 
     Each node's block holds exactly its rows, unpadded; the tree is built in
-    preorder and pruned as ``grow`` prunes it. A sampling node draws its
-    features from its key: ``seed`` at the root, ``mix64(key, side)`` below.
+    preorder and pruned as ``grow`` prunes it. A node searches ``features``
+    (every column by default); a sampling node draws its subset of them from
+    its key: ``seed`` at the root, ``mix64(key, side)`` below.
     """
     config = config or CsdtConfig()
     cost0, cost1 = _oracle_costs(train, config.impurity)
@@ -382,20 +407,19 @@ def grow_oracle(
             or y_sub.min() == y_sub.max()
         ):
             return
-        if node_features is not None and node_features < train.k:
-            features = feature_subsets(np.array([key], dtype=np.uint64), train.k,
-                                       node_features)[0]
-        else:
-            features = np.arange(train.k)
-        block = table[np.ix_(features, idx)]
+        columns = np.arange(train.k) if features is None else features
+        if node_features is not None and node_features < columns.size:
+            columns = columns[feature_subsets(np.array([key], dtype=np.uint64), columns.size,
+                                              node_features)[0]]
+        block = table[np.ix_(columns, idx)]
         [found] = csdt._best_split(
-            block, key_table[np.ix_(features, idx)], c0[None], c1[None],
-            np.full(features.size, idx.size), levels, np.array([min(s0, s1)]),
+            block, key_table[np.ix_(columns, idx)], c0[None], c1[None],
+            np.full(columns.size, idx.size), levels, np.array([min(s0, s1)]),
         )
         if found is None or found[0] <= config.min_gain:
             return
         _, col, cut = found
-        node[0], node[1] = int(features[col]), cut
+        node[0], node[1] = int(columns[col]), cut
         left_mask = block[col] <= cut
         build(idx[left_mask], depth + 1, None if key is None else mix64(key, 0))
         node[2] = len(nodes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_cost_dataset, plain_forest, strict_random_dataset
+from conftest import base_model, gaussian_cost_dataset, plain_forest, strict_random_dataset
 from costforest import ConfigError, CostedDataset, ValidationError, ensemble
 from costforest.baselines import (
     BmrWrapper,
@@ -307,8 +307,8 @@ class TestPlainForest:
         forest = ensemble.train(ds, config)
         X = rng.normal(size=(300, 4))
         expected = np.zeros(300)
-        for model, subset in zip(forest.base_models, forest.feature_subsets):
-            expected += predict_proba_many(model, X if subset is None else X[:, subset])
+        for j in range(forest.T):
+            expected += predict_proba_many(base_model(forest, j), X)
         assert forest.predict_proba(X).tobytes() == (expected / 6).tobytes()
         X[5, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):

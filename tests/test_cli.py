@@ -3,8 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from conftest import MALFORMED_V2, chain_tree, deep_chain, gaussian_cost_dataset, v1_ensemble_dict
-from costforest import cli, ensemble, sampling
+from conftest import (
+    FRACTIONAL_NODE,
+    FRACTIONAL_V1,
+    FRACTIONAL_V2,
+    MALFORMED_V2,
+    chain_tree,
+    deep_chain,
+    four_example_set,
+    gaussian_cost_dataset,
+    v1_dict,
+    v1_ensemble_dict,
+)
+from costforest import cli, csdt, ensemble, sampling
 from costforest.cli import main
 
 FOUR_ROWS = (
@@ -238,6 +249,31 @@ class TestPredictInputChecks:
         assert self._predict(tmp_path, data, model)[0] == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", FRACTIONAL_V2)
+    def test_fractional_integer_field_exit_2(self, tmp_path, capsys, name, value):
+        data, model = self._model(tmp_path)
+        payload = json.loads(model.read_text())
+        payload["base_models"][1] = chain_tree(3)
+        model.write_text(json.dumps(payload))
+        assert self._predict(tmp_path, data, model)[0] == 0
+        payload["base_models"][1][name][FRACTIONAL_NODE[name]] = value
+        model.write_text(json.dumps(payload))
+        assert self._predict(tmp_path, data, model)[0] == 2
+        assert f"{name} holds {value}, which is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", FRACTIONAL_V1)
+    def test_fractional_integer_field_exit_2_v1(self, tmp_path, capsys, corrupt, message):
+        data, model = self._model(tmp_path)
+        payload = v1_ensemble_dict(ensemble.load(model))
+        exact = csdt.CsdtConfig(candidate_thresholds="exact_midpoints")
+        payload["base_models"][1] = v1_dict(csdt.grow(four_example_set(), exact))
+        model.write_text(json.dumps(payload))
+        assert self._predict(tmp_path, data, model)[0] == 0
+        corrupt(payload["base_models"][1]["root"])
+        model.write_text(json.dumps(payload))
+        assert self._predict(tmp_path, data, model)[0] == 2
+        assert message.lstrip("^") in capsys.readouterr().err
+
     def test_5000_deep_chain_predicts(self, tmp_path):
         data, model = self._model(tmp_path)
         payload = json.loads(model.read_text())
@@ -269,6 +305,8 @@ class TestPredictInputChecks:
         assert not out.exists()
 
     def test_feature_subset_out_of_range_exit_2(self, tmp_path, capsys):
+        # files of earlier versions stored a patch tree's features within its
+        # subset; the identity subset [0, 1, 2] of every tree is such a file
         rows = "f1,f2,f3,y,c_tp,c_fp,c_fn,c_tn\n" + "".join(
             f"{i},{i % 3},{i % 2},{int(i > 4)},0,5,10,0\n" for i in range(10)
         )
@@ -279,10 +317,14 @@ class TestPredictInputChecks:
         model = tmp_path / "m.json"
         assert main(["train", "--config", cfg, "--train", data, "--model-out", str(model)]) == 0
         payload = json.loads(model.read_text())
-        j = next(j for j, s in enumerate(payload["feature_subsets"]) if len(s) == 2)
-        payload["feature_subsets"][j] = [0, 7]
+        assert payload["feature_subsets"] == [None] * 3
+        payload["feature_subsets"] = [[0, 1, 2]] * 3
         model.write_text(json.dumps(payload))
         out = str(tmp_path / "p.csv")
+        assert main(["predict", "--model", str(model), "--data", data, "--out", out]) == 0
+        j = next(j for j, tree in enumerate(payload["base_models"]) if max(tree["feature"]) < 2)
+        payload["feature_subsets"][j] = [0, 7]
+        model.write_text(json.dumps(payload))
         assert main(["predict", "--model", str(model), "--data", data, "--out", out]) == 2
         assert f"feature subset {j}" in capsys.readouterr().err
 

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    FRACTIONAL_NODE,
+    FRACTIONAL_V1,
+    FRACTIONAL_V2,
     MALFORMED_V2,
     Internal,
     SplitRule,
@@ -23,7 +26,7 @@ from conftest import (
     tree_lists,
     v1_dict,
 )
-from costforest import CostedDataset, ValidationError, total_cost
+from costforest import ConfigError, CostedDataset, ValidationError, total_cost
 from costforest import csdt, ensemble
 from costforest.combiners import GaConfig
 from costforest.csdt import (
@@ -447,6 +450,24 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="malformed csdt model"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("name, value", FRACTIONAL_V2)
+    def test_fractional_integer_field_rejected(self, tmp_path, name, value):
+        data = {"format_version": "2", "kind": "csdt", "k": 1, "config": asdict(CsdtConfig()),
+                "tree": chain_tree(3)}
+        model_from_dict(data)
+        data["tree"][name][FRACTIONAL_NODE[name]] = value
+        (tmp_path / "tree.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=f"{name} holds {value}, which is not an integer"):
+            load(tmp_path / "tree.json")
+
+    @pytest.mark.parametrize("corrupt, message", FRACTIONAL_V1)
+    def test_fractional_integer_field_rejected_v1(self, four_examples, tmp_path, corrupt, message):
+        data = json.loads(json.dumps(v1_dict(grow(four_examples, EXACT))))
+        corrupt(data["root"])
+        (tmp_path / "tree.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=message):
+            load(tmp_path / "tree.json")
+
     def test_5000_deep_chain_loads_and_predicts(self, tmp_path):
         data = {"format_version": "2", "kind": "csdt", "k": 1, "config": asdict(CsdtConfig()),
                 "tree": chain_tree(5000)}
@@ -606,6 +627,15 @@ def _kernel(X, cost0, cost1, features, levels):
         return None
     gain, col, threshold = found
     return gain, int(features[col]), threshold
+
+
+def sample_kwargs(sample, j):
+    """``grow``'s arguments for tree j of an ensemble's sample: its patch's
+    features, or its per-node feature count and key."""
+    kwargs = {"features": sample.feature_indices}
+    if sample.node_features is not None:
+        kwargs.update(seed=j, node_features=sample.node_features)
+    return kwargs
 
 
 # np.quantile warns on the columns whose differences overflow
@@ -859,18 +889,12 @@ class TestColumnRanks:
         samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=6))
         for j, sample in enumerate(samples):
             rows = sample.example_indices
-            if sample.feature_indices is None:
-                cells = rows
-            else:
-                cells = np.ix_(rows, sample.feature_indices)
-            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
+            sub = ds.subset(rows)
 
             def fit(**kwargs):
-                if sample.node_features is not None:
-                    kwargs.update(seed=j, node_features=sample.node_features)
-                return model_to_dict(grow(sub, config, **kwargs))
+                return model_to_dict(grow(sub, config, **kwargs, **sample_kwargs(sample, j)))
 
-            assert fit(ranks=ranks[cells]) == fit()
+            assert fit(ranks=ranks[rows]) == fit()
 
     def test_ranks_of_another_shape_rejected(self):
         ds = _tied_dataset(np.random.default_rng(68), 40)
@@ -889,6 +913,60 @@ class TestColumnRanks:
         ranked = model_to_dict(grow(ds, config))
         monkeypatch.setattr(csdt, "column_ranks", lambda X: X)  # sort on the values
         assert model_to_dict(grow(ds, config)) == ranked
+
+
+# --- a feature patch: the search limited to some columns -------------------
+
+
+class TestFeaturePatch:
+    @overflow_warnings_ok
+    @pytest.mark.parametrize("pruning", [False, True])
+    @pytest.mark.parametrize("config", [
+        CsdtConfig(max_depth=6),
+        CsdtConfig(max_depth=6, candidate_thresholds="exact_midpoints"),
+        CsdtConfig(max_depth=6, impurity="gini"),
+    ], ids=["quantiles", "exact_midpoints", "gini"])
+    def test_equals_the_tree_grown_on_those_columns(self, config, pruning):
+        config = replace(config, pruning=pruning)
+        rng = np.random.default_rng([82, pruning, len(config.impurity)])
+        split = 0
+        for _ in range(30):
+            ds = _tied_dataset(rng, int(rng.integers(2, 200)))
+            f = np.flatnonzero(rng.random(ds.k) < 0.5)
+            if f.size == 0:
+                f = np.array([int(rng.integers(ds.k))])
+            tree = grow(ds, config, features=f).tree
+            narrow = grow(CostedDataset(ds.X[:, f], ds.y, ds.costs), config).tree
+            assert tree.feature.tolist() == [-1 if c < 0 else int(f[c]) for c in narrow.feature]
+            for field in fields(csdt.Tree)[1:]:
+                assert getattr(tree, field.name).tobytes() == \
+                    getattr(narrow, field.name).tobytes(), field.name
+            split += tree.size > 1
+        assert split > 10
+
+    def test_every_column_is_the_default(self):
+        ds = _tied_dataset(np.random.default_rng(83), 150)
+        assert model_to_dict(grow(ds, features=np.arange(ds.k))) == model_to_dict(grow(ds))
+
+    def test_node_features_draw_from_the_patch(self):
+        ds = _tied_dataset(np.random.default_rng(84), 300)
+        f = np.array([1, 3, 4])
+        model = grow(ds, CsdtConfig(pruning=False), seed=5, node_features=2, features=f)
+        assert model.n_nodes() > 3
+        assert set(model.tree.feature.tolist()) <= {-1, 1, 3, 4}
+        assert model_to_dict(model) == model_to_dict(
+            grow_oracle(ds, CsdtConfig(pruning=False), seed=5, node_features=2, features=f)
+        )
+        with pytest.raises(ConfigError, match=r"node_features must be in \[1, 3\]"):
+            grow(ds, seed=5, node_features=4, features=f)
+
+    @pytest.mark.parametrize("features", [
+        [], [2, 1], [1, 1], [-1, 2], [0, 5], [[0, 1]], [0.0, 1.0],
+    ], ids=["empty", "decreasing", "repeated", "negative", "past-width", "2-d", "float"])
+    def test_bad_features_rejected(self, features):
+        ds = _tied_dataset(np.random.default_rng(85), 40)
+        with pytest.raises(ValidationError, match="strictly increasing columns in \\[0, 5\\)"):
+            grow(ds, features=np.array(features))
 
 
 # --- flat node arrays against the nested-tree oracles ----------------------
@@ -992,13 +1070,8 @@ class TestFlatTreesMatchOracles:
                             pruning=False)
         samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=7))
         for j, sample in enumerate(samples):
-            rows = sample.example_indices
-            cells = rows if sample.feature_indices is None else np.ix_(rows, sample.feature_indices)
-            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
-            kwargs = {}
-            if sample.node_features is not None:
-                kwargs = dict(seed=j, node_features=sample.node_features)
-            tree = grow(sub, config, **kwargs).tree
+            sub = ds.subset(sample.example_indices)
+            tree = grow(sub, config, **sample_kwargs(sample, j)).tree
             assert tree.size > 1
             routed = csdt._node_stats(tree, sub, impurity)
             recorded = (tree.cost_f0, tree.cost_f1, tree.n, tree.n_pos)
@@ -1054,15 +1127,10 @@ class TestLevelWiseGrowth:
         samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=8))
         for j, sample in enumerate(samples):
             config = CsdtConfig(candidate_thresholds=mode, impurity=impurity, pruning=j == 0)
-            rows = sample.example_indices
-            cells = rows if sample.feature_indices is None else np.ix_(rows, sample.feature_indices)
-            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
+            sub = ds.subset(sample.example_indices)
 
             def fit(grower):
-                kwargs = {}
-                if sample.node_features is not None:
-                    kwargs = dict(seed=j, node_features=sample.node_features)
-                return model_to_dict(grower(sub, config, **kwargs))
+                return model_to_dict(grower(sub, config, **sample_kwargs(sample, j)))
 
             assert fit(grow) == fit(grow_oracle)
 
@@ -1116,12 +1184,8 @@ class TestLevelWiseGrowth:
         config = CsdtConfig(n_quantiles=n_quantiles, pruning=False)
         samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=9))
         for j, sample in enumerate(samples):
-            rows = sample.example_indices
-            cells = rows if sample.feature_indices is None else np.ix_(rows, sample.feature_indices)
-            sub = CostedDataset(ds.X[cells], ds.y[rows], ds.costs[rows])
-            kwargs = {}
-            if sample.node_features is not None:
-                kwargs = dict(seed=j, node_features=sample.node_features)
+            sub = ds.subset(sample.example_indices)
+            kwargs = sample_kwargs(sample, j)
             model = grow(sub, config, **kwargs)
             assert model_to_dict(model) == model_to_dict(grow_oracle(sub, config, **kwargs))
         assert scored  # small nodes were scored by position

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
+    base_model,
     four_example_set,
     gaussian_cost_dataset,
     strict_random_dataset,
@@ -17,7 +19,6 @@ from costforest import csdt
 from costforest.csdt import CsdtConfig
 from costforest.ensemble import (
     EcsdtConfig,
-    EnsembleModel,
     load,
     model_to_dict,
     predict,
@@ -27,6 +28,18 @@ from costforest.ensemble import (
 from costforest.inducers import KINDS, InducerConfig, draw_samples
 
 FAST_TREE = CsdtConfig(max_depth=4, candidate_thresholds="exact_midpoints")
+
+# A random-patches model file written by an earlier version, which stored
+# each tree's features as positions in its "feature_subsets" entry.
+PATCH_FILE = Path(__file__).parent / "data" / "patches_local_features.json"
+
+
+def patch_file_fit():
+    """The training set and config that PATCH_FILE's model was trained with."""
+    ds = strict_random_dataset(np.random.default_rng(18), 80, 6)
+    config = EcsdtConfig(inducer=InducerConfig(kind="random_patches", T=3, seed=19),
+                         tree=CsdtConfig(max_depth=4), combiner="wv")
+    return ds, config
 
 
 def small_config(combiner="mv", kind="bagging", T=3, seed=0, **inducer_kw):
@@ -99,9 +112,11 @@ class TestAccuracyWeightedVote:
         model = train(ds, cfg)
         accuracies = []
         for j, sample in enumerate(draw_samples(ds.n, ds.k, cfg.inducer)):
-            assert np.array_equal(model.feature_subsets[j], sample.feature_indices)
+            # tree j splits only on its patch's columns of the full feature space
+            split_on = set(model.trees[j].feature.tolist()) - {-1}
+            assert split_on and split_on <= set(sample.feature_indices.tolist())
             oob = ds.subset(sample.oob_indices)
-            preds = model.base_models[j].predict_many(oob.X[:, sample.feature_indices])
+            preds = base_model(model, j).predict_many(oob.X)
             accuracies.append(1.0 - np.mean(preds != oob.y))
         assert len(set(accuracies)) > 1
         assert np.array_equal(model.weights.alphas, weights_from_scores(accuracies).alphas)
@@ -117,7 +132,7 @@ class TestPredict:
         # constant-feature bootstrap draws produce identical stumps
         for combiner in ("mv", "wv"):
             model = train(four_examples, small_config(combiner, T=3, seed=8, n_examples=4))
-            single = model.base_models[0]
+            single = base_model(model, 0)
             ensemble_pred = predict(model, four_examples)
             if all(
                 model_to_dict(model)["base_models"][j] == model_to_dict(model)["base_models"][0]
@@ -131,9 +146,8 @@ class TestPredict:
         from costforest.combiners import WeightVector
 
         model.weights = WeightVector(np.array([1.0, 0.0, 0.0]))
-        dominant = model.base_models[0]
-        view = ds.X if model.feature_subsets[0] is None else ds.X[:, model.feature_subsets[0]]
-        assert np.array_equal(predict(model, ds), dominant.predict_many(view))
+        dominant = base_model(model, 0)
+        assert np.array_equal(predict(model, ds), dominant.predict_many(ds.X))
 
     def test_mv_equals_uniform_wv(self):
         ds = strict_random_dataset(np.random.default_rng(6), 70, 3)
@@ -143,6 +157,21 @@ class TestPredict:
 
         wv_model.weights = WeightVector(np.full(5, 0.2))
         assert np.array_equal(predict(mv_model, ds), predict(wv_model, ds))
+
+    def test_nan_outside_every_patch_rejected(self):
+        # a NaN is rejected in any column, including one that no tree reads
+        ds = strict_random_dataset(np.random.default_rng(20), 80, 8)
+        cfg = small_config("wv", kind="random_patches", T=3, seed=22, n_features=2)
+        model = train(ds, cfg)
+        read = set().union(*(s.feature_indices.tolist()
+                             for s in draw_samples(ds.n, ds.k, cfg.inducer)))
+        unread = sorted(set(range(ds.k)) - read)
+        X = ds.X.copy()
+        X[3, unread[0]] = np.nan
+        for method in (model.predict_many, model.predict_proba, model.base_votes):
+            with pytest.raises(ValidationError, match="non-finite"):
+                method(X)
+        assert all(set(tree.feature.tolist()) <= read | {-1} for tree in model.trees)
 
     def test_dimension_mismatch(self):
         ds = strict_random_dataset(np.random.default_rng(7), 40, 3)
@@ -157,18 +186,10 @@ class TestPatchesRemapping:
         model = train(ds, small_config("wv", kind="random_patches", T=5, seed=4))
         perm = np.random.default_rng(1).permutation(6)
         inverse = np.argsort(perm)
-        remapped = dataclasses.replace(model) if False else EnsembleModel(
-            base_models=model.base_models,
-            feature_subsets=[
-                None if s is None else inverse[s] for s in model.feature_subsets
-            ],
-            oob_savings=model.oob_savings,
-            combiner=model.combiner,
-            config=model.config,
-            k=model.k,
-            weights=model.weights,
-            stacking=model.stacking,
-        )
+        remapped = dataclasses.replace(model, trees=[
+            dataclasses.replace(tree, feature=np.append(inverse, -1)[tree.feature])
+            for tree in model.trees
+        ])
         X_permuted = ds.X[:, perm]
         # column j of X_permuted is original column perm[j]; a tree wanting
         # original feature f must now read column inverse[f]
@@ -199,9 +220,8 @@ class TestEnsembleBenefit:
             model = train(tr, cfg)
             ens = savings(te, predict(model, te))
             base = []
-            for m, sub in zip(model.base_models, model.feature_subsets):
-                view = te.X if sub is None else te.X[:, sub]
-                base.append(savings(te, m.predict_many(view)))
+            for j in range(model.T):
+                base.append(savings(te, base_model(model, j).predict_many(te.X)))
             diffs.append(ens - np.mean(base))
         mean = np.mean(diffs)
         se = np.std(diffs, ddof=1) / np.sqrt(len(diffs))
@@ -231,14 +251,14 @@ class TestSerialization:
         model = train(ds, config)
         save(model, tmp_path / "m.json")
         stored = json.loads((tmp_path / "m.json").read_text())["base_models"]
-        assert [set(tree) for tree in stored] == [set(tree_lists(model.base_models[0]))] * 3
+        assert [set(tree) for tree in stored] == [set(tree_lists(base_model(model, 0)))] * 3
         loaded = load(tmp_path / "m.json")
-        assert sum(m.n_nodes() for m in loaded.base_models) > 3
-        for a, b in zip(loaded.base_models, model.base_models):
-            assert (a.config, a.k) == (b.config, b.k)
+        assert sum(tree.size for tree in loaded.trees) > 3
+        assert (loaded.config, loaded.k) == (model.config, model.k)
+        for a, b in zip(loaded.trees, model.trees, strict=True):
             for field in dataclasses.fields(csdt.Tree):
-                assert getattr(a.tree, field.name).tobytes() == \
-                    getattr(b.tree, field.name).tobytes(), field.name
+                assert getattr(a, field.name).tobytes() == \
+                    getattr(b, field.name).tobytes(), field.name
         assert np.array_equal(predict(loaded, ds), predict(model, ds))
 
     @pytest.mark.parametrize("combiner", ["wv", "stacking"])
@@ -248,8 +268,9 @@ class TestSerialization:
         model = train(ds, small_config(combiner, kind=kind, T=3, seed=17))
         (tmp_path / "v1.json").write_text(json.dumps(v1_ensemble_dict(model), indent=1))
         loaded = load(tmp_path / "v1.json")
-        for a, b in zip(loaded.base_models, model.base_models):
-            assert (a.config, a.k) == (b.config, b.k)
+        assert (loaded.config, loaded.k, loaded.T) == (model.config, model.k, model.T)
+        for j in range(model.T):
+            a, b = base_model(loaded, j), base_model(model, j)
             assert tree_lists(a, internal_stats=False) == tree_lists(b, internal_stats=False)
             assert a.tree.n.tolist() == b.tree.n.tolist()
             assert a.tree.n_pos.tolist() == b.tree.n_pos.tolist()
@@ -292,11 +313,8 @@ class TestSerialization:
         assert load(tmp_path / "m.json").config == cfg
 
     @pytest.mark.parametrize("corrupt, match", [
-        (lambda d: d["feature_subsets"][0].append(d["k"] + 3), "subset 0"),
-        (lambda d: d["feature_subsets"][1].__setitem__(0, -1), "subset 1"),
-        (lambda d: d["base_models"][2]["feature"].__setitem__(0, len(d["feature_subsets"][2])),
-         "outside"),
         (lambda d: d["base_models"][1]["feature"].__setitem__(0, -2), "outside"),
+        (lambda d: d["base_models"][1]["feature"].__setitem__(0, 4), "outside"),
         (lambda d: d["feature_subsets"].pop(), "3 base models but 2 feature subsets"),
         (lambda d: d["base_models"].pop(), "2 base models but 3 feature subsets"),
         (lambda d: d["oob_savings"].pop(), "oob_savings"),
@@ -314,11 +332,54 @@ class TestSerialization:
         ds = strict_random_dataset(np.random.default_rng(10), 60, 4)
         model = train(ds, small_config("wv", kind="random_patches", T=3, seed=13))
         data = json.loads(json.dumps(model_to_dict(model)))
-        assert all(s is not None for s in data["feature_subsets"])
+        assert data["feature_subsets"] == [None] * 3
         corrupt(data)
         (tmp_path / "m.json").write_text(json.dumps(data))
         with pytest.raises(ValidationError, match=match):
             load(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda d: d["feature_subsets"][0].append(d["k"] + 3), "subset 0"),
+        (lambda d: d["feature_subsets"][1].__setitem__(0, -1), "subset 1"),
+        (lambda d: d["feature_subsets"][2].__setitem__(0, 0.5),
+         "feature subset 2 holds 0.5, which is not an integer"),
+        (lambda d: d["base_models"][2]["feature"].__setitem__(0, len(d["feature_subsets"][2])),
+         "outside"),
+        (lambda d: d["base_models"][1]["feature"].__setitem__(0, -2), "outside"),
+        (lambda d: d["feature_subsets"].pop(), "3 base models but 2 feature subsets"),
+        (lambda d: d["base_models"].pop(), "2 base models but 3 feature subsets"),
+    ])
+    def test_malformed_patch_file_rejected(self, tmp_path, corrupt, match):
+        data = json.loads(PATCH_FILE.read_text())
+        corrupt(data)
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=match):
+            load(tmp_path / "m.json")
+
+    def test_patch_file_loads_to_the_trees_training_grows(self):
+        ds, config = patch_file_fit()
+        stored = json.loads(PATCH_FILE.read_text())
+        assert [len(subset) for subset in stored["feature_subsets"]] == [2, 3, 2]
+        loaded, model = load(PATCH_FILE), train(ds, config)
+        assert loaded.config == config
+        # the stored features count within each subset; the loaded ones are columns
+        assert [tree["feature"] for tree in stored["base_models"]] != \
+            [tree.feature.tolist() for tree in loaded.trees]
+        for a, b in zip(loaded.trees, model.trees, strict=True):
+            for field in dataclasses.fields(csdt.Tree):
+                assert getattr(a, field.name).tobytes() == \
+                    getattr(b, field.name).tobytes(), field.name
+        assert loaded.oob_savings.tobytes() == model.oob_savings.tobytes()
+        assert loaded.weights.alphas.tobytes() == model.weights.alphas.tobytes()
+        assert np.array_equal(predict(loaded, ds), predict(model, ds))
+
+    def test_patch_file_saves_with_null_subsets(self, tmp_path):
+        ds, config = patch_file_fit()
+        save(load(PATCH_FILE), tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == json.dumps(
+            model_to_dict(train(ds, config)), indent=1, sort_keys=True
+        ).encode()
+        assert json.loads((tmp_path / "m.json").read_text())["feature_subsets"] == [None] * 3
 
     def test_non_object_file_rejected(self, tmp_path):
         (tmp_path / "m.json").write_text("[1, 2]")

@@ -215,9 +215,9 @@ class TestRunExperiment:
 def forest_proba(forest, X):
     """Mean leaf frequency of a forest's trees, each routed on its own."""
     probs = np.zeros(X.shape[0])
-    for model, subset in zip(forest.base_models, forest.feature_subsets):
-        probs += leaf_proba(model.tree, route(model.tree, X, subset))
-    return probs / len(forest.base_models)
+    for tree in forest.trees:
+        probs += leaf_proba(tree, route(tree, X))
+    return probs / len(forest.trees)
 
 
 class TestBmrCells:

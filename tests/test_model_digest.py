@@ -12,18 +12,22 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "model_digest.py"
 DIGEST = "[0-9a-f]{64}"
 
 
-def test_one_seed_prints_two_lines_per_model_then_the_grid(capsys, monkeypatch):
+def test_one_seed_prints_three_lines_per_model_then_the_grid(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src and perfbench
     spec = importlib.util.spec_from_file_location("model_digest", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     script.main([7])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 17
+    assert len(lines) == 25
     names = []
-    for file_line, arrays_line in zip(lines[0:16:2], lines[1:16:2]):
+    for file_line, arrays_line, predictions_line in zip(
+        lines[0:24:3], lines[1:24:3], lines[2:24:3]
+    ):
         name = re.fullmatch(f"7 (.+) {DIGEST}", file_line).group(1)
         assert re.fullmatch(f"7 {re.escape(name)} arrays {DIGEST}", arrays_line)
+        assert re.fullmatch(f"7 {re.escape(name)} predictions {DIGEST}", predictions_line)
         names.append(name)
-    assert len(set(names)) == 8 and not any(name.endswith(" arrays") for name in names)
-    assert re.fullmatch(f"7 grid {DIGEST}", lines[16])
+    assert len(set(names)) == 8
+    assert not any(name.endswith((" arrays", " predictions")) for name in names)
+    assert re.fullmatch(f"7 grid {DIGEST}", lines[24])
