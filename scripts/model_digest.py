@@ -8,7 +8,10 @@ Per seed: the fit-patches, fit-stacking and score models of the perfbench
 set-ups, and a wv-acc, a pasting and a random_forest fit on the fit-patches
 data (the file ``ensemble.save`` writes); two single trees on the
 fit-patches data, a CSDT with exact midpoints and a gini (error-count) tree
-(the file ``csdt.save`` writes); then one grid experiment's JSON report.
+(the file ``csdt.save`` writes); then the digest of one grid experiment's
+JSON report, followed by one ``grid <algorithm>::<dataset>`` line per cell
+with the repr of its savings_mean and f1_mean, so a change to one learner
+or decision layer shows as the cells whose lines move.
 Each model gets three lines: the digest of its file; an ``arrays`` line,
 the digest of its trees' eight ``csdt.Tree`` arrays and its combiner
 parameters as they are in memory, which does not depend on the file format;
@@ -108,8 +111,12 @@ def main(seeds: list[int]) -> None:
                 print(seed, name, "arrays", arrays_digest([tree.tree], []))
                 print(seed, name, "predictions", predictions_digest(tree, held_out[name]))
             grid = WORKLOADS["grid"]()
-            report = grid.call(grid.setup(seed, work), None).to_json()
-            print(seed, "grid", hashlib.sha256(report.encode()).hexdigest())
+            report = grid.call(grid.setup(seed, work), None)
+            print(seed, "grid", hashlib.sha256(report.to_json().encode()).hexdigest())
+            for a in report.algorithms:
+                for d in report.datasets:
+                    cell = report.cells[(a, d)]
+                    print(seed, "grid", f"{a}::{d}", repr(cell.savings_mean), repr(cell.f1_mean))
 
 
 if __name__ == "__main__":

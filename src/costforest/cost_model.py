@@ -40,7 +40,6 @@ class CostedDataset:
         costs: np.ndarray,
         feature_names: Sequence[str] | None = None,
         strict: bool = True,
-        validate: bool = True,
     ):
         # copy before freezing: constructing a dataset must not make the
         # caller's arrays read-only or let later caller writes leak in
@@ -49,10 +48,12 @@ class CostedDataset:
         self.costs = np.array(costs, dtype=np.float64, order="C")
         self.feature_names = list(feature_names) if feature_names is not None else None
         self.strict = strict
-        if validate:
-            self._validate()
+        self._validate()
         # cast only after the check, which must see a label of 0.7 as given
         self.y = self.y.astype(np.int64, copy=False)
+        self._freeze()
+
+    def _freeze(self) -> None:
         for arr in (self.X, self.y, self.costs):
             arr.setflags(write=False)
 
@@ -103,14 +104,14 @@ class CostedDataset:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise ValidationError("subset must be nonempty")
-        return CostedDataset(
-            self.X[idx],
-            self.y[idx],
-            self.costs[idx],
-            feature_names=self.feature_names,
-            strict=self.strict,
-            validate=False,
-        )
+        # the gathers are fresh C-ordered arrays of the final dtypes, so they
+        # are frozen as they are, not copied again by __init__
+        sub = CostedDataset.__new__(CostedDataset)
+        sub.X, sub.y, sub.costs = self.X[idx], self.y[idx], self.costs[idx]
+        sub.feature_names = list(self.feature_names) if self.feature_names is not None else None
+        sub.strict = self.strict
+        sub._freeze()
+        return sub
 
     def class_counts(self) -> tuple[int, int]:
         """(N_0, N_1): how many negatives and positives."""

@@ -1,11 +1,13 @@
 """Benchmark harness: savings/F1 statistics, Friedman ranks, perBest.
 
-An experiment grid is algorithms x datasets x repetitions. Each repetition
-re-draws the algorithm's training resample and learner seed while the
-train/valid/test split stays fixed, then scores savings and F1 on the test
-set. Mean savings feed the Friedman ranking (rank 1 = highest savings,
-ties averaged) and the perBest statistic (mean percentage of the per-dataset
-best savings).
+An experiment grid is algorithms x datasets x repetitions. Algorithms with
+the same learner, learner config and sampling form a fit group: they differ
+only in their decision layer, such as ci against bmr. Each repetition draws
+the group's training resample and learner seed once, fits once, and scores
+each member's predictions with savings and F1 on the test set, while the
+train/valid/test split stays fixed. Mean savings feed the Friedman ranking
+(rank 1 = highest savings, ties averaged) and the perBest statistic (mean
+percentage of the per-dataset best savings).
 """
 
 from __future__ import annotations
@@ -228,56 +230,82 @@ def _learner_config(algo: AlgorithmSpec, seed: int):
 
 
 def _fit_predict(
-    algo: AlgorithmSpec, train: CostedDataset, test: CostedDataset, seed: int
-) -> np.ndarray:
-    """Train one entrant on (possibly resampled) data, predict the test set."""
-    method = SAMPLING_CODES[algo.sampling]
+    algos: list[AlgorithmSpec], train: CostedDataset, test: CostedDataset, seed: int
+) -> list[np.ndarray]:
+    """Train the learner of a fit group once on (possibly resampled) data, then
+    predict the test set with each member's decision layer, in member order."""
+    method = SAMPLING_CODES[algos[0].sampling]
     if method is not None:
         train = sampling.resample(train, sampling.SamplingSpec(method, seed))
 
-    config = _learner_config(algo, seed)
-    if algo.learner == "lr":
+    learner = algos[0].learner
+    config = _learner_config(algos[0], seed)
+    if learner == "lr":
         model = baselines.train_logistic(train, config)
-    elif algo.learner in ("dt", "csdt"):
+    elif learner in ("dt", "csdt"):
         model = csdt.grow(train, config)
     else:
         model = ensemble.train(train, config)
-    if algo.family == "bmr":
-        return baselines.BmrWrapper(model).predict_on(test)
-    return model.predict_many(test.X)
+    return [
+        baselines.BmrWrapper(model).predict_on(test) if algo.family == "bmr"
+        else model.predict_many(test.X)
+        for algo in algos
+    ]
 
 
 def _std(values: np.ndarray) -> float:
     return 0.0 if values.size <= 1 else float(values.std(ddof=1))
 
 
-def _run_cell(args) -> tuple[int, int, CellResult]:
-    a_idx, d_idx, algo, bundle, repetitions, seed = args
-    sav = np.empty(repetitions)
-    f1 = np.empty(repetitions)
+def _fit_groups(algorithms: list[AlgorithmSpec]) -> list[list[int]]:
+    """Algorithm indices grouped by (learner, learner config, sampling), each
+    group in algorithm order and the groups in order of their first member."""
+    groups: dict[tuple, list[int]] = {}
+    for a_idx, algo in enumerate(algorithms):
+        # the repr, because equal configs may differ in meaning: an
+        # n_examples of 1 is one row, of 1.0 all of them
+        key = (algo.learner, repr(_learner_config(algo, seed=0)), algo.sampling)
+        groups.setdefault(key, []).append(a_idx)
+    return list(groups.values())
+
+
+def _run_cell(args) -> list[tuple[int, int, CellResult]]:
+    """Every repetition of one fit group on one dataset: one result per member.
+
+    A repetition's seed is keyed by the group's first algorithm, so a group
+    of one keeps the seed, resample and result it has on its own.
+    """
+    a_indices, algos, d_idx, bundle, repetitions, seed = args
+    sav = np.empty((len(algos), repetitions))
+    f1 = np.empty((len(algos), repetitions))
     try:
         for rep in range(repetitions):
-            rep_seed = mix64(seed, STREAM_CELLS, a_idx, d_idx, rep)
-            preds = _fit_predict(algo, bundle.train, bundle.test, rep_seed)
-            sav[rep] = savings(bundle.test, preds)
-            f1[rep] = f1_score(bundle.test.y, preds)
-    except Exception as exc:  # cell marked failed, report still emitted
-        return a_idx, d_idx, CellResult(failed=True, error=f"{type(exc).__name__}: {exc}")
-    return a_idx, d_idx, CellResult(
-        savings_mean=float(sav.mean()),
-        savings_std=_std(sav),
-        f1_mean=float(f1.mean()),
-        f1_std=_std(f1),
-        repetitions=repetitions,
-    )
+            rep_seed = mix64(seed, STREAM_CELLS, a_indices[0], d_idx, rep)
+            for m, preds in enumerate(_fit_predict(algos, bundle.train, bundle.test, rep_seed)):
+                sav[m, rep] = savings(bundle.test, preds)
+                f1[m, rep] = f1_score(bundle.test.y, preds)
+    except Exception as exc:  # the group's cells marked failed, report still emitted
+        error = f"{type(exc).__name__}: {exc}"
+        return [(a_idx, d_idx, CellResult(failed=True, error=error)) for a_idx in a_indices]
+    return [
+        (a_idx, d_idx, CellResult(
+            savings_mean=float(sav[m].mean()),
+            savings_std=_std(sav[m]),
+            f1_mean=float(f1[m].mean()),
+            f1_std=_std(f1[m]),
+            repetitions=repetitions,
+        ))
+        for m, a_idx in enumerate(a_indices)
+    ]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
     """Execute the full grid; deterministic for a fixed spec seed and any jobs."""
     spec.validate()
     tasks = [
-        (a_idx, d_idx, algo, bundle, spec.repetitions, spec.seed)
-        for a_idx, algo in enumerate(spec.algorithms)
+        (group, [spec.algorithms[a_idx] for a_idx in group],
+         d_idx, bundle, spec.repetitions, spec.seed)
+        for group in _fit_groups(spec.algorithms)
         for d_idx, (_, bundle) in enumerate(spec.datasets)
     ]
     if jobs > 1:
@@ -288,7 +316,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
 
     algo_names = [a.name for a in spec.algorithms]
     ds_names = [name for name, _ in spec.datasets]
-    cells = {(algo_names[a], ds_names[d]): cell for a, d, cell in outcomes}
+    by_index = {(a, d): cell for group in outcomes for a, d, cell in group}
+    cells = {
+        (algo_names[a], ds_names[d]): by_index[(a, d)]
+        for a in range(len(algo_names)) for d in range(len(ds_names))
+    }
     warnings: list[str] = []
     friedman = per_best_map = None
     if not any(cell.failed for cell in cells.values()):

@@ -95,6 +95,21 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.X[0, 0] = 1.0  # dataset arrays are frozen
 
+    def test_subset_is_frozen_c_ordered_gather_detached_from_parent(self):
+        rng = np.random.default_rng(0)
+        costs = np.tile([3.0, 3, 100, 0], (6, 1)) + rng.random((6, 1))
+        ds = CostedDataset(rng.normal(size=(6, 3)), [1, 0, 1, 1, 0, 0], costs,
+                           feature_names=["a", "b", "c"], strict=False)
+        idx = np.array([4, 0, 4, 2])  # duplicates allowed
+        sub = ds.subset(idx.tolist())
+        for got, parent in ((sub.X, ds.X), (sub.y, ds.y), (sub.costs, ds.costs)):
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert got.dtype == parent.dtype and np.array_equal(got, parent[idx])
+            assert not np.shares_memory(got, parent)
+        assert sub.feature_names == ds.feature_names
+        assert sub.feature_names is not ds.feature_names
+        assert sub.strict is False
+
 
 class TestExampleCost:
     """One example's cost is ``total_cost`` of a dataset of that row alone."""

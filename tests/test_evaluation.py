@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_cost_dataset
-from costforest import ConfigError, ValidationError, ensemble, sampling
+from costforest import ConfigError, ValidationError, baselines, ensemble, sampling, savings
 from costforest.baselines import LrConfig, bmr_predict_dataset, train_logistic
 from costforest.csdt import CsdtConfig, grow, leaf_proba, predict_proba_many, route
 from costforest.data import SplitSpec, split
@@ -10,13 +10,16 @@ from costforest.ensemble import EcsdtConfig
 from costforest.evaluation import (
     AlgorithmSpec,
     ExperimentSpec,
+    _fit_groups,
     _fit_predict,
+    _learner_config,
     f1_score,
     friedman_rank,
     per_best,
     run_experiment,
 )
 from costforest.inducers import InducerConfig
+from costforest.rng import STREAM_CELLS, mix64
 from costforest.sampling import SAMPLING_CODES
 
 
@@ -166,11 +169,7 @@ class TestRunExperiment:
             assert not next(iter(report.cells.values())).failed
 
     def test_jobs_do_not_change_results(self):
-        forest = {"T": 5, "tree": {"max_depth": 3}}
-        algorithms = tiny_algorithms()[:2] + [
-            AlgorithmSpec("ci", "RF-t", "rf", "t", forest),
-            AlgorithmSpec("bmr", "BMR-RF-t", "rf", "t", forest),
-        ]
+        algorithms = tiny_algorithms()[:2] + ci_bmr_pairs()
         spec = ExperimentSpec(algorithms, tiny_bundles()[:1], repetitions=2, seed=9)
         sequential = run_experiment(spec, jobs=1)
         parallel = run_experiment(spec, jobs=2)
@@ -250,5 +249,103 @@ class TestBmrCells:
         if learner == "rf":
             config["T"] = 5
         algo = AlgorithmSpec("bmr", "x", learner, code, config)
-        got = _fit_predict(algo, bundle.train, test, seed)
+        [got] = _fit_predict([algo], bundle.train, test, seed)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def ci_bmr_pairs():
+    """ci and bmr over one forest config, and over one logistic config."""
+    forest = {"T": 5, "tree": {"max_depth": 3}}
+    lr = {"lr": {"n_iter": 50}}
+    return [
+        AlgorithmSpec("ci", "RF-t", "rf", "t", forest),
+        AlgorithmSpec("ci", "LR-t", "lr", "t", lr),
+        AlgorithmSpec("bmr", "BMR-RF-t", "rf", "t", forest),
+        AlgorithmSpec("bmr", "BMR-LR-t", "lr", "t", lr),
+    ]
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestFitGroups:
+    def test_decision_layers_of_one_learner_share_each_fit(self, monkeypatch):
+        forests = count_calls(monkeypatch, ensemble, "train")
+        logistics = count_calls(monkeypatch, baselines, "train_logistic")
+        spec = ExperimentSpec(ci_bmr_pairs(), tiny_bundles(), repetitions=2, seed=6)
+        report = run_experiment(spec, jobs=1)
+        assert not any(cell.failed for cell in report.cells.values())
+        # 2 datasets x 2 repetitions, once per group
+        assert len(forests) == 4 and len(logistics) == 4
+
+    def test_groups_key_on_learner_config_and_sampling(self):
+        forest = {"T": 5}
+        algorithms = [
+            AlgorithmSpec("ci", "a", "rf", "t", forest),
+            AlgorithmSpec("ci", "b", "rf", "u", forest),  # other sampling
+            AlgorithmSpec("bmr", "c", "rf", "t", {"T": 6}),  # other config
+            AlgorithmSpec("bmr", "d", "rf", "t", forest),
+            AlgorithmSpec("ecsdt", "e", "ecsdt", "t", {"n_examples": 1}),
+            AlgorithmSpec("ecsdt", "f", "ecsdt", "t", {"n_examples": 1.0}),  # a fraction
+            AlgorithmSpec("cps", "g", "rf", "u", forest),
+        ]
+        assert _fit_groups(algorithms) == [[0, 3], [1, 6], [2], [4], [5]]
+
+    def test_bmr_cell_reads_the_forest_of_the_ci_cell(self):
+        algorithms = ci_bmr_pairs()
+        (name, bundle), seed = tiny_bundles(4)[0], 21
+        spec = ExperimentSpec(algorithms, [(name, bundle)], repetitions=1, seed=seed)
+        report = run_experiment(spec)
+        # the group's seed is keyed by its first algorithm, RF-t at index 0
+        config = _learner_config(algorithms[0], mix64(seed, STREAM_CELLS, 0, 0, 0))
+        forest = ensemble.train(bundle.train, config)
+        test = bundle.test
+        for algo, preds in [
+            ("RF-t", forest.predict_many(test.X)),
+            ("BMR-RF-t", bmr_predict_dataset(forest_proba(forest, test.X), test)),
+        ]:
+            cell = report.cells[(algo, name)]
+            assert cell.savings_mean == savings(test, preds)
+            assert cell.f1_mean == f1_score(test.y, preds)
+
+    def test_appending_algorithms_keeps_earlier_cells(self):
+        # guard: a cell's result depends only on the algorithms before it in its group
+        algorithms = ci_bmr_pairs()
+        extra = [
+            AlgorithmSpec("ci", "RF-t-again", "rf", "t", {"T": 5, "tree": {"max_depth": 3}}),
+            AlgorithmSpec("cps", "LR-u", "lr", "u", {"lr": {"n_iter": 50}}),
+            *tiny_algorithms(),
+        ]
+        bundles = tiny_bundles()
+        short = run_experiment(ExperimentSpec(algorithms, bundles, repetitions=2, seed=8))
+        long = run_experiment(ExperimentSpec(algorithms + extra, bundles, repetitions=2, seed=8))
+        for key, cell in short.cells.items():
+            assert vars(long.cells[key]) == vars(cell)
+
+    def test_failed_fit_fails_every_cell_of_its_group(self, monkeypatch):
+        logistics = count_calls(monkeypatch, baselines, "train_logistic")
+        diverging = {"lr": {"learning_rate": 1e12}}
+        algorithms = [
+            AlgorithmSpec("ci", "LR-broken", "lr", "t", diverging),
+            *tiny_algorithms()[:1],
+            AlgorithmSpec("bmr", "BMR-LR-broken", "lr", "t", diverging),
+        ]
+        spec = ExperimentSpec(algorithms, tiny_bundles()[:1], repetitions=2, seed=3)
+        with np.errstate(over="ignore"):
+            report = run_experiment(spec)
+        assert len(logistics) == 1  # the group's one fit, which raised
+        broken = [report.cells[(a, "synth0")] for a in ("LR-broken", "BMR-LR-broken")]
+        for cell in broken:
+            assert cell.failed and "diverged" in cell.error
+        assert broken[0].error == broken[1].error
+        assert not report.cells[("DT-t", "synth0")].failed
+        assert report.friedman is None

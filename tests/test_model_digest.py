@@ -1,5 +1,6 @@
 """Smoke test of ``scripts/model_digest.py``, the byte-identity check that a
-refactor claiming no behaviour change compares against its parent commit.
+refactor claiming no behaviour change compares against its parent commit,
+and that shows which grid cells a declared change moves.
 The digests themselves are not pinned: they change with every deliberate
 behaviour change."""
 
@@ -19,7 +20,9 @@ def test_one_seed_prints_three_lines_per_model_then_the_grid(capsys, monkeypatch
     spec.loader.exec_module(script)
     script.main([7])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 25
+    grid_algorithms = sys.modules["workloads"].GRID_ALGORITHMS
+    cells = [(a.name, d) for a in grid_algorithms for d in ("fraud-0", "fraud-1")]
+    assert len(lines) == 25 + len(cells)
     names = []
     for file_line, arrays_line, predictions_line in zip(
         lines[0:24:3], lines[1:24:3], lines[2:24:3]
@@ -31,3 +34,7 @@ def test_one_seed_prints_three_lines_per_model_then_the_grid(capsys, monkeypatch
     assert len(set(names)) == 8
     assert not any(name.endswith((" arrays", " predictions")) for name in names)
     assert re.fullmatch(f"7 grid {DIGEST}", lines[24])
+    for (a, d), line in zip(cells, lines[25:]):
+        cell = re.escape(f"{a}::{d}")
+        savings_mean, f1_mean = re.fullmatch(f"7 grid {cell} (\\S+) (\\S+)", line).groups()
+        assert float(savings_mean) < 1 and 0 <= float(f1_mean) <= 1
