@@ -99,22 +99,16 @@ class GaConfig:
             raise ConfigError(f"mutation_sigma must be >= 0, got {self.mutation_sigma}")
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function of ``z``, written into ``out`` (which may be ``z``).
+def _sigmoid(z) -> np.ndarray:
+    """Logistic function of ``z``.
 
     With e = exp(-|z|) it is 1 / (1 + e) where z >= 0 and e / (1 + e)
     elsewhere, so no exp can overflow; a NaN passes through with its sign.
     """
     z = np.asarray(z, dtype=np.float64)
     nonneg = z >= 0
-    e = np.empty_like(z) if out is None else out
-    np.copyto(e, z)
-    np.negative(e, out=e, where=nonneg)
-    np.exp(e, out=e)
-    denom = e + 1.0
-    np.divide(e, denom, out=e)
-    np.divide(1.0, denom, out=e, where=nonneg)
-    return e
+    e = np.exp(np.where(nonneg, -z, z))
+    return np.where(nonneg, 1 / (1 + e), e / (1 + e))
 
 
 def as_vote_matrix(base_predictions) -> np.ndarray:
@@ -257,7 +251,7 @@ def fit_stacking(
     intercept -0.5, so all-positive votes score just above one half).
     """
     ga = ga or GaConfig()
-    ga.validate()  # before the population sizes a buffer
+    ga.validate()
     votes = as_vote_matrix(base_predictions)
     T = votes.shape[0]
     if votes.shape[1] != dataset.n:
@@ -274,15 +268,9 @@ def fit_stacking(
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     pattern_slope = np.bincount(inverse, weights=cost1 - cost0)
     patterns_f = votes[:, first].astype(np.float64)
-    # one (population, m) buffer serves every batch: the whole population
-    # first, then each generation's children
-    z_buffer = np.empty((ga.population, patterns_f.shape[1]))
 
     def objective(pop: np.ndarray) -> np.ndarray:
-        z = z_buffer[: pop.shape[0]]
-        np.matmul(pop[:, 1:], patterns_f, out=z)
-        z += pop[:, :1]
-        return _sigmoid(z, out=z) @ pattern_slope + offset
+        return _sigmoid(pop[:, 1:] @ patterns_f + pop[:, :1]) @ pattern_slope + offset
 
     uniform = np.concatenate([[-0.5], np.full(T, 1.0 / T)])
     result = ga_minimize(objective, T + 1, ga, seeds=[np.zeros(T + 1), uniform])

@@ -57,11 +57,13 @@ class CsdtConfig:
     A node searches all its candidate features in one pass.
     candidate_thresholds "exact_midpoints" tries every midpoint of
     consecutive distinct values; "quantiles" caps per-node work at
-    ``n_quantiles`` cut points per feature, numpy's "linear" quantiles of
-    the node's column; a zero quantile threshold is always +0.0, even where
-    the column holds -0.0. A threshold always puts the cut exactly where it
-    was scored: a midpoint that rounds up to the upper value is replaced by
-    the lower value.
+    ``n_quantiles`` - 1 cuts per feature: quantile j of a node of n rows
+    lies at the exact index (n - 1) j / n_quantiles, and its cut sends the
+    run of equal values holding that index's integer part left. Its
+    threshold is numpy's "linear" interpolation there; a zero threshold
+    is always +0.0, even where the column holds -0.0. A threshold always
+    puts the cut exactly where it was scored: one that rounds or
+    overflows out of the cut's two values is replaced by the lower value.
     """
 
     max_depth: int = 10
@@ -97,8 +99,8 @@ class Tree:
     rows: the cost of predicting all-0 and all-1 (pairwise sums over the
     rows in increasing order), their count and their positive count. Model
     files store the eight arrays as they are (see :func:`tree_from_dict`).
-    The arrays are read-only. An integer field takes only integers: a
-    fractional value is a ValidationError (see :func:`as_integers`).
+    The arrays are read-only. Every field takes only numbers, and an
+    integer field only integers (see :func:`as_floats`, :func:`as_integers`).
     """
 
     feature: np.ndarray
@@ -115,7 +117,7 @@ class Tree:
                   np.int64)
         for field, dtype in zip(fields(self), dtypes):
             value = getattr(self, field.name)
-            array = (np.array(value, dtype=dtype) if dtype is np.float64
+            array = (as_floats(value, field.name) if dtype is np.float64
                      else as_integers(value, field.name, dtype))
             array.setflags(write=False)
             object.__setattr__(self, field.name, array)
@@ -125,14 +127,27 @@ class Tree:
         return self.feature.size
 
 
+def _numbers(values, name: str) -> np.ndarray:
+    """``values`` as an array, checked to hold numbers only: text, a boolean
+    or null is a ValueError, as a model file holds numbers as JSON numbers."""
+    given = np.asarray(values)
+    listed = values if isinstance(values, list) else [values]
+    if given.dtype.kind not in "iuf" or any(v is True or v is False for v in listed):
+        raise ValueError(f"{name} must hold numbers only, not text, booleans or null")
+    return given
+
+
+def as_floats(values, name: str) -> np.ndarray:
+    """``values`` as a new float64 array, checked before the cast (see :func:`_numbers`)."""
+    return _numbers(values, name).astype(np.float64)
+
+
 def as_integers(values, name: str, dtype=np.int64) -> np.ndarray:
     """``values`` as a new integer array, checked before the cast: a
-    fractional value is a ValidationError, text a ValueError."""
-    given = np.asarray(values)
-    if given.dtype.kind in "bi":
+    fractional value is a ValidationError, a non-number a ValueError."""
+    given = _numbers(values, name)
+    if given.dtype.kind in "iu":
         return given.astype(dtype)
-    if given.dtype.kind in "US":
-        raise ValueError(f"{name} holds text, not numbers")
     with np.errstate(invalid="ignore"):
         array = np.array(values, dtype=dtype)
     changed = array != given
@@ -193,13 +208,6 @@ def _prediction_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray
     return dataset.costs_if_predicted()
 
 
-def _cut_levels(config: CsdtConfig) -> np.ndarray | None:
-    """Quantile levels of the candidate cuts, or None for exact midpoints."""
-    if config.candidate_thresholds == "exact_midpoints":
-        return None
-    return np.linspace(0.0, 1.0, config.n_quantiles + 1)[1:-1]
-
-
 def column_ranks(X: np.ndarray) -> np.ndarray:
     """Each value's position in a stable sort of its column.
 
@@ -220,7 +228,7 @@ def _best_split(
     cost0: np.ndarray,
     cost1: np.ndarray,
     n: np.ndarray,
-    levels: np.ndarray | None,
+    q: int | None,
     parent: np.ndarray,
 ) -> list[tuple[float, int, float] | None]:
     """Max-gain (gain, column, threshold) of each node of a padded block.
@@ -236,19 +244,25 @@ def _best_split(
 
     A cut at position p sends the first p + 1 examples of a column's sort
     left, so only the last of a run of equal values is a cut, and a node's
-    last position is none. With ``levels`` None every run end is a
-    candidate, with the midpoint as threshold. Otherwise the candidates are
-    the run ends that the column's quantiles at ``levels`` fall in, each
-    keeping its first quantile as threshold. A block with no more
-    positions than levels (``width - 1 <= levels.size``) computes the gain
-    once per position, as exact mode does, and keeps the positions some
-    cut reaches (``_cut_positions``); a larger block computes it once per
-    level. Both give the same floats. Every
-    threshold sends exactly the examples it was scored with to the left.
-    Ties go to the first column, then the first position. Pads add zero to
-    the running sums and lie past every cut, so each node gets the answer
-    it would get alone in an unpadded block: its (gain, column, threshold),
-    or None if no column has a cut.
+    last position is none. With ``q`` None every run end is a candidate,
+    with the midpoint as threshold. Otherwise quantile j (0 < j < q) of a
+    node of s examples lies at the exact index (s - 1) j / q, computed in
+    integers as ``lo, rem = divmod((s - 1) * j, q)``, and the candidates
+    are the run ends of the runs that hold some ``lo``. A block with no
+    more positions than quantiles (``width - 1 < q``) computes the gain
+    once per position, as exact mode does; a larger block computes it once
+    per quantile. Only each node's winning cut gets a threshold: the
+    midpoint, or the first quantile in the winning run interpolated as
+    numpy's "linear" quantiles are, at weight w = ``rem / q``: lower +
+    diff * w, or upper - diff * (1 - w) if w >= 0.5 (the run's value
+    unless that ``lo`` is the run end), plus 0.0 so that a zero
+    threshold is +0.0. A threshold that is not at least the run's value
+    and below the next value (a rounded or overflowing one) is the run's
+    value, so every threshold sends exactly the examples it was scored
+    with to the left. Ties go to the first column, then the first
+    candidate. Pads add zero to the running sums and lie past every cut,
+    so each node gets the answer it would get alone in an unpadded block:
+    its (gain, column, threshold), or None if no column has a cut.
     """
     rows, width = columns.shape
     n_nodes = parent.size
@@ -271,67 +285,59 @@ def _best_split(
         i_right = np.minimum(total0 - left0, total1 - left1)
         return parent - (n_left / size) * i_left - ((size - n_left) / size) * i_right
 
-    # a block with no more positions than levels is scored per position
-    by_position = levels is not None and width - 1 <= levels.size
-    if levels is None or by_position:
+    by_position = q is None or width - 1 < q
+    if by_position:
         gains = gains_at(
             cum0[:, :-1].reshape(by_node), cum1[:, :-1].reshape(by_node), np.arange(1, width)
         )
-    if levels is None:
-        # Sorted values never decrease, so >= finds the ends of runs of
-        # equal values; it also finds the last example of a padded row,
-        # whose -inf pads follow it, and every pad.
-        gains[(sv[:, :-1] >= sv[:, 1:]).reshape(by_node)] = -np.inf
-    elif by_position:
-        reached, cuts = _cut_positions(sv, n[::n_cols], levels, last)
-        gains[~reached] = -np.inf
+        # Sorted values never decrease, so < finds the ends of runs of equal
+        # values; a node's last example is followed by -inf pads, if any.
+        cut = sv[:, :-1] < sv[:, 1:]
+        if q is not None:
+            # lo >= start iff (s - 1) j >= start q, so the first quantile at
+            # or after a run's start is max(1, ceil(start q / (s - 1))), and
+            # the run's end is a candidate if that quantile's lo is in the run
+            positions = np.arange(width - 1)
+            start = np.zeros(cut.shape, dtype=np.intp)
+            np.maximum.accumulate(cut[:, :-1] * positions[1:], axis=1, out=start[:, 1:])
+            first = np.maximum(-(-start * q // top), 1)
+            cut &= first * top // q <= positions
+        gains[~cut.reshape(by_node)] = -np.inf
     else:
-        # numpy's "linear" quantile, interpolated on the sorted block with
-        # the arithmetic of numpy's _lerp: cut j of a row lies between the
-        # values at positions lo[j] and hi[j]. Adding 0.0 makes a zero cut
-        # +0.0 whichever signed zero the column holds.
-        virtual = top * levels
-        lo = np.floor(virtual).astype(np.intp)
-        hi = np.minimum(lo + 1, top)
-        gamma = virtual - lo
-        lo += offset
-        hi += offset
-        below, above = sv.take(lo), sv.take(hi)
-        cuts = _lerp(below, above, above - below, gamma)
-        cuts += 0.0
-        # A cut below the value at hi sends positions up to lo left, else up
-        # to the end of that value's run: the first run end at or after hi,
-        # searched among the flat indices of every row's run ends (a node's
-        # last example ends a run, as its pads differ from it). So cut
-        # positions never decrease with j, and equal ones score equal
-        # gains: the first largest gain of a row is at its first largest
-        # distinct cut, and its j at that cut's first quantile.
+        # each quantile's lo moves to the end of its run: the first run end
+        # at or after it, searched among the flat indices of every row's run
+        # ends (a node's last example ends a run, as its pads differ from it)
+        lo = (n[::n_cols, None] - 1) * np.arange(1, q) // q
         ends = _run_ends(sv)
-        at = np.where(cuts < above, lo, ends[ends.searchsorted(hi)])
+        at = ends.take(ends.searchsorted(lo.repeat(n_cols, axis=0) + offset))
         gains = gains_at(
             cum0.take(at).reshape(by_node), cum1.take(at).reshape(by_node),
             (at - offset + 1).reshape(by_node),
         )
-        # Only an overflowing difference leaves a cut non-finite, and then it
-        # sends no example or every example left, as the last position does.
-        gains[((at == last) | ~np.isfinite(cuts)).reshape(by_node)] = -np.inf
-    found: list[tuple[float, int, float] | None] = []
-    step = gains.shape[2]
-    for b, best in enumerate(gains.reshape(n_nodes, -1).argmax(axis=1).tolist()):
-        col, j = divmod(best, step)
-        r = b * n_cols + col
-        gain = gains[b, col, j]
-        if gain == -np.inf:
-            found.append(None)
-            continue
-        if levels is None:
-            lower, upper = sv[r, j], sv[r, j + 1]
-            threshold = 0.5 * (lower + upper)
-            if not threshold < upper:  # the midpoint of adjacent doubles can round up
-                threshold = lower
+        gains[(at == last).reshape(by_node)] = -np.inf
+    # Each node's winner: its first largest gain, which is at the first
+    # column and, as the cut positions never decrease with the quantile, at
+    # the first quantile in the winning run.
+    flat = gains.reshape(n_nodes, -1)
+    best, gain = flat.argmax(axis=1), flat.max(axis=1)
+    won = np.flatnonzero(gain > -np.inf)
+    col, pick = np.divmod(best[won], gains.shape[2])
+    r = won * n_cols + col
+    e = pick if by_position else at[r, pick] - r * width
+    lower, upper = sv[r, e], sv[r, e + 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # differences may overflow
+        if q is None:
+            cuts = 0.5 * (lower + upper)
         else:
-            threshold = cuts[r, j]
-        found.append((float(gain), col, float(threshold)))
+            j = first[r, e] if by_position else pick + 1
+            lo, rem = np.divmod((n[r] - 1) * j, q)
+            gamma = np.where(lo == e, rem / q, 0.0)
+            diff = upper - lower
+            cuts = np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
+        cuts = np.where((lower <= cuts) & (cuts < upper), cuts, lower) + 0.0
+    found: list[tuple[float, int, float] | None] = [None] * n_nodes
+    for b, g, c, threshold in zip(won.tolist(), gain[won].tolist(), col.tolist(), cuts.tolist()):
+        found[b] = (g, c, threshold)
     return found
 
 
@@ -341,76 +347,6 @@ def _run_ends(sv: np.ndarray) -> np.ndarray:
     run_end[:, -1] = True
     np.not_equal(sv[:, :-1], sv[:, 1:], out=run_end[:, :-1])
     return run_end.ravel().nonzero()[0]
-
-
-def _lerp(below: np.ndarray, above: np.ndarray, diff: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """numpy's linear quantile between two values, with the arithmetic of its _lerp."""
-    cuts = below + diff * gamma
-    np.subtract(above, diff * (1 - gamma), out=cuts, where=gamma >= 0.5)
-    return cuts
-
-
-def _cut_positions(
-    sv: np.ndarray, size: np.ndarray, levels: np.ndarray, last: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The positions that some quantile cut reaches, and the first such cut.
-
-    ``sv`` is a sorted, padded (nodes * F, width) block, ``size`` each
-    node's example count and ``last`` each row's flat index of its last
-    example. Returns a boolean (nodes, F, width - 1) array of the positions
-    that the cuts at ``levels`` send examples up to, and a (rows, width - 1)
-    array of each reached position's threshold: that of its first level.
-    This is what scoring the levels one by one finds, computed once per
-    position, so it pays off when a block has no more positions than levels.
-
-    The levels whose cut lies between the values at positions p and p + 1
-    of a node (numpy's lower index p) form a group. Their cuts never
-    decrease, so the group reaches p if its first cut is below the upper
-    value, and the end of that value's run if its last cut is not. A run
-    end reached from an earlier group's upper value takes that value (plus
-    0.0) as threshold, since its levels come first; otherwise p takes the
-    first cut (plus 0.0). A non-finite cut (an overflowing difference)
-    reaches nothing, and no cut reaches a node's last position.
-    """
-    rows, width = sv.shape
-    n_nodes, n_pos = size.size, width - 1
-    virtual = (size - 1)[:, None] * levels
-    lo = virtual.astype(np.intp)  # the floor, as virtual >= 0
-    gamma = (virtual - lo).ravel()
-    # Each group's first and last interpolation weight, at its (node,
-    # position) cell, NaN where no level falls. A node's last position
-    # reaches nothing: its upper value is a -inf pad, or the cell lies past
-    # the positions of the block.
-    cell = (lo + np.arange(0, n_nodes * width, width)[:, None]).ravel()
-    first = np.empty(cell.size, dtype=bool)
-    first[0] = True
-    np.not_equal(cell[1:], cell[:-1], out=first[1:])
-    final = np.append(first[1:], True)
-    gamma_first, gamma_last = np.full((2, n_nodes * width), np.nan)
-    gamma_first[cell[first]] = gamma[first]
-    gamma_last[cell[final]] = gamma[final]
-    gamma_first, gamma_last = (g.reshape(n_nodes, 1, width)[:, :, :-1]
-                               for g in (gamma_first, gamma_last))
-    by_node = (n_nodes, rows // n_nodes, n_pos)
-    below, above = sv[:, :-1].reshape(by_node), sv[:, 1:].reshape(by_node)
-    with np.errstate(invalid="ignore", over="ignore"):  # pads are -inf
-        diff = above - below
-        cuts = _lerp(below, above, diff, gamma_first)
-        last_cuts = _lerp(below, above, diff, gamma_last)
-        reached = (cuts < above) & np.isfinite(cuts)
-        tie = (last_cuts >= above) & np.isfinite(last_cuts)
-    cuts = cuts.reshape(rows, n_pos)
-    tie = tie.ravel().nonzero()[0]
-    if tie.size:
-        # the first run end at or after the upper value's position
-        ends = _run_ends(sv)
-        end = ends.take(ends.searchsorted(tie + tie // n_pos + 1))
-        end = end[end < last.take(end // width)]
-        cell = end - end // width
-        reached.ravel()[cell] = True
-        cuts.ravel()[cell] = sv.take(end)
-    cuts += 0.0
-    return reached, cuts
 
 
 def grow(
@@ -461,9 +397,9 @@ def grow(
     elif ranks.shape != train.X.shape:
         raise ValidationError(f"ranks have shape {ranks.shape}, expected {train.X.shape}")
     sampled = node_features is not None and node_features < n_cols
-    levels = _cut_levels(config)
+    q = config.n_quantiles if config.candidate_thresholds == "quantiles" else None
     # nodes that _best_split scores by position share one bucket
-    small = 0 if levels is None else levels.size + 1
+    small = q or 0
     # One row per searched feature, and a pad column past the last example:
     # value -inf, the largest key and zero costs, so pads sort after every
     # example and add nothing.
@@ -518,7 +454,7 @@ def grow(
             cost0.take(rows),
             cost1.take(rows),
             sizes.repeat(per_node),
-            levels,
+            q,
             np.array([min(nodes[i][4:6]) for i, *_ in bucket]),
         )
         for b, ((i, idx, depth, _), best) in enumerate(zip(bucket, found)):
@@ -744,9 +680,10 @@ def tree_from_dict(arrays: dict, k: int) -> Tree:
 
 
 def tree_dict_from_v1(root: dict) -> dict:
-    """The arrays of a version-1 file's nested ``rule``/``leaf`` tree, built without
-    recursion. Version 1 stored statistics at the leaves only, so an internal
-    node gets its children's sums and the class of the cheaper sum."""
+    """The arrays of a version-1 file's nested ``rule``/``leaf`` tree, as the
+    lists :func:`tree_from_dict` reads, built without recursion. Version 1
+    stored statistics at the leaves only, so an internal node gets its
+    children's sums and the class of the cheaper sum."""
     rows: list[list] = []  # one row of Tree's fields per node, in preorder; 3 at a rule
     pending = [(root, -1)]  # (node, the row whose right child it is, or -1)
     while pending:
@@ -755,10 +692,10 @@ def tree_dict_from_v1(root: dict) -> dict:
             rows[parent][2] = len(rows)
         if isinstance(node, dict) and "leaf" in node:
             leaf = node["leaf"]
-            rows.append([-1, 0.0, -1, leaf["class"], float(leaf["cost_f0"]),
-                         float(leaf["cost_f1"]), leaf["n"], leaf["n_pos"]])
+            rows.append([-1, 0.0, -1, leaf["class"], leaf["cost_f0"], leaf["cost_f1"], leaf["n"],
+                         leaf["n_pos"]])
         elif isinstance(node, dict) and {"rule", "left", "right"} <= node.keys():
-            rows.append([node["rule"]["feature"], float(node["rule"]["threshold"]), -1])
+            rows.append([node["rule"]["feature"], node["rule"]["threshold"], -1])
             pending += [(node["right"], len(rows) - 1), (node["left"], -1)]
         else:
             raise ValidationError("a tree node is neither a leaf nor a rule with both children")
@@ -767,7 +704,7 @@ def tree_dict_from_v1(root: dict) -> dict:
             left, right = rows[i + 1], rows[rows[i][2]]
             s0, s1 = left[4] + right[4], left[5] + right[5]
             rows[i] += [0 if s0 <= s1 else 1, s0, s1, left[6] + right[6], left[7] + right[7]]
-    return tree_to_dict(Tree(*zip(*rows)))
+    return {field.name: list(column) for field, column in zip(fields(Tree), zip(*rows))}
 
 
 def model_to_dict(model: CsdtModel) -> dict:
@@ -792,10 +729,18 @@ def check_model_header(data, kind: str) -> str:
     return version
 
 
+def read_k(data: dict) -> int:
+    """A model file's feature count ``k``: an integer >= 1."""
+    k = as_integers(data["k"], "k")
+    if k.ndim or k < 1:
+        raise ValidationError(f"k must be an integer >= 1, got {data['k']!r}")
+    return int(k)
+
+
 def model_from_dict(data: dict) -> CsdtModel:
     version = check_model_header(data, "csdt")
     try:
-        k = int(data["k"])
+        k = read_k(data)
         arrays = data["tree"] if version == FORMAT_VERSION else tree_dict_from_v1(data["root"])
         config = from_json(CsdtConfig, data["config"], "config", complete=True)
         return CsdtModel(tree_from_dict(arrays, k), config, k)

@@ -190,7 +190,7 @@ def model_from_dict(data: dict) -> EnsembleModel:
     try:
         weights = data.get("weights")
         stacking = data.get("stacking")
-        k = int(data["k"])
+        k = csdt.read_k(data)
         config = from_json(EcsdtConfig, data["config"], "config", complete=True)
         subsets = data["feature_subsets"]
         stored = data["base_models"]
@@ -201,21 +201,29 @@ def model_from_dict(data: dict) -> EnsembleModel:
         model = EnsembleModel(
             trees=[_read_tree(arrays, subset, k, j)
                    for j, (arrays, subset) in enumerate(zip(stored, subsets))],
-            oob_savings=np.asarray(data["oob_savings"], dtype=np.float64),
+            oob_savings=csdt.as_floats(data["oob_savings"], "oob_savings"),
             combiner=data["combiner"],
             config=config,
             k=k,
-            weights=None if weights is None else WeightVector(np.asarray(weights)),
+            weights=None if weights is None else WeightVector(csdt.as_floats(weights, "weights")),
             stacking=None if stacking is None else StackingWeights(
-                betas=np.asarray(stacking["betas"]),
-                intercept=float(stacking["intercept"]),
-                threshold=float(stacking["threshold"]),
+                betas=csdt.as_floats(stacking["betas"], "betas"),
+                intercept=_read_scalar(stacking, "intercept"),
+                threshold=_read_scalar(stacking, "threshold"),
             ),
         )
     except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed ensemble model: {type(exc).__name__}: {exc}") from None
     _check_consistent(model)
     return model
+
+
+def _read_scalar(stacking: dict, name: str) -> float:
+    """The stacking parameter ``name``: one number."""
+    value = csdt.as_floats(stacking[name], name)
+    if value.ndim:
+        raise ValidationError(f"{name} must be a number, got {stacking[name]!r}")
+    return float(value)
 
 
 def _read_tree(arrays: dict, subset: list | None, k: int, j: int) -> csdt.Tree:
@@ -236,14 +244,14 @@ def _read_tree(arrays: dict, subset: list | None, k: int, j: int) -> csdt.Tree:
 
 def _check_consistent(model: EnsembleModel) -> None:
     """Reject a loaded model whose parts disagree on T, k or the combiner."""
-    lengths = {
-        "oob_savings": model.oob_savings.size,
-        "weights": None if model.weights is None else model.weights.alphas.size,
-        "betas": None if model.stacking is None else model.stacking.betas.size,
+    shapes = {
+        "oob_savings": model.oob_savings.shape,
+        "weights": None if model.weights is None else model.weights.alphas.shape,
+        "betas": None if model.stacking is None else model.stacking.betas.shape,
     }
-    wrong = {name: size for name, size in lengths.items() if size not in (None, model.T)}
+    wrong = {name: shape for name, shape in shapes.items() if shape not in (None, (model.T,))}
     if wrong:
-        raise ValidationError(f"model has {model.T} base models but lengths {wrong}")
+        raise ValidationError(f"model has {model.T} base models but shapes {wrong}")
     if (
         model.combiner not in combiners.COMBINER_KINDS
         or (model.combiner in ("wv", "wv-acc")) != (model.weights is not None)

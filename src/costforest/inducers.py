@@ -45,6 +45,8 @@ class InducerConfig:
             value = getattr(self, name)
             if isinstance(value, float) and not 0.0 < value <= 1.0:
                 raise ConfigError(f"fractional {name} must be in (0, 1], got {value}")
+            if isinstance(value, int) and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
     def resolved_n_examples(self, n: int) -> int:
         # with-replacement draws may exceed N; pasting is checked separately

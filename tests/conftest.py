@@ -375,6 +375,11 @@ def route_oracle(model: CsdtModel, X: np.ndarray, value) -> list:
     return out
 
 
+def quantile_count(config: CsdtConfig) -> int | None:
+    """The ``q`` that ``csdt._best_split`` takes for ``config``: None for exact midpoints."""
+    return config.n_quantiles if config.candidate_thresholds == "quantiles" else None
+
+
 def grow_oracle(
     train: CostedDataset,
     config: CsdtConfig | None = None,
@@ -391,7 +396,7 @@ def grow_oracle(
     """
     config = config or CsdtConfig()
     cost0, cost1 = _oracle_costs(train, config.impurity)
-    levels = csdt._cut_levels(config)
+    q = quantile_count(config)
     table, key_table = train.X.T, csdt.column_ranks(train.X).T
     nodes: list[list] = []  # one row of Tree's fields per node, in preorder
 
@@ -414,7 +419,7 @@ def grow_oracle(
         block = table[np.ix_(columns, idx)]
         [found] = csdt._best_split(
             block, key_table[np.ix_(columns, idx)], c0[None], c1[None],
-            np.full(columns.size, idx.size), levels, np.array([min(s0, s1)]),
+            np.full(columns.size, idx.size), q, np.array([min(s0, s1)]),
         )
         if found is None or found[0] <= config.min_gain:
             return

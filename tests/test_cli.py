@@ -220,8 +220,15 @@ class TestPredictInputChecks:
         ("2", lambda d: d["stacking"].update(threshold=float("nan")), "stacking threshold"),
         ("2", lambda d: d["stacking"].update(threshold=float("-inf")), "stacking threshold"),
         ("wv", lambda d: d["weights"].__setitem__(0, float("nan")), "finite"),
+        ("2", lambda d: d.update(k=1.5), "k holds 1.5, which is not an integer"),
+        ("2", lambda d: d.update(k=True), "k must hold numbers only"),
+        ("2", lambda d: d["stacking"].update(betas=[str(b) for b in d["stacking"]["betas"]]),
+         "betas must hold numbers only"),
+        ("wv", lambda d: d["base_models"][0]["threshold"].__setitem__(0, "0.5"),
+         "threshold must hold numbers only"),
     ], ids=["feature-v2", "feature-v1", "rule-without-children-v1", "oob-length",
-            "tree-config", "threshold-nan", "threshold-minus-infinity", "weight-nan"])
+            "tree-config", "threshold-nan", "threshold-minus-infinity", "weight-nan",
+            "k-fractional", "k-true", "betas-text", "tree-threshold-text"])
     def test_malformed_model_exit_2(self, tmp_path, capsys, version, corrupt, message):
         combiner = {"kind": "wv"} if version == "wv" else {
             "kind": "stacking", "ga": {"generations": 2, "population": 8}}
@@ -532,6 +539,10 @@ class TestBenchmark:
          "config of 'CSB-mv-t': fractional n_examples must be in (0, 1], got 1.5"),
         (lambda spec: spec["algorithms"][2]["config"].update(n_features=1.5),
          "config of 'CSB-mv-t': fractional n_features must be in (0, 1], got 1.5"),
+        (lambda spec: spec["algorithms"][2]["config"].update(n_examples=0),
+         "config of 'CSB-mv-t': n_examples must be >= 1, got 0"),
+        (lambda spec: spec["algorithms"][2]["config"].update(n_features=-5),
+         "config of 'CSB-mv-t': n_features must be >= 1, got -5"),
         (lambda spec: spec["algorithms"][1].update(family="bmr"),
          "family 'bmr' needs a learner in ('dt', 'lr', 'rf'), got 'csdt'"),
         (lambda spec: spec["algorithms"][2].update(family="bmr"),

@@ -327,6 +327,19 @@ class TestSerialization:
         (lambda d: d["config"].pop("inducer"), "missing keys"),
         (lambda d: d["base_models"].__setitem__(0, []), "TypeError"),
         (lambda d: d["base_models"][0].pop("n"), "KeyError"),
+        (lambda d: d.update(k=3.9), "k holds 3.9, which is not an integer"),
+        (lambda d: d.update(k=True), "k must hold numbers only"),
+        (lambda d: d.update(k="4"), "k must hold numbers only"),
+        (lambda d: d.update(k=0), "k must be an integer >= 1"),
+        (lambda d: d.update(oob_savings=[str(v) for v in d["oob_savings"]]),
+         "oob_savings must hold numbers"),
+        (lambda d: d.update(weights=[str(v) for v in d["weights"]]), "weights must hold numbers"),
+        (lambda d: d["base_models"][0]["threshold"].__setitem__(0, "0.5"),
+         "threshold must hold numbers"),
+        (lambda d: d["base_models"][2]["cost_f0"].__setitem__(0, True),
+         "cost_f0 must hold numbers"),
+        (lambda d: d.update(weights=[d["weights"]]), "'weights': \\(1, 3\\)"),
+        (lambda d: d.update(oob_savings=[d["oob_savings"]]), "'oob_savings': \\(1, 3\\)"),
     ])
     def test_malformed_model_rejected(self, tmp_path, corrupt, match):
         ds = strict_random_dataset(np.random.default_rng(10), 60, 4)
@@ -365,10 +378,14 @@ class TestSerialization:
         # the stored features count within each subset; the loaded ones are columns
         assert [tree["feature"] for tree in stored["base_models"]] != \
             [tree.feature.tolist() for tree in loaded.trees]
-        for a, b in zip(loaded.trees, model.trees, strict=True):
+        # thresholds are the file's own: its trees cut at numpy's float quantile
+        # index, which the exact integer index has since replaced
+        for a, b, tree in zip(loaded.trees, model.trees, stored["base_models"], strict=True):
+            assert a.threshold.tobytes() == np.array(tree["threshold"]).tobytes()
             for field in dataclasses.fields(csdt.Tree):
-                assert getattr(a, field.name).tobytes() == \
-                    getattr(b, field.name).tobytes(), field.name
+                if field.name != "threshold":
+                    assert getattr(a, field.name).tobytes() == \
+                        getattr(b, field.name).tobytes(), field.name
         assert loaded.oob_savings.tobytes() == model.oob_savings.tobytes()
         assert loaded.weights.alphas.tobytes() == model.weights.alphas.tobytes()
         assert np.array_equal(predict(loaded, ds), predict(model, ds))
@@ -376,8 +393,12 @@ class TestSerialization:
     def test_patch_file_saves_with_null_subsets(self, tmp_path):
         ds, config = patch_file_fit()
         save(load(PATCH_FILE), tmp_path / "m.json")
+        fresh = model_to_dict(train(ds, config))
+        stored = json.loads(PATCH_FILE.read_text())["base_models"]
+        for tree, stored_tree in zip(fresh["base_models"], stored, strict=True):
+            tree["threshold"] = stored_tree["threshold"]  # the file's own, as above
         assert (tmp_path / "m.json").read_bytes() == json.dumps(
-            model_to_dict(train(ds, config)), indent=1, sort_keys=True
+            fresh, indent=1, sort_keys=True
         ).encode()
         assert json.loads((tmp_path / "m.json").read_text())["feature_subsets"] == [None] * 3
 
@@ -392,6 +413,20 @@ class TestSerialization:
         data["stacking"]["betas"].append(1.0)
         (tmp_path / "m.json").write_text(json.dumps(data))
         with pytest.raises(ValidationError, match="betas"):
+            load(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda s: s.update(betas=[str(v) for v in s["betas"]]), "betas must hold numbers"),
+        (lambda s: s.update(intercept=str(s["intercept"])), "intercept must hold numbers"),
+        (lambda s: s.update(threshold=True), "threshold must hold numbers"),
+        (lambda s: s.update(threshold=[0.5]), "threshold must be a number"),
+    ], ids=["betas-text", "intercept-text", "threshold-true", "threshold-list"])
+    def test_stacking_parameters_must_be_numbers(self, tmp_path, corrupt, match):
+        ds = strict_random_dataset(np.random.default_rng(10), 60, 4)
+        data = model_to_dict(train(ds, small_config("stacking", T=3, seed=13)))
+        corrupt(data["stacking"])
+        (tmp_path / "m.json").write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=match):
             load(tmp_path / "m.json")
 
     def test_same_seed_byte_identical_files(self, tmp_path):

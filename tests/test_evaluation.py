@@ -205,6 +205,13 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=f"'{key}[.']"):
             AlgorithmSpec("ci", "x", learner, config={key: nested}).validate()
 
+    @pytest.mark.parametrize("key, value", [("n_examples", 0), ("n_examples", -5),
+                                            ("n_features", 0)])
+    def test_count_below_one_rejected(self, key, value):
+        # rejected up front: at run time every cell of the algorithm would fail
+        with pytest.raises(ConfigError, match=f"config of 'x': {key} must be >= 1, got {value}"):
+            AlgorithmSpec("ci", "x", "ecsdt", config={key: value}).validate()
+
     def test_nested_config_fields_accepted(self):
         config = {"tree": {"max_depth": 3}, "ga": {"population": 8, "generations": 2}}
         AlgorithmSpec("ecsdt", "x", "ecsdt", config=config).validate()
