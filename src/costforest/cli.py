@@ -247,6 +247,7 @@ def _cmd_verify_theory(args) -> int:
         T=args.T, rho=args.rho, n_examples=args.n,
         n_trials=args.trials, seed=args.seed or 0,
     )
+    params.validate()
     closed = theory.ensemble_correct_prob(args.T, args.rho)
     mc = theory.mc_majority_correct(args.T, args.rho, args.mc_samples, seed=params.seed)
     lemma = theory.simulate_lemma1(params)

@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import baselines, csdt, ensemble, sampling
 from .combiners import GaConfig
@@ -84,9 +83,12 @@ def friedman_rank(score_table: np.ndarray) -> np.ndarray:
         raise ValidationError(f"score table must be 2-D and nonempty, got {table.shape}")
     if not np.isfinite(table).all():
         raise ValidationError("score table has missing or non-finite cells")
-    ranks = np.column_stack(
-        [rankdata(-table[:, d], method="average") for d in range(table.shape[1])]
-    )
+    ranks = np.empty_like(table)
+    for d, column in enumerate(-table.T):
+        # equal values share the mean of their ranks: the group's last rank
+        # minus (count - 1) / 2, an exact half; np.unique ties -0.0 with 0.0
+        _, group, counts = np.unique(column, return_inverse=True, return_counts=True)
+        ranks[:, d] = (np.cumsum(counts) - (counts - 1) / 2)[group]
     return ranks.mean(axis=1)
 
 
@@ -301,6 +303,8 @@ def _run_cell(args) -> list[tuple[int, int, CellResult]]:
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
     """Execute the full grid; deterministic for a fixed spec seed and any jobs."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     spec.validate()
     tasks = [
         (group, [spec.algorithms[a_idx] for a_idx in group],

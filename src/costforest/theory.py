@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, ValidationError
 from .rng import STREAM_TRIALS, make_rng
@@ -73,7 +72,8 @@ def ensemble_correct_prob(T: int, rho: float) -> float:
     rational, so for moderate T the tail is evaluated exactly in rational
     arithmetic and rounded once: the symmetric case rho = 1/2 comes out as
     exactly 0.5 and the tail never dips below rho by rounding dust. Very
-    large T (up to 10001) uses log-domain binomial coefficients instead.
+    large T (up to 10001) sums log-domain terms instead, the binomial
+    coefficients taken from ``math.lgamma``.
     """
     if T < 3:
         raise ConfigError(f"majority-vote analysis needs T >= 3, got {T}")
@@ -94,12 +94,13 @@ def ensemble_correct_prob(T: int, rho: float) -> float:
             total += math.comb(T, j) * power
             power *= ratio_step
         return float(total)
-    j = np.arange(lo, T + 1, dtype=np.float64)
+    log_p, log_q = math.log(rho), math.log1p(-rho)
     log_terms = (
-        gammaln(T + 1) - gammaln(j + 1) - gammaln(T - j + 1)
-        + j * math.log(rho) + (T - j) * math.log1p(-rho)
+        math.lgamma(T + 1) - math.lgamma(j + 1) - math.lgamma(T - j + 1)
+        + j * log_p + (T - j) * log_q
+        for j in range(lo, T + 1)
     )
-    return min(1.0, math.fsum(np.exp(log_terms).tolist()))
+    return min(1.0, math.fsum(map(math.exp, log_terms)))
 
 
 def mc_majority_correct(T: int, rho: float, n_samples: int, seed: int = 0) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from conftest import (
     v1_dict,
     v1_ensemble_dict,
 )
+import costforest
 from costforest import cli, csdt, ensemble, sampling
 from costforest.cli import main
 
@@ -559,6 +564,15 @@ class TestBenchmark:
         assert message in capsys.readouterr().err
         assert experiments == []  # rejected before any cell runs
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r.json"
+        spec = self._spec(tmp_path)
+        code = main(["benchmark", "--spec", spec, "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_output(self, tmp_path):
         spec = self._spec(tmp_path)
         out = tmp_path / "r.csv"
@@ -578,6 +592,15 @@ class TestVerifyTheory:
         assert f"n_samples must be >= 1, got {samples}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho", ["1.5", "-0.1", "nan", "0"])
+    def test_rho_out_of_range_exit_1(self, tmp_path, capsys, rho):
+        out = tmp_path / "t.json"
+        code = main(["verify-theory", "--T", "5", "--rho", rho, "--trials", "5", "--n", "10",
+                     "--mc-samples", "10", "--out", str(out)])
+        assert code == 1
+        assert f"rho must be in (0, 1], got {float(rho)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "t.json"
         code = main([
@@ -591,3 +614,16 @@ class TestVerifyTheory:
         )
         assert report["ensemble_savings_check"]["mean_diff"] > 0
         assert "savings-gap" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # the library runs on numpy and the standard library alone
+    code = (
+        "import sys, costforest, costforest.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(costforest.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from conftest import gaussian_cost_dataset
 from costforest import ConfigError, ValidationError, baselines, ensemble, sampling, savings
@@ -73,6 +77,22 @@ class TestFriedman:
     def test_missing_cell_rejected(self):
         with pytest.raises(ValidationError):
             friedman_rank(np.array([[0.5, np.nan], [0.2, 0.1]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+        # a small pool makes ties common; -0.0 and 0.0 must tie too
+        elements=st.one_of(
+            st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1.0, 5e-324]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+    ))
+    def test_matches_scipy_rankdata_bitwise(self, table):
+        oracle = np.column_stack(
+            [rankdata(-table[:, d], method="average") for d in range(table.shape[1])]
+        ).mean(axis=1)
+        assert friedman_rank(table).tobytes() == oracle.tobytes()
 
 
 class TestPerBest:

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import costforest.theory as th
 from costforest import ConfigError, ValidationError
 from costforest.theory import (
     CostGenerator,
@@ -48,8 +50,6 @@ class TestEnsembleCorrectProb:
 
     def test_agrees_with_log_domain_path(self):
         # the two evaluation branches must agree where both are accurate
-        import costforest.theory as th
-
         for rho in (0.55, 0.8):
             small = ensemble_correct_prob(th._EXACT_T_LIMIT, rho)
             j = np.arange(th._EXACT_T_LIMIT // 2 + 1, th._EXACT_T_LIMIT + 1)
@@ -61,6 +61,25 @@ class TestEnsembleCorrectProb:
                 + j * math.log(rho) + (th._EXACT_T_LIMIT - j) * math.log1p(-rho)
             )
             assert small == pytest.approx(math.fsum(np.exp(log_terms)), abs=1e-11)
+
+    @pytest.mark.parametrize("T", [503, 1001, 2001])
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.55, 0.6])
+    def test_log_domain_branch_matches_exact_tail(self, T, rho):
+        assert T > th._EXACT_T_LIMIT
+        assert abs(ensemble_correct_prob(T, rho) - _exact_upper_tail(T, rho)) <= 1e-11
+
+
+def _exact_upper_tail(T, rho):
+    """sum over j > T/2 of C(T, j) m^j (d - m)^(T - j) / d^T, rho = m/d exactly."""
+    m, d = rho.as_integer_ratio()
+    lo = T // 2 + 1
+    term = math.comb(T, lo) * m**lo * (d - m) ** (T - lo)
+    total = 0
+    for j in range(lo, T + 1):
+        total += term
+        # C(T, j+1) m^(j+1) (d-m)^(T-j-1) = term (T-j) m / ((j+1) (d-m)), an exact division
+        term = term * (T - j) * m // ((j + 1) * (d - m))
+    return float(Fraction(total, d**T))
 
 
 class TestMonteCarloPc:
