@@ -84,7 +84,10 @@ class EnsembleModel:
         return sum(csdt.leaf_proba(tree, at) for tree, at in leaves) / self.T
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
-        votes = self.base_votes(X)
+        return self.combine(self.base_votes(X))
+
+    def combine(self, votes: np.ndarray) -> np.ndarray:
+        """The combiner's decisions from a (T, N) matrix of base-tree votes."""
         if self.combiner == "mv":
             return combiners.majority_vote(votes)
         if self.combiner in ("wv", "wv-acc"):

@@ -247,10 +247,28 @@ def _fit_predict(
     elif learner in ("dt", "csdt"):
         model = csdt.grow(train, config)
     else:
-        model = ensemble.train(train, config)
+        return _ensemble_decisions(ensemble.train(train, config), algos, test)
     return [
         baselines.BmrWrapper(model).predict_on(test) if algo.family == "bmr"
         else model.predict_many(test.X)
+        for algo in algos
+    ]
+
+
+def _ensemble_decisions(
+    model: ensemble.EnsembleModel, algos: list[AlgorithmSpec], test: CostedDataset
+) -> list[np.ndarray]:
+    """Each member's test-set decisions from one routing pass of the ensemble's
+    trees: the combined votes, or BMR on the mean leaf probability."""
+    votes = np.empty((model.T, test.n), dtype=np.int64)
+    proba = np.zeros(test.n)
+    for j, (tree, leaves) in enumerate(model.leaves(csdt.as_features(test.X, model.k))):
+        votes[j] = tree.predicted_class[leaves]
+        proba += csdt.leaf_proba(tree, leaves)
+    proba /= model.T
+    return [
+        baselines.bmr_predict_dataset(proba, test) if algo.family == "bmr"
+        else model.combine(votes)
         for algo in algos
     ]
 

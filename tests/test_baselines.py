@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import base_model, gaussian_cost_dataset, plain_forest, strict_random_dataset
 from costforest import ConfigError, CostedDataset, ValidationError, ensemble
 from costforest.baselines import (
+    GRAD_TOL,
     BmrWrapper,
     LrConfig,
     bmr_predict_dataset,
@@ -32,35 +36,38 @@ def logistic_loss_grad(
     and its gradient."""
     n = X.shape[0]
     p = _sigmoid(X @ weights + intercept)
-    eps = 1e-12
     loss = float(
-        -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-        + 0.5 * l2 * (weights @ weights)
+        -np.mean(y * np.log(p) + (1 - y) * np.log1p(-p)) + 0.5 * l2 * (weights @ weights)
     )
     residual = p - y
     return loss, X.T @ residual / n + l2 * weights, float(residual.mean())
 
 
-def train_logistic_oracle(train: CostedDataset, config: LrConfig) -> tuple[np.ndarray, float]:
-    """Oracle: gradient descent that computes the full loss at every step and
-    stops when it is not finite."""
-    X = train.X
-    mean, std = X.mean(axis=0), X.std(axis=0)
-    if config.standardize:
-        std = np.where(std > 0, std, 1.0)
-    else:
-        mean, std = np.zeros(train.k), np.ones(train.k)
-    Xz = (X - mean) / std
-    y = train.y.astype(np.float64)
-    w, b = np.zeros(train.k), 0.0
-    for _ in range(config.n_iter):
-        loss, grad_w, grad_b = logistic_loss_grad(Xz, y, w, b, config.l2)
-        if not np.isfinite(loss):
-            nan = np.isnan(_sigmoid(Xz @ w + b)).any()
-            raise ValidationError("NaN probability" if nan else "non-finite L2 term")
-        w -= config.learning_rate * grad_w
-        b -= config.learning_rate * grad_b
-    return w, b
+def scaled_features(train: CostedDataset, standardize: bool) -> np.ndarray:
+    """The features as train_logistic fits them."""
+    if not standardize:
+        return train.X
+    std = train.X.std(axis=0)
+    return (train.X - train.X.mean(axis=0)) / np.where(std > 0, std, 1.0)
+
+
+def lbfgs_optimum(train: CostedDataset, l2: float, standardize: bool):
+    """Oracle: scipy's L-BFGS-B run to a gradient of 1e-12 from a zero start;
+    the optimum's weights, intercept and loss."""
+    X, y = scaled_features(train, standardize), train.y.astype(np.float64)
+
+    def objective(theta):
+        loss, grad_w, grad_b = logistic_loss_grad(X, y, theta[:-1], theta[-1], l2)
+        return loss, np.append(grad_w, grad_b)
+
+    result = minimize(objective, np.zeros(train.k + 1), jac=True, method="L-BFGS-B",
+                      options={"ftol": 0.0, "gtol": 1e-12, "maxiter": 10_000, "maxcor": 30})
+    return result.x[:-1], result.x[-1], result.fun
+
+
+def fitted_loss_grad(model, train: CostedDataset, l2: float, standardize: bool):
+    X, y = scaled_features(train, standardize), train.y.astype(np.float64)
+    return logistic_loss_grad(X, y, model.weights, model.intercept, l2)
 
 
 class TestLogistic:
@@ -75,80 +82,95 @@ class TestLogistic:
 
     def test_separable_accuracy(self):
         ds = linear_dataset(np.random.default_rng(0), 600)
-        model = train_logistic(ds, LrConfig(n_iter=800))
+        model = train_logistic(ds)
         acc = (model.predict_many(ds.X) == ds.y).mean()
         assert acc >= 0.99
 
     def test_huge_l2_shrinks_to_prior(self):
-        # gradient descent needs learning_rate * l2 < 2 to stay stable
         ds = linear_dataset(np.random.default_rng(1), 400)
-        model = train_logistic(ds, LrConfig(learning_rate=0.01, l2=100.0, n_iter=3000))
+        model = train_logistic(ds, LrConfig(l2=100.0))
         assert np.abs(model.weights).max() < 0.01
         prior = ds.y.mean()
         assert model.predict_proba(ds.X).std() < 0.01
         assert abs(model.predict_proba(ds.X).mean() - prior) < 0.02
 
-    def test_gradient_matches_finite_differences(self):
-        # the library's gradient at step k's weights is (w_k - w_{k+1}) / learning_rate
-        ds = strict_random_dataset(np.random.default_rng(2), 40, 3)
-        X, y = ds.X, ds.y.astype(float)
-        l2, h = 1e-3, 1e-6
-        for k in (0, 1, 5):
-            step = LrConfig(learning_rate=1.0, n_iter=k + 1, l2=l2, standardize=False)
-            after = train_logistic(ds, step)
-            if k == 0:
-                w, b = np.zeros(3), 0.0
-            else:
-                before = train_logistic(ds, LrConfig(1.0, k, l2, standardize=False))
-                w, b = before.weights, before.intercept
-            grad_w, grad_b = w - after.weights, b - after.intercept
-            for i in range(3):
-                wp, wm = w.copy(), w.copy()
-                wp[i] += h
-                wm[i] -= h
-                num = (
-                    logistic_loss_grad(X, y, wp, b, l2)[0]
-                    - logistic_loss_grad(X, y, wm, b, l2)[0]
-                ) / (2 * h)
-                assert abs(num - grad_w[i]) <= 1e-5
-            num_b = (
-                logistic_loss_grad(X, y, w, b + h, l2)[0]
-                - logistic_loss_grad(X, y, w, b - h, l2)[0]
-            ) / (2 * h)
-            assert abs(num_b - grad_b) <= 1e-5
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("l2", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lbfgs_optimum(self, seed, l2, standardize):
+        # the Newton fit reaches the optimum: a loss no more than 1e-12 above
+        # L-BFGS-B's, weights within 1e-5 and probabilities within 1e-6 of it
+        rng = np.random.default_rng(40 + seed)
+        ds = gaussian_cost_dataset(rng, 300, k=4, shift=0.7)
+        ds = CostedDataset(ds.X * [1.0, 3.0, 0.2, 10.0] + [0.0, 5.0, -1.0, 2.0], ds.y, ds.costs)
+        model = train_logistic(ds, LrConfig(l2=l2, standardize=standardize))
+        w, b, optimum = lbfgs_optimum(ds, l2, standardize)
+        loss, grad_w, grad_b = fitted_loss_grad(model, ds, l2, standardize)
+        assert loss <= optimum + 1e-12
+        assert np.abs(model.weights - w).max() <= 1e-5
+        assert abs(model.intercept - b) <= 1e-5
+        X = scaled_features(ds, standardize)
+        assert np.abs(model.predict_proba(ds.X) - _sigmoid(X @ w + b)).max() <= 1e-6
+        # the stopping rule, up to the rounding of this oracle's own gradient
+        assert max(np.abs(grad_w).max(), abs(grad_b)) <= GRAD_TOL + 1e-12
 
-    def test_same_weights_and_divergence_verdicts_as_full_loss_oracle(self):
-        # without the loss, a step raises when a probability is NaN or the L2
-        # term is not finite: exactly when the oracle's loss is not finite.
-        # Huge features with a tiny rate overflow X @ w before w @ w.
-        verdicts = set()
-        for seed in range(3):
-            ds = gaussian_cost_dataset(np.random.default_rng(30 + seed), 200, k=4)
-            for scale in (1.0, 1e200):
-                scaled = CostedDataset(ds.X * scale, ds.y, ds.costs)
-                for rate in (1e-80, 0.1, 5.0, 1e3, 1e8, 1e160, 1e300):
-                    for l2 in (1e-4, 0.0):
-                        for standardize in (True, False):
-                            config = LrConfig(rate, 40, l2, standardize)
-                            with np.errstate(all="ignore"):
-                                try:
-                                    w, b = train_logistic_oracle(scaled, config)
-                                except ValidationError as exc:
-                                    with pytest.raises(ValidationError, match="diverged"):
-                                        train_logistic(scaled, config)
-                                    verdicts.add((str(exc), l2))
-                                    continue
-                                model = train_logistic(scaled, config)
-                            assert model.weights.tobytes() == w.tobytes()
-                            assert model.intercept == b
-                            verdicts.add(("finite", l2))
-        assert verdicts == {(verdict, l2) for l2 in (1e-4, 0.0)
-                            for verdict in ("finite", "NaN probability", "non-finite L2 term")}
+    def test_loss_never_rises_with_more_steps(self):
+        ds = gaussian_cost_dataset(np.random.default_rng(5), 400, k=3, shift=0.5)
+        losses = [fitted_loss_grad(train_logistic(ds, LrConfig(n_iter=n)), ds, 1e-4, True)[0]
+                  for n in range(1, 12)]
+        assert losses[0] < math.log(2)  # the zero start's loss
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        assert losses[-1] == pytest.approx(lbfgs_optimum(ds, 1e-4, True)[2], abs=1e-12)
 
-    def test_divergence_detected(self):
+    def test_step_scale_only_damps_the_path(self):
+        # a huge scale is halved back to a step that lowers the loss; a tiny
+        # one takes many steps; both end at the optimum
+        ds = gaussian_cost_dataset(np.random.default_rng(6), 300, k=3, shift=0.5)
+        optimum = lbfgs_optimum(ds, 1e-4, True)[2]
+        for scale, n_iter in ((1e12, 50), (0.3, 200)):
+            model = train_logistic(ds, LrConfig(learning_rate=scale, n_iter=n_iter))
+            assert fitted_loss_grad(model, ds, 1e-4, True)[0] <= optimum + 1e-12
+
+    def test_infinite_learning_rate_diverges(self):
         ds = linear_dataset(np.random.default_rng(3), 100)
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="smaller"):
-            train_logistic(ds, LrConfig(learning_rate=1e12, n_iter=50, standardize=False))
+        with pytest.raises(ValidationError, match="diverged.*smaller learning_rate"):
+            train_logistic(ds, LrConfig(learning_rate=math.inf))
+
+    def test_overflowing_hessian_diverges(self):
+        # unstandardized features near 1e200 square past the float range
+        ds = linear_dataset(np.random.default_rng(3), 100)
+        huge = CostedDataset(ds.X * 1e200, ds.y, ds.costs)
+        with pytest.raises(ValidationError, match="diverged.*Hessian"):
+            train_logistic(huge, LrConfig(standardize=False))
+
+    @pytest.mark.parametrize("n_iter", [1, 10, 50, 1000])
+    def test_separable_without_l2_stops_with_finite_weights(self, n_iter):
+        # no optimum exists, so the weights grow, but only until a stopping rule
+        ds = linear_dataset(np.random.default_rng(0), 600)
+        model = train_logistic(ds, LrConfig(l2=0.0, n_iter=n_iter))
+        assert np.isfinite(model.weights).all() and np.isfinite(model.intercept)
+        if n_iter >= 10:
+            assert (model.predict_many(ds.X) == ds.y).all()
+        p = model.predict_proba(ds.X)
+        assert ((p >= 0) & (p <= 1)).all()
+
+    def test_singular_hessian_without_l2(self):
+        # l2 = 0 with a constant column: the Hessian is singular, and the
+        # constant column's weight stays where the intercept cannot reach it
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=200)
+        y = (rng.random(200) < _sigmoid(1.5 * x - 0.5)).astype(int)
+        costs = np.tile([0.0, 1.0, 1.0, 0.0], (200, 1))
+        ds = CostedDataset(np.column_stack([x, np.full(200, 3.0)]), y, costs)
+        single = CostedDataset(x[:, None], y, costs)
+        for standardize in (True, False):
+            model = train_logistic(ds, LrConfig(l2=0.0, standardize=standardize))
+            reference = train_logistic(single, LrConfig(l2=0.0, standardize=standardize))
+            assert np.isfinite(model.weights).all()
+            assert np.abs(model.predict_proba(ds.X)
+                          - reference.predict_proba(single.X)).max() <= 1e-8
+            _, grad_w, grad_b = fitted_loss_grad(model, ds, 0.0, standardize)
+            assert max(np.abs(grad_w).max(), abs(grad_b)) <= 1e-8
 
     def test_deterministic(self):
         ds = linear_dataset(np.random.default_rng(4), 200)

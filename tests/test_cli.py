@@ -573,6 +573,25 @@ class TestBenchmark:
         assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_learning_rate_fails_its_cells(self, tmp_path):
+        # the spec passes validation, so the run exits 0 and reports why the
+        # logistic cells failed
+        spec_path = self._spec(tmp_path)
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        spec["algorithms"].append({"family": "ci", "name": "LR-t", "learner": "lr",
+                                   "config": {"lr": {"learning_rate": float("inf")}}})
+        text = json.dumps(spec)
+        assert "Infinity" in text
+        write(tmp_path / "spec.json", text)
+        out = tmp_path / "r.json"
+        assert main(["benchmark", "--spec", spec_path, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        for d in ("d0", "d1"):
+            cell = report["cells"][f"LR-t::{d}"]
+            assert cell["failed"] and "logistic training diverged" in cell["error"]
+            assert not report["cells"][f"DT-t::{d}"]["failed"]
+        assert report["friedman_rank"] is None
+
     def test_csv_output(self, tmp_path):
         spec = self._spec(tmp_path)
         out = tmp_path / "r.csv"

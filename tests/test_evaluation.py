@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 from conftest import gaussian_cost_dataset
-from costforest import ConfigError, ValidationError, baselines, ensemble, sampling, savings
+from costforest import ConfigError, ValidationError, baselines, csdt, ensemble, sampling, savings
 from costforest.baselines import LrConfig, bmr_predict_dataset, train_logistic
 from costforest.csdt import CsdtConfig, grow, leaf_proba, predict_proba_many, route
 from costforest.data import SplitSpec, split
@@ -167,12 +169,11 @@ class TestRunExperiment:
         assert cell.savings_std == 0.0
 
     def test_failed_cell_recorded_report_emitted(self):
-        bad = AlgorithmSpec("ci", "LR-broken", "lr", "t", {"lr": {"learning_rate": 1e12}})
+        bad = AlgorithmSpec("ci", "LR-broken", "lr", "t", {"lr": {"learning_rate": math.inf}})
         spec = ExperimentSpec(
             [bad, *tiny_algorithms()[:1]], tiny_bundles()[:1], repetitions=1, seed=3
         )
-        with np.errstate(over="ignore"):
-            report = run_experiment(spec)
+        report = run_experiment(spec)
         failed = [c for c in report.cells.values() if c.failed]
         assert len(failed) == 1
         assert report.friedman is None
@@ -344,6 +345,21 @@ class TestFitGroups:
             assert cell.savings_mean == savings(test, preds)
             assert cell.f1_mean == f1_score(test.y, preds)
 
+    def test_forest_group_routes_the_test_set_once(self, monkeypatch):
+        # the ci and bmr members read their votes and probabilities from one
+        # pass of the T trees over the test rows
+        routed = count_calls(monkeypatch, csdt, "route")
+        (_, bundle), T = tiny_bundles(4)[0], 5
+        train, test = bundle.train, bundle.test
+        assert train.n != test.n
+        algorithms = [AlgorithmSpec("ci", "RF-t", "rf", "t", {"T": T}),
+                      AlgorithmSpec("bmr", "BMR-RF-t", "rf", "t", {"T": T})]
+        ci, bmr = _fit_predict(algorithms, train, test, seed=21)
+        assert sum(X.shape[0] == test.n for _, X in routed) == T
+        forest = ensemble.train(train, _learner_config(algorithms[0], 21))
+        assert ci.tobytes() == forest.predict_many(test.X).tobytes()
+        assert bmr.tobytes() == bmr_predict_dataset(forest.predict_proba(test.X), test).tobytes()
+
     def test_appending_algorithms_keeps_earlier_cells(self):
         # guard: a cell's result depends only on the algorithms before it in its group
         algorithms = ci_bmr_pairs()
@@ -360,15 +376,15 @@ class TestFitGroups:
 
     def test_failed_fit_fails_every_cell_of_its_group(self, monkeypatch):
         logistics = count_calls(monkeypatch, baselines, "train_logistic")
-        diverging = {"lr": {"learning_rate": 1e12}}
+        diverging = {"lr": {"learning_rate": math.inf}}
         algorithms = [
             AlgorithmSpec("ci", "LR-broken", "lr", "t", diverging),
             *tiny_algorithms()[:1],
             AlgorithmSpec("bmr", "BMR-LR-broken", "lr", "t", diverging),
         ]
         spec = ExperimentSpec(algorithms, tiny_bundles()[:1], repetitions=2, seed=3)
-        with np.errstate(over="ignore"):
-            report = run_experiment(spec)
+        spec.validate()  # an infinite step scale fails at run time, not here
+        report = run_experiment(spec)
         assert len(logistics) == 1  # the group's one fit, which raised
         broken = [report.cells[(a, "synth0")] for a in ("LR-broken", "BMR-LR-broken")]
         for cell in broken:
