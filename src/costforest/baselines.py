@@ -74,7 +74,8 @@ def train_logistic(train: CostedDataset, config: LrConfig | None = None) -> Logi
     halving it (up to MAX_HALVINGS times) while the loss there is not finite
     or above the current loss. Training stops when max |gradient| <= GRAD_TOL,
     when no tried step lowers the loss, or after ``n_iter`` steps. It raises if
-    no tried step has a finite loss, or if the Hessian is not finite. With
+    no tried step has a finite loss, or if the Hessian is not finite, and, when
+    it standardizes, on a column whose standard deviation overflows. With
     ``l2 = 0`` on separable data no optimum exists: the weights grow until one
     of the stops, and stay finite.
     """
@@ -82,8 +83,17 @@ def train_logistic(train: CostedDataset, config: LrConfig | None = None) -> Logi
     config.validate()
     X = train.X
     if config.standardize:
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = X.mean(axis=0)
+            std = X.std(axis=0)
+        overflowed = np.flatnonzero(~np.isfinite(std))
+        if overflowed.size:
+            j = int(overflowed[0])
+            name = "" if train.feature_names is None else f" ({train.feature_names[j]!r})"
+            raise ValidationError(
+                f"feature column {j}{name} has a standard deviation that overflows float64; "
+                "rescale it"
+            )
         std = np.where(std > 0, std, 1.0)
     else:
         mean = np.zeros(train.k)

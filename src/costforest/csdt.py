@@ -12,6 +12,14 @@ every node's cost statistics, so pruning on the training rows routes
 nothing, and one level-by-level kernel (:func:`route`) serves every
 prediction.
 
+An ensemble's trees grow together (:func:`grow_forest`; :func:`grow` is a
+forest of one): level by level, at most WAVE_TREES trees at a time, with
+the open nodes of every growing tree bucketed together and each bucket
+scored in blocks of at most BLOCK_CELLS cells, one split-search call per
+block. A node's rows index one table of the training set in increasing
+order, so every sort, gathered cost and sum is the one its tree makes
+alone, and each tree is the tree ``grow`` gives on its rows' subset.
+
 Setting ``impurity="gini"`` swaps the money columns for unit costs
 (tp = tn = 0, fp = fn = 1) in every internal computation, which turns the
 learner into a plain error-count tree: the cost-insensitive baseline.
@@ -20,6 +28,7 @@ learner into a plain error-count tree: the cost-insensitive baseline.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -34,6 +43,20 @@ FORMAT_VERSION = "2"  # of csdt and ensemble model files; version "1" files are 
 
 THRESHOLD_MODES = ("exact_midpoints", "quantiles")
 IMPURITY_MODES = ("cost", "gini")
+
+# Forest growth cuts a bucket into blocks of at most this many cells (nodes x
+# features x padded rows), with at least one node per block. The cap trades
+# kernel calls for the kernel's temporaries, about 80 bytes a cell. On seed
+# 1 of perfbench's data a grid operation made 1119 kernel calls with
+# per-tree blocks, 456 at 2**14 and 554 at 2**13, and the tracemalloc peak
+# of one of its random-forest fits went from 1.26 MB (per-tree blocks) to
+# 2.25 MB at 2**14 and 1.56 MB at 2**13. Uncapped blocks made fit-stacking
+# (60 calls of up to 2.4M cells) slower than capped ones.
+BLOCK_CELLS = 2**13
+# Forest growth grows at most this many trees at once, as the open nodes of
+# every growing tree are alive together: growing fit-stacking's 100 depth-3
+# trees peaked at 2.7 MB (tracemalloc) 10 trees at a time, 6.2 MB all at once.
+WAVE_TREES = 10
 
 
 @dataclass(frozen=True)
@@ -349,6 +372,70 @@ def _run_ends(sv: np.ndarray) -> np.ndarray:
     return run_end.ravel().nonzero()[0]
 
 
+@dataclass(frozen=True)
+class TreeSpec:
+    """One tree of a forest (see :func:`grow_forest`).
+
+    ``rows`` are the tree's rows of the training set, in increasing order
+    with repeats allowed; None is every row once. ``seed``,
+    ``node_features`` and ``features`` are :func:`grow`'s.
+    """
+
+    rows: np.ndarray | None = None
+    seed: int | None = None
+    node_features: int | None = None
+    features: np.ndarray | None = None
+
+
+class _Growth:
+    """A tree as it grows: its spec, its rows, its searched columns of the
+    training set, its per-node feature count if it samples them (else None),
+    and its nodes, each a row of Tree's fields, in the order opened, with
+    each node's left child (-1 at a leaf)."""
+
+    def __init__(self, spec: TreeSpec, n: int, k: int):
+        searched = np.arange(k) if spec.features is None else np.asarray(spec.features)
+        n_cols = searched.size
+        if spec.features is not None and not (
+            searched.ndim == 1 and n_cols and searched.dtype.kind in "iu" and 0 <= searched[0]
+            and searched[-1] < k and (searched[1:] > searched[:-1]).all()
+        ):
+            raise ValidationError(f"features must be strictly increasing columns in [0, {k})")
+        node_features, seed = spec.node_features, spec.seed
+        if node_features is not None:
+            if seed is None or not 0 <= seed < 2**64:
+                raise ConfigError(f"node_features needs a seed in [0, 2**64), got {seed!r}")
+            if not 1 <= node_features <= n_cols:
+                raise ConfigError(f"node_features must be in [1, {n_cols}], got {node_features}")
+        rows = np.arange(n) if spec.rows is None else np.asarray(spec.rows)
+        if not (rows.ndim == 1 and rows.size and rows.dtype.kind in "iu" and 0 <= rows[0]
+                and rows[-1] < n and (rows[1:] >= rows[:-1]).all()):
+            raise ValidationError(f"rows must be a nonempty increasing list of rows in [0, {n})")
+        self.spec, self.rows, self.searched = spec, rows, searched
+        sampled = node_features is not None and node_features < n_cols
+        self.node_features = node_features if sampled else None
+        self.nodes: list[list] = []
+        self.left_of: list[int] = []
+
+    def model(self, config: CsdtConfig, k: int) -> CsdtModel:
+        """The grown tree, its nodes renumbered in preorder."""
+        nodes, left_of = self.nodes, self.left_of
+        order, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if left_of[i] >= 0:
+                stack += [nodes[i][2], left_of[i]]
+        position = [0] * len(order)
+        for p, i in enumerate(order):
+            position[i] = p
+        preorder = [nodes[i] for i in order]
+        for node in preorder:
+            if node[2] >= 0:
+                node[2] = position[node[2]]
+        return CsdtModel(Tree(*zip(*preorder)), config, k)
+
+
 def grow(
     train: CostedDataset,
     config: CsdtConfig | None = None,
@@ -357,14 +444,8 @@ def grow(
     ranks: np.ndarray | None = None,
     features: np.ndarray | None = None,
 ) -> CsdtModel:
-    """Grow (and by default prune) a cost-sensitive tree.
+    """Grow (and by default prune) a cost-sensitive tree on every row of ``train``.
 
-    The tree grows level by level. Each step takes the open nodes and
-    groups them into buckets: in quantile mode, every node with no more
-    rows than ``n_quantiles`` in one bucket, which ``_best_split`` scores
-    per position; every other node by the ``floor(log2 n)`` of its row
-    count. It scores each bucket with one ``_best_split`` call on a padded
-    block, then splits the nodes and opens their children.
     ``features``, strictly increasing columns of ``train.X``, limits the
     search to those columns (a random patch); by default every column is
     searched. Either way the tree records columns of ``train.X``.
@@ -377,127 +458,157 @@ def grow(
     ``ranks`` are the sort keys of ``train.X``: its own ``column_ranks`` by
     default, or the rows' slice of a larger table's, if those rows are in
     increasing order. Either gives the same tree.
+    It is the one tree of a :func:`grow_forest`.
+    """
+    spec = TreeSpec(seed=seed, node_features=node_features, features=features)
+    return grow_forest(train, config, [spec], ranks)[0]
+
+
+def grow_forest(
+    train: CostedDataset,
+    config: CsdtConfig | None,
+    specs: Sequence[TreeSpec],
+    ranks: np.ndarray | None = None,
+) -> list[CsdtModel]:
+    """Grow (and by default prune) one tree per spec, each on its rows of ``train``.
+
+    Each tree is the one :func:`grow` gives on ``train.subset(spec.rows)``
+    with the spec's seed, node_features and features. ``ranks`` are
+    ``train``'s sort keys, its own ``column_ranks`` by default.
+
+    The trees grow together, at most WAVE_TREES at a time, level by level.
+    Each step takes the open nodes of every growing tree and groups them
+    into buckets by their tree's per-node feature count and by row count: in
+    quantile mode, every node with no more rows than ``n_quantiles`` in one
+    bucket, which ``_best_split`` scores per position; every other node by
+    the ``floor(log2 n)`` of its row count. Each bucket is cut into blocks of
+    at most BLOCK_CELLS cells (and at least one node), and each block is
+    scored with one ``_best_split`` call. A node's rows are indices into one
+    table of ``train``'s columns, in increasing order with repeats kept, so
+    every sort, gathered cost and sum is the one its tree would make alone.
+    After growth each tree is put in preorder and pruned through
+    :func:`prune` on its rows, one tree at a time.
     """
     config = config or CsdtConfig()
     config.validate()
-    searched = np.arange(train.k) if features is None else np.asarray(features)
-    n_cols = searched.size
-    if features is not None and not (
-        searched.ndim == 1 and n_cols and searched.dtype.kind in "iu" and 0 <= searched[0]
-        and searched[-1] < train.k and (searched[1:] > searched[:-1]).all()
-    ):
-        raise ValidationError(f"features must be strictly increasing columns in [0, {train.k})")
-    if node_features is not None:
-        if seed is None or not 0 <= seed < 2**64:
-            raise ConfigError(f"node_features needs a seed in [0, 2**64), got {seed!r}")
-        if not 1 <= node_features <= n_cols:
-            raise ConfigError(f"node_features must be in [1, {n_cols}], got {node_features}")
     if ranks is None:
         ranks = column_ranks(train.X)
     elif ranks.shape != train.X.shape:
         raise ValidationError(f"ranks have shape {ranks.shape}, expected {train.X.shape}")
-    sampled = node_features is not None and node_features < n_cols
+    trees = [_Growth(spec, train.n, train.k) for spec in specs]
     q = config.n_quantiles if config.candidate_thresholds == "quantiles" else None
     # nodes that _best_split scores by position share one bucket
     small = q or 0
-    # One row per searched feature, and a pad column past the last example:
-    # value -inf, the largest key and zero costs, so pads sort after every
-    # example and add nothing.
+    # One row per column, and a pad column past the last example: value
+    # -inf, the largest key and zero costs, so pads sort after every example
+    # and add nothing.
     pad, width = train.n, train.n + 1
-    table = np.empty((n_cols, width))
-    table[:, :pad] = train.X.T if features is None else train.X.T[searched]
+    table = np.empty((train.k, width))
+    table[:, :pad] = train.X.T
     table[:, pad] = -np.inf
-    key_table = np.empty((n_cols, width), dtype=ranks.dtype)
-    key_table[:, :pad] = ranks.T if features is None else ranks.T[searched]
+    key_table = np.empty((train.k, width), dtype=ranks.dtype)
+    key_table[:, :pad] = ranks.T
     key_table[:, pad] = np.iinfo(ranks.dtype).max if ranks.dtype.kind in "ui" else np.inf
-    cost0, cost1 = (np.append(c, 0.0) for c in _prediction_costs(train, config.impurity))
-    all_rows, sides = np.arange(n_cols)[None], np.arange(2, dtype=np.uint64)
+    # each example's cost of predicting 0 and 1, and its label, so that one
+    # gather and one sum give a node's statistics; row-wise sums are the
+    # pairwise sums of each row alone, and the label sum is exact
+    stats = np.zeros((3, width))
+    stats[:2, :pad] = _prediction_costs(train, config.impurity)
+    stats[2, :pad] = train.y
+    sides = np.arange(2, dtype=np.uint64)
+    frontier: list[tuple] = []  # (tree, node, rows, depth, key) of open nodes
 
-    nodes: list[list] = []  # one row of Tree's fields per node, in the order opened
-    left_of: list[int] = []  # each node's left child, -1 at a leaf
-    frontier: list[tuple] = []  # (node, rows, depth, key) of open nodes
-
-    def open_node(idx: np.ndarray, n_pos: int, depth: int, key: int | None) -> int:
-        s0, s1 = float(cost0.take(idx).sum()), float(cost1.take(idx).sum())
-        nodes.append([-1, 0.0, -1, 0 if s0 <= s1 else 1, s0, s1, idx.size, n_pos])
-        left_of.append(-1)
+    def open_node(tree: _Growth, idx: np.ndarray, depth: int, key) -> int:
+        s0, s1, n_pos = stats.take(idx, axis=1).sum(axis=1).tolist()
+        n_pos = int(n_pos)
+        tree.nodes.append([-1, 0.0, -1, 0 if s0 <= s1 else 1, s0, s1, idx.size, n_pos])
+        tree.left_of.append(-1)
         if depth < config.max_depth and idx.size >= config.min_samples_split and (
             0 < n_pos < idx.size
         ):
-            frontier.append((len(nodes) - 1, idx, depth, key))
-        return len(nodes) - 1
+            frontier.append((tree, len(tree.nodes) - 1, idx, depth, key))
+        return len(tree.nodes) - 1
 
-    def search(bucket: list[tuple]) -> None:
-        """Score a bucket's nodes with one kernel call, then split them."""
-        sizes = np.array([node[1].size for node in bucket])
+    def search(block: list[tuple], n_cols: int, node_features: int | None) -> None:
+        """Score a block's nodes with one kernel call, then split them."""
+        sizes = np.array([node[2].size for node in block])
         n_max = int(sizes.max())
-        rows = np.full((len(bucket), n_max), pad)
-        rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[1] for node in bucket])
-        if sampled:
-            keys = np.array([node[3] for node in bucket], dtype=np.uint64)
-            table_rows = feature_subsets(keys, n_cols, node_features)
-            children = mix64_array(keys[:, None], sides).tolist()
+        rows = np.full((len(block), n_max), pad)
+        rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[2] for node in block])
+        if node_features is None and n_cols == train.k:
+            # every column in order: (features, nodes, n_max), swapped to nodes of features
+            table_rows = None
+            children = [[None, None]] * len(block)
+            values, keys = (t.take(rows, axis=1).swapaxes(0, 1) for t in (table, key_table))
+        else:
+            table_rows = np.array([node[0].searched for node in block])
+            if node_features is None:
+                children = [[None, None]] * len(block)
+            else:
+                node_keys = np.array([node[4] for node in block], dtype=np.uint64)
+                subsets = feature_subsets(node_keys, n_cols, node_features)
+                table_rows = np.take_along_axis(table_rows, subsets, axis=1)
+                children = mix64_array(node_keys[:, None], sides).tolist()
             # each node's features at its rows: (nodes, features, n_max)
             cells = (table_rows * width)[:, :, None] + rows[:, None, :]
-            block, block_keys = table.take(cells), key_table.take(cells)
-        else:
-            table_rows = all_rows.repeat(len(bucket), axis=0)
-            children = [[None, None]] * len(bucket)
-            # (features, nodes, n_max), swapped to nodes of features
-            block, block_keys = (t.take(rows, axis=1).swapaxes(0, 1)
-                                 for t in (table, key_table))
-        per_node = table_rows.shape[1]
-        block, block_keys = block.reshape(-1, n_max), block_keys.reshape(-1, n_max)
+            values, keys = table.take(cells), key_table.take(cells)
+        per_node = n_cols if node_features is None else node_features
+        values, keys = values.reshape(-1, n_max), keys.reshape(-1, n_max)
+        cost0, cost1 = stats[:2].take(rows, axis=1)
         found = _best_split(
-            block,
-            block_keys,
-            cost0.take(rows),
-            cost1.take(rows),
+            values,
+            keys,
+            cost0,
+            cost1,
             sizes.repeat(per_node),
             q,
-            np.array([min(nodes[i][4:6]) for i, *_ in bucket]),
+            np.array([min(tree.nodes[i][4:6]) for tree, i, *_ in block]),
         )
-        for b, ((i, idx, depth, _), best) in enumerate(zip(bucket, found)):
+        for b, ((tree, i, idx, depth, _), best) in enumerate(zip(block, found)):
             if best is None or best[0] <= config.min_gain:
                 continue
             _, col, cut = best
-            nodes[i][:2] = int(searched[table_rows[b, col]]), cut
-            goes_left = block[b * per_node + col, :idx.size] <= cut
+            node = tree.nodes[i]
+            node[:2] = col if table_rows is None else int(table_rows[b, col]), cut
+            goes_left = values[b * per_node + col, :idx.size] <= cut
             left, right = idx[goes_left], idx[~goes_left]
-            n_pos_left = int(train.y.take(left).sum())
             key_left, key_right = children[b]
-            left_of[i] = open_node(left, n_pos_left, depth + 1, key_left)
-            nodes[i][2] = open_node(right, nodes[i][7] - n_pos_left, depth + 1, key_right)
+            tree.left_of[i] = open_node(tree, left, depth + 1, key_left)
+            node[2] = open_node(tree, right, depth + 1, key_right)
 
-    open_node(np.arange(train.n), int(train.y.sum()), 0, seed)
-    while frontier:
-        buckets: dict[int, list] = {}
-        for node in frontier:
-            size = node[1].size
-            buckets.setdefault(0 if size <= small else size.bit_length(), []).append(node)
-        frontier = []
-        for bucket in buckets.values():
-            search(bucket)
-    # renumber the nodes in preorder
-    order, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if left_of[i] >= 0:
-            stack += [nodes[i][2], left_of[i]]
-    position = [0] * len(order)
-    for p, i in enumerate(order):
-        position[i] = p
-    preorder = [nodes[i] for i in order]
-    for node in preorder:
-        if node[2] >= 0:
-            node[2] = position[node[2]]
-    model = CsdtModel(Tree(*zip(*preorder)), config, train.k)
-    if config.pruning:
-        model.stats_of = train
-        model = prune(model, train)
-        model.stats_of = None
-    return model
+    models = []
+    while trees:
+        wave, trees = trees[:WAVE_TREES], trees[WAVE_TREES:]
+        for tree in wave:
+            open_node(tree, tree.rows, 0, tree.spec.seed)
+        while frontier:
+            buckets: dict[tuple, list] = {}
+            for node in frontier:
+                tree, size = node[0], node[2].size
+                key = (0 if size <= small else size.bit_length(), tree.searched.size,
+                       tree.node_features)
+                buckets.setdefault(key, []).append(node)
+            frontier = []
+            for (_, n_cols, node_features), bucket in buckets.items():
+                per_node = n_cols if node_features is None else node_features
+                block, n_max = [], 0
+                for node in bucket:
+                    wider = max(n_max, node[2].size)
+                    if block and (len(block) + 1) * per_node * wider > BLOCK_CELLS:
+                        search(block, n_cols, node_features)
+                        block, wider = [], node[2].size
+                    block.append(node)
+                    n_max = wider
+                search(block, n_cols, node_features)
+        for tree in wave:
+            model = tree.model(config, train.k)
+            if config.pruning:
+                rows = tree.spec.rows
+                model.stats_of = train if rows is None else train.subset(rows)
+                model = prune(model, model.stats_of)
+                model.stats_of = None
+            models.append(model)
+    return models
 
 
 def as_features(X: np.ndarray, k: int) -> np.ndarray:
@@ -576,10 +687,15 @@ def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
     """Collapse subtrees whose constant replacement does not cost more.
 
     Repeatedly replaces the internal node with the largest nonnegative
-    cost decrease by its cheapest constant leaf (statistics taken on the
+    cost decrease by its cheapest constant leaf (costs taken on the
     pruning set; ties go to the first node in post-order). Never increases
-    the pruning-set cost. The node statistics come from the model when the
-    pruning set is its ``stats_of``, else from one routing pass.
+    the pruning-set cost. The pruning set's statistics come from the model
+    when the pruning set is its ``stats_of``, else from one routing pass.
+    They decide which nodes collapse and each collapsed leaf's class, and
+    nothing else: every node keeps the statistics it had, which describe
+    the rows the tree grew on. So a grown tree pruned on any set still has
+    each internal node's n and n_pos equal to its children's sums, and its
+    leaf probabilities are frequencies among the growth rows.
     """
     if prune_set.k != model.k:
         raise ValidationError("prune set feature count does not match the model")
@@ -630,8 +746,6 @@ def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
     feature, threshold, right_of, predicted_class = columns[:4]
     feature[leaf], threshold[leaf], right_of[leaf] = -1, 0.0, -1
     predicted_class[leaf] = stats[0][leaf] > stats[1][leaf]
-    for column, stat in zip(columns[4:], stats):
-        column[leaf] = stat[leaf]
     index = np.cumsum(keep) - 1
     right_of[right_of >= 0] = index[right_of[right_of >= 0]]
     return CsdtModel(Tree(*(column[keep] for column in columns)), model.config, model.k)

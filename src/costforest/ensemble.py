@@ -24,7 +24,7 @@ from .config import from_json
 from .cost_model import CostedDataset, savings, savings_of_costs  # noqa: F401
 from .csdt import CsdtConfig
 from .errors import ConfigError, ValidationError
-from .inducers import BaseSample, InducerConfig, draw_samples
+from .inducers import InducerConfig, draw_samples
 from .rng import STREAM_NODES, mix64
 
 
@@ -95,18 +95,6 @@ class EnsembleModel:
         return combiners.stacking_predict(votes, self.stacking)
 
 
-def _train_one(
-    train_set: CostedDataset, ranks: np.ndarray, sample: BaseSample, config: EcsdtConfig, j: int
-) -> csdt.Tree:
-    """Grow tree j on its sample, sorting nodes on its rows' slice of ``ranks``."""
-    rows = sample.example_indices
-    seed = None if sample.node_features is None else mix64(config.inducer.seed, STREAM_NODES, j)
-    return csdt.grow(
-        train_set.subset(rows), config.tree, seed=seed, node_features=sample.node_features,
-        ranks=ranks[rows], features=sample.feature_indices,
-    ).tree
-
-
 def _oob_scores(
     y: np.ndarray, cost0: np.ndarray, cost1: np.ndarray, preds: np.ndarray
 ) -> tuple[float, float]:
@@ -126,10 +114,19 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     config = config or EcsdtConfig()
     config.validate()
     samples = draw_samples(train_set.n, train_set.k, config.inducer)
-    # every sample's rows are sorted, so slices of one table's ranks sort
-    # each tree's nodes as their own would
+    # every sample's rows are sorted, so one table's ranks sort each tree's
+    # nodes as the tree's own would
     ranks = csdt.column_ranks(train_set.X)
-    trees = [_train_one(train_set, ranks, sample, config, j) for j, sample in enumerate(samples)]
+    specs = [
+        csdt.TreeSpec(
+            sample.example_indices,
+            None if sample.node_features is None else mix64(config.inducer.seed, STREAM_NODES, j),
+            sample.node_features,
+            sample.feature_indices,
+        )
+        for j, sample in enumerate(samples)
+    ]
+    trees = [model.tree for model in csdt.grow_forest(train_set, config.tree, specs, ranks)]
     oob_savings = np.empty(len(samples))
     oob_accuracy = np.empty(len(samples))
     ensemble = EnsembleModel(

@@ -309,11 +309,6 @@ def _oracle_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray, np
     return dataset.costs_if_predicted()
 
 
-def _oracle_leaf(y: np.ndarray, cost0: np.ndarray, cost1: np.ndarray) -> Leaf:
-    s0, s1 = float(cost0.sum()), float(cost1.sum())
-    return Leaf(0 if s0 <= s1 else 1, s0, s1, int(y.size), int(y.sum()))
-
-
 def _oracle_replace(node: TreeNode, target: TreeNode, replacement: Leaf) -> TreeNode:
     if node is target:
         return replacement
@@ -331,29 +326,36 @@ def prune_oracle(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
 
     Each pass walks the tree in post-order and lists every internal node's
     cost decrease (its subtree's pruning-set cost minus its cheapest
-    constant's); the first largest nonnegative decrease is collapsed.
+    constant's); the first largest nonnegative decrease is collapsed. The
+    leaf that replaces it predicts the pruning set's cheaper class there and
+    keeps the node's statistics from ``model``.
     """
     cost0, cost1 = _oracle_costs(prune_set, model.config.impurity)
     root = nested(model)
+    tree = model.tree
 
-    def stats(node: TreeNode, idx: np.ndarray, acc: list) -> float:
+    def stats(node: TreeNode, idx: np.ndarray, acc: list, i: int) -> float:
+        """The subtree's pruning-set cost; ``i`` is the node's index in ``tree``."""
         c0, c1 = cost0[idx], cost1[idx]
         if isinstance(node, Leaf):
             return float((c1 if node.predicted_class == 1 else c0).sum())
         left = prune_set.X[idx, node.rule.feature_index] <= node.rule.threshold
-        sub = stats(node.left, idx[left], acc) + stats(node.right, idx[~left], acc)
-        acc.append((sub - min(float(c0.sum()), float(c1.sum())), node, idx))
+        sub = (stats(node.left, idx[left], acc, i + 1)
+               + stats(node.right, idx[~left], acc, int(tree.right[i])))
+        acc.append((sub - min(float(c0.sum()), float(c1.sum())), node, idx, i))
         return sub
 
     while True:
         candidates: list = []
-        stats(root, np.arange(prune_set.n), candidates)
+        stats(root, np.arange(prune_set.n), candidates, 0)
         if not candidates:
             break
-        decrease, target, idx = max(candidates, key=lambda item: item[0])
+        decrease, target, idx, i = max(candidates, key=lambda item: item[0])
         if decrease < 0:
             break
-        replacement = _oracle_leaf(prune_set.y[idx], cost0[idx], cost1[idx])
+        cheaper = int(float(cost0[idx].sum()) > float(cost1[idx].sum()))
+        replacement = Leaf(cheaper, float(tree.cost_f0[i]), float(tree.cost_f1[i]),
+                           int(tree.n[i]), int(tree.n_pos[i]))
         root = _oracle_replace(root, target, replacement)
     return CsdtModel(flatten(root), model.config, model.k)
 

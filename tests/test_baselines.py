@@ -143,6 +143,17 @@ class TestLogistic:
         with pytest.raises(ValidationError, match="diverged.*Hessian"):
             train_logistic(huge, LrConfig(standardize=False))
 
+    def test_overflowing_standard_deviation_rejected(self):
+        # the squares of values near 1e200 overflow, so z-scores cannot be taken
+        ds = linear_dataset(np.random.default_rng(3), 100)
+        X = ds.X.copy()
+        X[:, 1] *= 1e200
+        with pytest.raises(ValidationError, match=r"feature column 1 has a standard deviation"):
+            train_logistic(CostedDataset(X, ds.y, ds.costs))
+        named = CostedDataset(X, ds.y, ds.costs, feature_names=["amount", "balance"])
+        with pytest.raises(ValidationError, match=r"column 1 \('balance'\) has a standard"):
+            train_logistic(named)
+
     @pytest.mark.parametrize("n_iter", [1, 10, 50, 1000])
     def test_separable_without_l2_stops_with_finite_weights(self, n_iter):
         # no optimum exists, so the weights grow, but only until a stopping rule

@@ -20,7 +20,7 @@ from conftest import (
     v1_ensemble_dict,
 )
 import costforest
-from costforest import cli, csdt, ensemble, sampling
+from costforest import CostedDataset, cli, csdt, ensemble, sampling
 from costforest.cli import main
 
 FOUR_ROWS = (
@@ -591,6 +591,24 @@ class TestBenchmark:
             assert cell["failed"] and "logistic training diverged" in cell["error"]
             assert not report["cells"][f"DT-t::{d}"]["failed"]
         assert report["friedman_rank"] is None
+
+    def test_overflowing_feature_fails_the_logistic_cells(self, tmp_path):
+        # a benchmark cell's ValidationError is reported in its cell, and the
+        # trees, which only compare values, still fit the scaled column
+        spec_path = self._spec(tmp_path)
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        spec["algorithms"].append({"family": "ci", "name": "LR-t", "learner": "lr"})
+        write(tmp_path / "spec.json", json.dumps(spec))
+        ds = gaussian_cost_dataset(np.random.default_rng(4), 160, k=3)
+        huge = CostedDataset(ds.X * [1.0, 1e200, 1.0], ds.y, ds.costs)
+        write_dataset_csv(tmp_path / "ds0.csv", huge)
+        out = tmp_path / "r.json"
+        assert main(["benchmark", "--spec", spec_path, "--out", str(out)]) == 0
+        cells = json.loads(out.read_text())["cells"]
+        error = cells["LR-t::d0"]["error"]
+        assert cells["LR-t::d0"]["failed"] and error.startswith("ValidationError")
+        assert "feature column 1 ('f1') has a standard deviation that overflows" in error
+        assert not cells["LR-t::d1"]["failed"] and not cells["DT-t::d0"]["failed"]
 
     def test_csv_output(self, tmp_path):
         spec = self._spec(tmp_path)

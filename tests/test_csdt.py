@@ -1224,3 +1224,103 @@ class TestLevelWiseGrowth:
             model = grow(sub, config, **kwargs)
             assert model_to_dict(model) == model_to_dict(grow_oracle(sub, config, **kwargs))
         assert any(width - 1 < n_quantiles for width in widths)  # some block scored positions
+
+
+# --- a forest's trees grown together ----------------------------------------
+
+
+def _tree_bytes(model):
+    return [getattr(model.tree, field.name).tobytes() for field in fields(csdt.Tree)]
+
+
+class TestForestGrowth:
+    @pytest.mark.parametrize("limit", ["default", "one node per block", "one tree per wave"])
+    @pytest.mark.parametrize("pruning", [False, True])
+    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_tree_equals_the_tree_grown_on_its_rows(
+        self, kind, mode, pruning, limit, monkeypatch
+    ):
+        if limit == "one node per block":
+            monkeypatch.setattr(csdt, "BLOCK_CELLS", 1)
+        elif limit == "one tree per wave":
+            monkeypatch.setattr(csdt, "WAVE_TREES", 1)
+        calls = []
+        best_split = csdt._best_split
+        monkeypatch.setattr(
+            csdt, "_best_split",
+            lambda *args: calls.append(args[-1].size) or best_split(*args),
+        )
+        rng = np.random.default_rng([86, len(kind), len(mode), pruning])
+        ds = _tied_dataset(rng, 300)
+        ranks = csdt.column_ranks(ds.X)
+        config = CsdtConfig(candidate_thresholds=mode, n_quantiles=20, max_depth=6,
+                            pruning=pruning)
+        samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=13, seed=10))
+        specs = [csdt.TreeSpec(s.example_indices, **sample_kwargs(s, j))
+                 for j, s in enumerate(samples)]
+        forest = csdt.grow_forest(ds, config, specs, ranks)
+        forest_calls, calls[:] = calls[:], []
+        for j, (sample, model) in enumerate(zip(samples, forest)):
+            rows = sample.example_indices
+            alone = grow(ds.subset(rows), config, ranks=ranks[rows], **sample_kwargs(sample, j))
+            assert model.stats_of is None and model.k == ds.k
+            assert _tree_bytes(model) == _tree_bytes(alone), j
+        assert sum(model.n_nodes() > 1 for model in forest) > len(forest) // 2
+        # each call's node count, growing together and growing alone
+        if limit == "one node per block":
+            assert set(forest_calls) == {1}
+        elif limit == "default":
+            assert len(forest_calls) < len(calls) and sum(forest_calls) == sum(calls)
+
+    def test_trees_of_different_kinds_in_one_forest(self):
+        rng = np.random.default_rng(87)
+        ds = _tied_dataset(rng, 250)
+        config = CsdtConfig(max_depth=5, n_quantiles=16)
+        rows = [np.sort(rng.integers(0, ds.n, ds.n)) for _ in range(5)]
+        specs = [
+            csdt.TreeSpec(),
+            csdt.TreeSpec(rows[0], features=np.array([0, 2, 4])),
+            csdt.TreeSpec(rows[1], seed=3, node_features=2),
+            csdt.TreeSpec(rows[2], seed=2**64 - 1, node_features=2, features=np.array([1, 3, 4])),
+            csdt.TreeSpec(rows[3], seed=4, node_features=ds.k),  # samples nothing
+            csdt.TreeSpec(rows[4], features=np.arange(ds.k)),
+        ]
+        for spec, model in zip(specs, csdt.grow_forest(ds, config, specs)):
+            sub = ds if spec.rows is None else ds.subset(spec.rows)
+            alone = grow(sub, config, seed=spec.seed, node_features=spec.node_features,
+                         features=spec.features)
+            assert _tree_bytes(model) == _tree_bytes(alone)
+
+    @pytest.mark.parametrize("rows", [
+        [], [2, 1], [-1, 2], [0, 30], [[0, 1]], [0.0, 1.0],
+    ], ids=["empty", "decreasing", "negative", "past-end", "2-d", "float"])
+    def test_bad_rows_rejected(self, rows):
+        ds = _tied_dataset(np.random.default_rng(89), 30)
+        with pytest.raises(ValidationError, match=r"increasing list of rows in \[0, 30\)"):
+            csdt.grow_forest(ds, CsdtConfig(), [csdt.TreeSpec(np.array(rows))])
+
+    def test_bad_spec_rejected_before_growth(self):
+        ds = _tied_dataset(np.random.default_rng(90), 30)
+        with pytest.raises(ConfigError, match="node_features needs a seed"):
+            csdt.grow_forest(ds, CsdtConfig(), [csdt.TreeSpec(), csdt.TreeSpec(node_features=2)])
+
+
+class TestPruneOnAnotherSet:
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    def test_counts_still_add_up_to_the_growth_rows(self, impurity):
+        rng = np.random.default_rng([91, len(impurity)])
+        collapsed = 0
+        for _ in range(20):
+            train = strict_random_dataset(rng, 200, 3)
+            held_out = strict_random_dataset(rng, 50, 3)
+            model = grow(train, CsdtConfig(max_depth=6, impurity=impurity, pruning=False))
+            tree = prune(model, held_out).tree
+            leaf = tree.feature < 0
+            assert tree.n[0] == train.n and tree.n_pos[0] == train.y.sum()
+            assert tree.n[leaf].sum() == tree.n[0] and tree.n_pos[leaf].sum() == tree.n_pos[0]
+            for i in np.flatnonzero(~leaf).tolist():
+                for counts in (tree.n, tree.n_pos):
+                    assert counts[i] == counts[i + 1] + counts[tree.right[i]]
+            collapsed += tree.size < model.n_nodes()
+        assert collapsed > 10

@@ -99,6 +99,24 @@ class TestTrain:
             model = train(ds, small_config("wv", kind=kind, T=3, seed=2))
             assert predict(model, ds).shape == (80,)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_tree_is_pruned_through_csdt_prune(self, kind, monkeypatch):
+        # perfbench's traced runs check each call of csdt.prune by this name
+        pruned = []
+        prune = csdt.prune
+        monkeypatch.setattr(
+            csdt, "prune", lambda model, prune_set: pruned.append(prune_set.n) or prune(
+                model, prune_set),
+        )
+        ds = strict_random_dataset(np.random.default_rng(5), 90, 5)
+        config = small_config("wv", kind=kind, T=12, seed=3)
+        train(ds, config)
+        samples = draw_samples(ds.n, ds.k, config.inducer)
+        assert pruned == [sample.example_indices.size for sample in samples]
+        pruned.clear()
+        train(ds, dataclasses.replace(config, tree=dataclasses.replace(FAST_TREE, pruning=False)))
+        assert pruned == []
+
     def test_stacking_design_matrix_in_sample(self):
         ds = strict_random_dataset(np.random.default_rng(4), 60, 3)
         model = train(ds, small_config("stacking", T=3, seed=6))
