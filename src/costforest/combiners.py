@@ -97,6 +97,8 @@ class GaConfig:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not self.mutation_sigma >= 0.0:
             raise ConfigError(f"mutation_sigma must be >= 0, got {self.mutation_sigma}")
+        if not math.isfinite(self.mutation_sigma):  # an unmutated gene would add 0 * inf
+            raise ConfigError(f"mutation_sigma must be finite, got {self.mutation_sigma}")
 
 
 def _sigmoid(z) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Domain cost-matrix builders: fraud, churn, credit scoring, direct marketing.
 
 Each builder maps raw domain columns to per-row (c_tp, c_fp, c_fn, c_tn)
-costs. All four domains charge nothing for true negatives. Strict mode
-rejects rows violating reasonableness (misclassification must cost more than
-correct classification); relaxed mode keeps them, which churn rows with a low
-offer-acceptance probability require.
+costs. All four domains charge nothing for true negatives. Every parameter
+number and domain value must be finite, and so must the costs built from
+them. Strict mode rejects rows violating reasonableness (misclassification
+must cost more than correct classification); relaxed mode keeps them, which
+churn rows with a low offer-acceptance probability require.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +20,14 @@ from .cost_model import unreasonable_rows
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
+
+
+def _check_params(params) -> None:
+    """Reject a parameter number that is not finite (NaN, inf)."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not isinstance(value, str) and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +38,7 @@ class FraudCostParams:
     amount_col: str = "amount"
 
     def __post_init__(self):
+        _check_params(self)
         if self.admin_cost <= 0:
             raise ValidationError("admin_cost must be positive")
 
@@ -42,6 +53,7 @@ class ChurnCostParams:
     clv_col: str = "clv"           # customer lifetime value
 
     def __post_init__(self):
+        _check_params(self)
         if self.admin_cost <= 0:
             raise ValidationError("admin_cost must be positive")
 
@@ -59,9 +71,10 @@ class CreditCostParams:
     profit_col: str = "profit"
 
     def __post_init__(self):
+        _check_params(self)
         if not 0 < self.loss_given_default <= 1:
             raise ValidationError("loss_given_default must be in (0, 1]")
-        if abs(self.pi_0 + self.pi_1 - 1.0) > 1e-9:
+        if not abs(self.pi_0 + self.pi_1 - 1.0) <= 1e-9:
             raise ValidationError("pi_0 + pi_1 must equal 1")
 
     @property
@@ -81,12 +94,23 @@ class MarketingCostParams:
     income_col: str = "income"
 
     def __post_init__(self):
+        _check_params(self)
         if self.admin_cost <= 0:
             raise ValidationError("admin_cost must be positive")
 
 
 def _stack(c_tp, c_fp, c_fn, c_tn) -> np.ndarray:
     return np.column_stack([c_tp, c_fp, c_fn, c_tn]).astype(np.float64)
+
+
+def _finite(values, domain: str, name: str) -> np.ndarray:
+    """``values`` as float64, or a ValidationError naming the first rows that
+    hold a non-finite value."""
+    array = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(array))
+    if bad.size:
+        raise ValidationError(f"{domain}: {name} not finite at rows {bad[:5].tolist()}")
+    return array
 
 
 def _check_reasonableness(costs: np.ndarray, strict: bool, domain: str) -> np.ndarray:
@@ -109,7 +133,7 @@ def build_fraud_costs(
     amounts: np.ndarray, params: FraudCostParams, strict: bool = True
 ) -> np.ndarray:
     """(C_a, C_a, Amt_i, 0) per row."""
-    amt = np.asarray(amounts, dtype=np.float64)
+    amt = _finite(amounts, "fraud", "amount")
     if (amt < 0).any():
         raise ValidationError("fraud: transaction amounts must be nonnegative")
     n = amt.shape[0]
@@ -125,17 +149,18 @@ def build_churn_costs(
     strict: bool = True,
 ) -> np.ndarray:
     """c_tp = gamma*C_o + (1-gamma)*(CLV + C_a); c_fp = C_o + C_a; c_fn = CLV."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    offer_cost = np.asarray(offer_cost, dtype=np.float64)
-    clv = np.asarray(clv, dtype=np.float64)
+    gamma = _finite(gamma, "churn", "gamma")
+    offer_cost = _finite(offer_cost, "churn", "offer_cost")
+    clv = _finite(clv, "churn", "clv")
     if ((gamma < 0) | (gamma > 1)).any():
         bad = np.flatnonzero((gamma < 0) | (gamma > 1))
         raise ValidationError(f"churn: gamma outside [0, 1] at rows {bad[:5].tolist()}")
     if (clv < 0).any():
         raise ValidationError("churn: CLV must be nonnegative")
     ca = params.admin_cost
-    c_tp = gamma * offer_cost + (1.0 - gamma) * (clv + ca)
-    c_fp = offer_cost + ca
+    with np.errstate(over="ignore", invalid="ignore"):  # finite inputs may overflow
+        c_tp = _finite(gamma * offer_cost + (1.0 - gamma) * (clv + ca), "churn", "c_tp")
+        c_fp = _finite(offer_cost + ca, "churn", "c_fp")
     return _check_reasonableness(
         _stack(c_tp, c_fp, clv, np.zeros_like(clv)), strict, "churn"
     )
@@ -148,10 +173,11 @@ def build_credit_costs(
     strict: bool = True,
 ) -> np.ndarray:
     """c_fn = Cl_i * L_gd; c_fp = r_i + alternative-customer cost; zero otherwise."""
-    cl = np.asarray(credit_line, dtype=np.float64)
-    r = np.asarray(profit, dtype=np.float64)
+    cl = _finite(credit_line, "credit", "credit_line")
+    r = _finite(profit, "credit", "profit")
     c_fn = cl * params.loss_given_default
-    c_fp = r + params.alternative_fp_cost
+    with np.errstate(over="ignore"):  # finite inputs may overflow; checked before the clamp
+        c_fp = _finite(r + params.alternative_fp_cost, "credit", "c_fp")
     negative = np.flatnonzero(c_fp < 0)
     if negative.size:
         if strict:
@@ -169,7 +195,7 @@ def build_marketing_costs(
     income: np.ndarray, params: MarketingCostParams, strict: bool = True
 ) -> np.ndarray:
     """(C_a, C_a, Int_i, 0) per row; Int_i is deposit amount times interest spread."""
-    inc = np.asarray(income, dtype=np.float64)
+    inc = _finite(income, "marketing", "income")
     if (inc < 0).any():
         raise ValidationError("marketing: expected income must be nonnegative")
     n = inc.shape[0]

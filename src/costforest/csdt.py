@@ -18,7 +18,7 @@ the open nodes of every growing tree bucketed together and each bucket
 scored in blocks of at most BLOCK_CELLS cells, one split-search call per
 block. A node's rows index one table of the training set in increasing
 order, so every sort, gathered cost and sum is the one its tree makes
-alone, and each tree is the tree ``grow`` gives on its rows' subset.
+alone: each tree is the one its :class:`TreeSpec` gives on its rows' subset.
 
 Setting ``impurity="gini"`` swaps the money columns for unit costs
 (tp = tn = 0, fp = fn = 1) in every internal computation, which turns the
@@ -100,6 +100,8 @@ class CsdtConfig:
     def validate(self) -> None:
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
+        if not np.isfinite(self.min_gain):
+            raise ConfigError(f"min_gain must be finite, got {self.min_gain}")
         if self.candidate_thresholds not in THRESHOLD_MODES:
             raise ConfigError(
                 f"candidate_thresholds must be one of {THRESHOLD_MODES}, "
@@ -184,8 +186,8 @@ class CsdtModel:
 
     ``tree`` is a :class:`Tree`, or a :class:`Leaf` for a one-node tree.
     ``stats_of`` is the dataset whose rows the node statistics describe,
-    set by :func:`grow` only while it prunes, so that :func:`prune` on that
-    dataset needs no routing; ``grow`` returns every model with it empty.
+    set by :func:`grow_forest` only while it prunes, so that :func:`prune` on
+    that dataset needs no routing; growth returns every model with it empty.
     """
 
     def __init__(self, tree: Tree | Leaf, config: CsdtConfig, k: int):
@@ -377,8 +379,16 @@ class TreeSpec:
     """One tree of a forest (see :func:`grow_forest`).
 
     ``rows`` are the tree's rows of the training set, in increasing order
-    with repeats allowed; None is every row once. ``seed``,
-    ``node_features`` and ``features`` are :func:`grow`'s.
+    with repeats allowed; None is every row once. ``features``, strictly
+    increasing columns of the training set, limits the tree's search to
+    those columns (a random patch); None searches every column. Either way
+    the tree records columns of the training set. ``node_features``
+    activates random-forest style feature sampling: each node considers its
+    own subset of that many of the searched features, drawn by
+    ``rng.feature_subsets`` from a key for the node. The root's key is
+    ``seed``, an int in [0, 2**64); a child's is ``mix64(key, side)``, side
+    0 for left and 1 for right. So the tree does not depend on the order in
+    which nodes are grown.
     """
 
     rows: np.ndarray | None = None
@@ -436,46 +446,18 @@ class _Growth:
         return CsdtModel(Tree(*zip(*preorder)), config, k)
 
 
-def grow(
-    train: CostedDataset,
-    config: CsdtConfig | None = None,
-    seed: int | None = None,
-    node_features: int | None = None,
-    ranks: np.ndarray | None = None,
-    features: np.ndarray | None = None,
-) -> CsdtModel:
-    """Grow (and by default prune) a cost-sensitive tree on every row of ``train``.
-
-    ``features``, strictly increasing columns of ``train.X``, limits the
-    search to those columns (a random patch); by default every column is
-    searched. Either way the tree records columns of ``train.X``.
-    ``node_features`` activates random-forest style feature sampling: each
-    node considers its own subset of that many of the searched features,
-    drawn by ``rng.feature_subsets`` from a key for the node. The root's key is
-    ``seed``, an int in [0, 2**64); a child's is ``mix64(key, side)``,
-    side 0 for left and 1 for right. So the tree does not depend on the
-    order in which nodes are grown.
-    ``ranks`` are the sort keys of ``train.X``: its own ``column_ranks`` by
-    default, or the rows' slice of a larger table's, if those rows are in
-    increasing order. Either gives the same tree.
-    It is the one tree of a :func:`grow_forest`.
-    """
-    spec = TreeSpec(seed=seed, node_features=node_features, features=features)
-    return grow_forest(train, config, [spec], ranks)[0]
+def grow(train: CostedDataset, config: CsdtConfig | None = None) -> CsdtModel:
+    """Grow (and by default prune) a cost-sensitive tree on every row and
+    column of ``train``: the one tree of a :func:`grow_forest`."""
+    return grow_forest(train, config, [TreeSpec()])[0]
 
 
 def grow_forest(
-    train: CostedDataset,
-    config: CsdtConfig | None,
-    specs: Sequence[TreeSpec],
-    ranks: np.ndarray | None = None,
+    train: CostedDataset, config: CsdtConfig | None, specs: Sequence[TreeSpec]
 ) -> list[CsdtModel]:
     """Grow (and by default prune) one tree per spec, each on its rows of ``train``.
 
-    Each tree is the one :func:`grow` gives on ``train.subset(spec.rows)``
-    with the spec's seed, node_features and features. ``ranks`` are
-    ``train``'s sort keys, its own ``column_ranks`` by default.
-
+    Each tree is the one its spec gives alone on ``train.subset(spec.rows)``.
     The trees grow together, at most WAVE_TREES at a time, level by level.
     Each step takes the open nodes of every growing tree and groups them
     into buckets by their tree's per-node feature count and by row count: in
@@ -484,17 +466,14 @@ def grow_forest(
     the ``floor(log2 n)`` of its row count. Each bucket is cut into blocks of
     at most BLOCK_CELLS cells (and at least one node), and each block is
     scored with one ``_best_split`` call. A node's rows are indices into one
-    table of ``train``'s columns, in increasing order with repeats kept, so
-    every sort, gathered cost and sum is the one its tree would make alone.
-    After growth each tree is put in preorder and pruned through
-    :func:`prune` on its rows, one tree at a time.
+    table of ``train``'s columns and their ``column_ranks``, in increasing
+    order with repeats kept, so every sort, gathered cost and sum is the one
+    its tree would make alone. After growth each tree is put in preorder and
+    pruned through :func:`prune` on its rows, one tree at a time.
     """
     config = config or CsdtConfig()
     config.validate()
-    if ranks is None:
-        ranks = column_ranks(train.X)
-    elif ranks.shape != train.X.shape:
-        raise ValidationError(f"ranks have shape {ranks.shape}, expected {train.X.shape}")
+    ranks = column_ranks(train.X)
     trees = [_Growth(spec, train.n, train.k) for spec in specs]
     q = config.n_quantiles if config.candidate_thresholds == "quantiles" else None
     # nodes that _best_split scores by position share one bucket

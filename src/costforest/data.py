@@ -46,9 +46,10 @@ class SplitSpec:
 
     def validate(self) -> None:
         fracs = (self.train_frac, self.valid_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
+        # written so that a NaN fraction fails both checks
+        if not all(f > 0 for f in fracs):
             raise ValidationError(f"split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
+        if not abs(sum(fracs) - 1.0) <= 1e-9:
             raise ValidationError(f"split fractions must sum to 1, got {sum(fracs)}")
 
 

@@ -114,9 +114,6 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     config = config or EcsdtConfig()
     config.validate()
     samples = draw_samples(train_set.n, train_set.k, config.inducer)
-    # every sample's rows are sorted, so one table's ranks sort each tree's
-    # nodes as the tree's own would
-    ranks = csdt.column_ranks(train_set.X)
     specs = [
         csdt.TreeSpec(
             sample.example_indices,
@@ -126,7 +123,7 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
         )
         for j, sample in enumerate(samples)
     ]
-    trees = [model.tree for model in csdt.grow_forest(train_set, config.tree, specs, ranks)]
+    trees = [model.tree for model in csdt.grow_forest(train_set, config.tree, specs)]
     oob_savings = np.empty(len(samples))
     oob_accuracy = np.empty(len(samples))
     ensemble = EnsembleModel(

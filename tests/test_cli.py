@@ -184,6 +184,20 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("tree", {"max_depth": 3, "min_gain": float("nan")}, "min_gain must be finite, got nan"),
+        ("combiner", {"kind": "stacking", "ga": {"mutation_sigma": float("inf")}},
+         "mutation_sigma must be finite, got inf"),
+    ])
+    def test_non_finite_train_value_exit_1(self, tmp_path, capsys, section, value, message):
+        # both trained and exited 0: NaN let every split pass, inf made the GA's genes NaN
+        cfg = write(tmp_path / "t.json", json.dumps(dict(TRAIN_CONFIG, **{section: value})))
+        data = write(tmp_path / "d.csv", FOUR_ROWS)
+        model = tmp_path / "m.json"
+        assert main(["train", "--config", cfg, "--train", data, "--model-out", str(model)]) == 1
+        assert message in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps(TRAIN_CONFIG))
         assert main(["train", "--config", cfg, "--train", str(tmp_path / "no.csv"),
@@ -388,6 +402,31 @@ class TestBuildCosts:
         assert "p.json" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("domain, params", [
+        ("fraud", {"admin_cost": float("inf")}),
+        ("credit", {"loss_given_default": 0.75, "pi_0": float("nan"), "pi_1": 0.1,
+                    "mean_profit": 30.0, "mean_credit_line": 1000.0}),
+    ])
+    def test_non_finite_param_exit_1(self, tmp_path, capsys, domain, params):
+        # these wrote inf or NaN cost columns and exited 0, also with --relaxed
+        data = write(tmp_path / "raw.csv", "f1,amount,credit_line,profit,y\n1,100,500,10,1\n")
+        params = write(tmp_path / "p.json", json.dumps({"version": "1", **params}))
+        out = tmp_path / "c.csv"
+        assert main(["build-costs", "--domain", domain, "--params", params, "--relaxed",
+                     "--data", data, "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_column_exit_2(self, tmp_path, capsys, cell):
+        data = write(tmp_path / "raw.csv", f"f1,amount,y\n1,100,1\n2,{cell},0\n")
+        params = write(tmp_path / "p.json", json.dumps({"version": "1", "admin_cost": 3}))
+        out = tmp_path / "c.csv"
+        assert main(["build-costs", "--domain", "fraud", "--params", params,
+                     "--data", data, "--out", str(out)]) == 2
+        assert "fraud: amount not finite at rows [1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestResample:
     def test_undersample_balances(self, tmp_path):
@@ -563,6 +602,16 @@ class TestBenchmark:
         assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
         assert message in capsys.readouterr().err
         assert experiments == []  # rejected before any cell runs
+
+    @pytest.mark.parametrize("key", ["train_frac", "valid_frac", "test_frac"])
+    def test_nan_split_fraction_exit_1(self, tmp_path, capsys, key):
+        # JSON's NaN used to pass the split checks and crash with exit 3
+        spec_path = self._spec(tmp_path)
+        spec = json.loads((tmp_path / "spec.json").read_text())
+        spec["datasets"][0]["split"][key] = float("nan")
+        write(tmp_path / "spec.json", json.dumps(spec))
+        assert main(["benchmark", "--spec", spec_path, "--out", str(tmp_path / "r.json")]) == 1
+        assert "split fractions must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):

@@ -215,6 +215,7 @@ class TestStackingPredict:
 class TestGa:
     @pytest.mark.parametrize("field, value", [
         ("tournament", 0), ("mutation_sigma", -1.0), ("mutation_sigma", float("nan")),
+        ("mutation_sigma", float("inf")),
         ("generations", -1), ("crossover_rate", 1.5), ("crossover_rate", -0.1),
         ("mutation_rate", 2.0), ("mutation_rate", -1.0),
     ])

@@ -120,6 +120,17 @@ class TestRule:
         with pytest.raises(ConfigError, match="TypeError"):
             from_json(GaConfig, {"beta_bounds": [0, 10**400]})
 
+    @pytest.mark.parametrize("cls, key, value", [
+        (CsdtConfig, "min_gain", math.nan),
+        (CsdtConfig, "min_gain", math.inf),
+        (CsdtConfig, "min_gain", -math.inf),
+        (GaConfig, "mutation_sigma", math.inf),
+    ])
+    def test_non_finite_number_rejected(self, cls, key, value):
+        # NaN made every split pass min_gain; an infinite sigma made the GA's genes NaN
+        with pytest.raises(ConfigError, match=f"^'c': {key} must be finite, got {value}"):
+            from_json(cls, {key: value}, "c")
+
     def test_type_checks_only(self):
         """No range check is added: an infinite learning rate fails at training time."""
         assert from_json(LrConfig, {"learning_rate": math.inf}).learning_rate == math.inf

@@ -153,3 +153,51 @@ def test_builders_row_local():
         [build_fraud_costs(amounts[i:i + 1], FraudCostParams(3)) for i in range(20)]
     )
     assert np.array_equal(whole, parts)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, columns, message", [
+    (lambda c: build_fraud_costs(*c, FraudCostParams(3)),
+     [[40.0, NAN, INF]], r"fraud: amount not finite at rows \[1, 2\]"),
+    (lambda c: build_churn_costs(*c, ChurnCostParams(3)),
+     [[0.9, NAN], [5.0, 5.0], [300.0, 300.0]], r"churn: gamma not finite at rows \[1\]"),
+    (lambda c: build_churn_costs(*c, ChurnCostParams(3)),
+     [[0.9, 0.9], [5.0, 5.0], [-INF, 300.0]], r"churn: clv not finite at rows \[0\]"),
+    (lambda c: build_credit_costs(*c, CreditCostParams(0.5, 0.9, 0.1, 30.0, 1000.0),
+                                  strict=False),
+     [[500.0, 500.0], [90.0, -INF]], r"credit: profit not finite at rows \[1\]"),
+    (lambda c: build_marketing_costs(*c, MarketingCostParams(1)),
+     [[INF, 25.0]], r"marketing: income not finite at rows \[0\]"),
+], ids=["fraud-amount", "churn-gamma", "churn-clv", "credit-profit-relaxed", "marketing-income"])
+def test_non_finite_domain_column_rejected(build, columns, message):
+    # these were copied into the costs, or clamped to zero (credit, relaxed)
+    with pytest.raises(ValidationError, match=message):
+        build([np.array(column) for column in columns])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_churn_costs(np.array([0.5, 1.0]), np.array([5.0, 5.0]),
+                              np.array([1e308, 1e308]), ChurnCostParams(1e308), strict=False),
+    lambda: build_credit_costs(np.array([500.0]), np.array([-1.5e308]),
+                               CreditCostParams(0.5, 1.0, 0.0, 1.5e308, 1000.0), strict=False),
+], ids=["churn", "credit"])
+def test_overflowing_costs_rejected(build):
+    with pytest.raises(ValidationError, match="not finite at rows"):
+        build()
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: FraudCostParams(admin_cost=v),
+    lambda v: ChurnCostParams(admin_cost=v),
+    lambda v: MarketingCostParams(admin_cost=v),
+    lambda v: CreditCostParams(0.75, v, 0.1, 30.0, 1000.0),
+    lambda v: CreditCostParams(0.75, 0.9, 0.1, v, 1000.0),
+    lambda v: CreditCostParams(0.75, 0.9, 0.1, 30.0, v),
+], ids=["fraud", "churn", "marketing", "credit-pi_0", "credit-mean_profit",
+        "credit-mean_credit_line"])
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_non_finite_param_rejected(make, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        make(value)

@@ -667,12 +667,18 @@ def _kernel(X, cost0, cost1, features, q):
 
 
 def sample_kwargs(sample, j):
-    """``grow``'s arguments for tree j of an ensemble's sample: its patch's
-    features, or its per-node feature count and key."""
+    """``TreeSpec``'s arguments but its rows for tree j of an ensemble's
+    sample: its patch's features, or its per-node feature count and key."""
     kwargs = {"features": sample.feature_indices}
     if sample.node_features is not None:
         kwargs.update(seed=j, node_features=sample.node_features)
     return kwargs
+
+
+def grow_one(train, config=None, **spec):
+    """The tree that a ``TreeSpec`` of every row and ``spec``'s features,
+    seed and node_features grows on ``train``."""
+    return csdt.grow_forest(train, config, [csdt.TreeSpec(**spec)])[0]
 
 
 class TestSplitKernel:
@@ -918,28 +924,6 @@ class TestColumnRanks:
         assert csdt.column_ranks(np.zeros((n, 1))).dtype == dtype
 
     @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_sliced_ranks_grow_the_same_tree(self, kind, mode):
-        rng = np.random.default_rng(66)
-        ds = _tied_dataset(rng, 400)
-        ranks = csdt.column_ranks(ds.X)
-        config = CsdtConfig(candidate_thresholds=mode, max_depth=5)
-        samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=6))
-        for j, sample in enumerate(samples):
-            rows = sample.example_indices
-            sub = ds.subset(rows)
-
-            def fit(**kwargs):
-                return model_to_dict(grow(sub, config, **kwargs, **sample_kwargs(sample, j)))
-
-            assert fit(ranks=ranks[rows]) == fit()
-
-    def test_ranks_of_another_shape_rejected(self):
-        ds = _tied_dataset(np.random.default_rng(68), 40)
-        with pytest.raises(ValidationError, match="ranks have shape"):
-            grow(ds, ranks=csdt.column_ranks(ds.X)[:30])
-
-    @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
     def test_32_bit_keys_match_float_keys(self, mode, monkeypatch):
         rng = np.random.default_rng(67)
         n = 70_000
@@ -972,7 +956,7 @@ class TestFeaturePatch:
             f = np.flatnonzero(rng.random(ds.k) < 0.5)
             if f.size == 0:
                 f = np.array([int(rng.integers(ds.k))])
-            tree = grow(ds, config, features=f).tree
+            tree = grow_one(ds, config, features=f).tree
             narrow = grow(CostedDataset(ds.X[:, f], ds.y, ds.costs), config).tree
             assert tree.feature.tolist() == [-1 if c < 0 else int(f[c]) for c in narrow.feature]
             for field in fields(csdt.Tree)[1:]:
@@ -983,19 +967,19 @@ class TestFeaturePatch:
 
     def test_every_column_is_the_default(self):
         ds = _tied_dataset(np.random.default_rng(83), 150)
-        assert model_to_dict(grow(ds, features=np.arange(ds.k))) == model_to_dict(grow(ds))
+        assert model_to_dict(grow_one(ds, features=np.arange(ds.k))) == model_to_dict(grow(ds))
 
     def test_node_features_draw_from_the_patch(self):
         ds = _tied_dataset(np.random.default_rng(84), 300)
         f = np.array([1, 3, 4])
-        model = grow(ds, CsdtConfig(pruning=False), seed=5, node_features=2, features=f)
+        model = grow_one(ds, CsdtConfig(pruning=False), seed=5, node_features=2, features=f)
         assert model.n_nodes() > 3
         assert set(model.tree.feature.tolist()) <= {-1, 1, 3, 4}
         assert model_to_dict(model) == model_to_dict(
             grow_oracle(ds, CsdtConfig(pruning=False), seed=5, node_features=2, features=f)
         )
         with pytest.raises(ConfigError, match=r"node_features must be in \[1, 3\]"):
-            grow(ds, seed=5, node_features=4, features=f)
+            grow_one(ds, seed=5, node_features=4, features=f)
 
     @pytest.mark.parametrize("features", [
         [], [2, 1], [1, 1], [-1, 2], [0, 5], [[0, 1]], [0.0, 1.0],
@@ -1003,7 +987,7 @@ class TestFeaturePatch:
     def test_bad_features_rejected(self, features):
         ds = _tied_dataset(np.random.default_rng(85), 40)
         with pytest.raises(ValidationError, match="strictly increasing columns in \\[0, 5\\)"):
-            grow(ds, features=np.array(features))
+            grow_one(ds, features=np.array(features))
 
 
 # --- flat node arrays against the nested-tree oracles ----------------------
@@ -1107,7 +1091,7 @@ class TestFlatTreesMatchOracles:
         samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=3, seed=7))
         for j, sample in enumerate(samples):
             sub = ds.subset(sample.example_indices)
-            tree = grow(sub, config, **sample_kwargs(sample, j)).tree
+            tree = grow_one(sub, config, **sample_kwargs(sample, j)).tree
             assert tree.size > 1
             routed = csdt._node_stats(tree, sub, impurity)
             recorded = (tree.cost_f0, tree.cost_f1, tree.n, tree.n_pos)
@@ -1167,7 +1151,7 @@ class TestLevelWiseGrowth:
             def fit(grower):
                 return model_to_dict(grower(sub, config, **sample_kwargs(sample, j)))
 
-            assert fit(grow) == fit(grow_oracle)
+            assert fit(grow_one) == fit(grow_oracle)
 
     @pytest.mark.parametrize("config", [
         CsdtConfig(min_samples_split=40),
@@ -1221,7 +1205,7 @@ class TestLevelWiseGrowth:
         for j, sample in enumerate(samples):
             sub = ds.subset(sample.example_indices)
             kwargs = sample_kwargs(sample, j)
-            model = grow(sub, config, **kwargs)
+            model = grow_one(sub, config, **kwargs)
             assert model_to_dict(model) == model_to_dict(grow_oracle(sub, config, **kwargs))
         assert any(width - 1 < n_quantiles for width in widths)  # some block scored positions
 
@@ -1253,17 +1237,15 @@ class TestForestGrowth:
         )
         rng = np.random.default_rng([86, len(kind), len(mode), pruning])
         ds = _tied_dataset(rng, 300)
-        ranks = csdt.column_ranks(ds.X)
         config = CsdtConfig(candidate_thresholds=mode, n_quantiles=20, max_depth=6,
                             pruning=pruning)
         samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=13, seed=10))
         specs = [csdt.TreeSpec(s.example_indices, **sample_kwargs(s, j))
                  for j, s in enumerate(samples)]
-        forest = csdt.grow_forest(ds, config, specs, ranks)
+        forest = csdt.grow_forest(ds, config, specs)
         forest_calls, calls[:] = calls[:], []
         for j, (sample, model) in enumerate(zip(samples, forest)):
-            rows = sample.example_indices
-            alone = grow(ds.subset(rows), config, ranks=ranks[rows], **sample_kwargs(sample, j))
+            alone = grow_one(ds.subset(sample.example_indices), config, **sample_kwargs(sample, j))
             assert model.stats_of is None and model.k == ds.k
             assert _tree_bytes(model) == _tree_bytes(alone), j
         assert sum(model.n_nodes() > 1 for model in forest) > len(forest) // 2
@@ -1288,8 +1270,8 @@ class TestForestGrowth:
         ]
         for spec, model in zip(specs, csdt.grow_forest(ds, config, specs)):
             sub = ds if spec.rows is None else ds.subset(spec.rows)
-            alone = grow(sub, config, seed=spec.seed, node_features=spec.node_features,
-                         features=spec.features)
+            alone = grow_one(sub, config, seed=spec.seed, node_features=spec.node_features,
+                             features=spec.features)
             assert _tree_bytes(model) == _tree_bytes(alone)
 
     @pytest.mark.parametrize("rows", [

@@ -105,6 +105,14 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split(random_dataset(20), SplitSpec(0.5, 0.3, 0.3, seed=0))
 
+    @pytest.mark.parametrize("which", range(3))
+    def test_nan_fraction_rejected(self, which):
+        # NaN passed both comparisons and failed in split_sizes' int(n * NaN)
+        fracs = [0.5, 0.25, 0.25]
+        fracs[which] = float("nan")
+        with pytest.raises(ValidationError, match="split fractions must be positive"):
+            split(random_dataset(20), SplitSpec(*fracs, seed=0))
+
     def test_bundle_type(self):
         assert isinstance(split(random_dataset(40), SplitSpec(seed=1)), DatasetBundle)
 
