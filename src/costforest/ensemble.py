@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -49,11 +48,10 @@ class EcsdtConfig:
 @dataclass
 class EnsembleModel:
     """T base trees, which split on columns of the ensemble's k features and were
-    grown with ``config.tree``, plus exactly one populated combiner parameter set."""
+    grown with ``config.tree``, plus the parameter set of ``config.combiner``."""
 
     trees: list[csdt.Tree]
     oob_savings: np.ndarray
-    combiner: str
     config: EcsdtConfig
     k: int
     weights: WeightVector | None = None
@@ -63,34 +61,38 @@ class EnsembleModel:
     def T(self) -> int:
         return len(self.trees)
 
-    def leaves(self, X: np.ndarray) -> Iterator[tuple[csdt.Tree, np.ndarray]]:
-        """Each base tree, in order, with the leaf that each row of ``X`` (as
-        ``csdt.as_features`` returns it) reaches in it."""
-        for tree in self.trees:
-            yield tree, csdt.route(tree, X)
-
     def base_votes(self, X: np.ndarray) -> np.ndarray:
         """(T, N) matrix of base-tree predictions."""
         X = csdt.as_features(X, self.k)
         votes = np.empty((self.T, X.shape[0]), dtype=np.int64)
-        for j, (tree, leaves) in enumerate(self.leaves(X)):
-            votes[j] = tree.predicted_class[leaves]
+        for j, tree in enumerate(self.trees):
+            votes[j] = tree.predicted_class[csdt.route(tree, X)]
         return votes
 
+    def votes_and_proba(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``base_votes(X)`` and the mean of the base trees' leaf probabilities
+        (the forest estimate that BMR reads), from one routing pass."""
+        X = csdt.as_features(X, self.k)
+        votes = np.empty((self.T, X.shape[0]), dtype=np.int64)
+        proba = np.zeros(X.shape[0])
+        for j, tree in enumerate(self.trees):
+            leaves = csdt.route(tree, X)
+            votes[j] = tree.predicted_class[leaves]
+            proba += csdt.leaf_proba(tree, leaves)
+        return votes, proba / self.T
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Mean of the base trees' leaf probabilities (the forest estimate that
-        BMR reads); the combiner plays no part."""
-        leaves = self.leaves(csdt.as_features(X, self.k))
-        return sum(csdt.leaf_proba(tree, at) for tree, at in leaves) / self.T
+        """Mean of the base trees' leaf probabilities; the combiner plays no part."""
+        return self.votes_and_proba(X)[1]
 
     def predict_many(self, X: np.ndarray) -> np.ndarray:
         return self.combine(self.base_votes(X))
 
     def combine(self, votes: np.ndarray) -> np.ndarray:
-        """The combiner's decisions from a (T, N) matrix of base-tree votes."""
-        if self.combiner == "mv":
+        """The decisions of ``config.combiner`` from a (T, N) matrix of base-tree votes."""
+        if self.config.combiner == "mv":
             return combiners.majority_vote(votes)
-        if self.combiner in ("wv", "wv-acc"):
+        if self.config.combiner in ("wv", "wv-acc"):
             return combiners.weighted_vote(votes, self.weights)
         return combiners.stacking_predict(votes, self.stacking)
 
@@ -129,7 +131,6 @@ def train(train_set: CostedDataset, config: EcsdtConfig | None = None) -> Ensemb
     ensemble = EnsembleModel(
         trees=trees,
         oob_savings=oob_savings,
-        combiner=config.combiner,
         config=config,
         k=train_set.k,
     )
@@ -165,7 +166,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
         "format_version": csdt.FORMAT_VERSION,
         "kind": "ecsdt",
         "k": model.k,
-        "combiner": model.combiner,
+        "combiner": model.config.combiner,
         "config": asdict(model.config),
         "oob_savings": model.oob_savings.tolist(),
         # null: the tree splits on the file's k columns, to this reader and earlier ones
@@ -182,7 +183,7 @@ def model_to_dict(model: EnsembleModel) -> dict:
 
 def model_from_dict(data: dict) -> EnsembleModel:
     """The ensemble a model file stores. Each base tree's config is the file's
-    ``config.tree``."""
+    ``config.tree``, and its top-level ``combiner`` must equal ``config.combiner``."""
     version = csdt.check_model_header(data, "ecsdt")
     try:
         weights = data.get("weights")
@@ -195,11 +196,14 @@ def model_from_dict(data: dict) -> EnsembleModel:
             stored = [csdt.tree_dict_from_v1(entry["root"]) for entry in stored]
         if len(stored) != len(subsets):
             raise ValidationError(f"{len(stored)} base models but {len(subsets)} feature subsets")
+        if data["combiner"] != config.combiner:
+            raise ValidationError(
+                f"combiner {data['combiner']!r} but config.combiner {config.combiner!r}"
+            )
         model = EnsembleModel(
             trees=[_read_tree(arrays, subset, k, j)
                    for j, (arrays, subset) in enumerate(zip(stored, subsets))],
             oob_savings=csdt.as_floats(data["oob_savings"], "oob_savings"),
-            combiner=data["combiner"],
             config=config,
             k=k,
             weights=None if weights is None else WeightVector(csdt.as_floats(weights, "weights")),
@@ -240,7 +244,7 @@ def _read_tree(arrays: dict, subset: list | None, k: int, j: int) -> csdt.Tree:
 
 
 def _check_consistent(model: EnsembleModel) -> None:
-    """Reject a loaded model whose parts disagree on T, k or the combiner."""
+    """Reject a loaded model whose parts disagree on T or the combiner."""
     shapes = {
         "oob_savings": model.oob_savings.shape,
         "weights": None if model.weights is None else model.weights.alphas.shape,
@@ -250,12 +254,15 @@ def _check_consistent(model: EnsembleModel) -> None:
     if wrong:
         raise ValidationError(f"model has {model.T} base models but shapes {wrong}")
     if (
-        model.combiner not in combiners.COMBINER_KINDS
-        or (model.combiner in ("wv", "wv-acc")) != (model.weights is not None)
-        or (model.combiner == "stacking") != (model.stacking is not None)
+        (model.config.combiner in ("wv", "wv-acc")) != (model.weights is not None)
+        or (model.config.combiner == "stacking") != (model.stacking is not None)
     ):
         raise ValidationError(
-            f"combiner {model.combiner!r} does not match the stored combiner parameters"
+            f"combiner {model.config.combiner!r} does not match the stored combiner parameters"
+        )
+    if model.config.inducer.T != model.T:
+        raise ValidationError(
+            f"model has {model.T} base models but config.inducer.T {model.config.inducer.T}"
         )
 
 

@@ -247,28 +247,16 @@ def _fit_predict(
     elif learner in ("dt", "csdt"):
         model = csdt.grow(train, config)
     else:
-        return _ensemble_decisions(ensemble.train(train, config), algos, test)
+        model = ensemble.train(train, config)
+        votes, proba = model.votes_and_proba(test.X)
+        return [
+            baselines.bmr_predict_dataset(proba, test) if algo.family == "bmr"
+            else model.combine(votes)
+            for algo in algos
+        ]
     return [
         baselines.BmrWrapper(model).predict_on(test) if algo.family == "bmr"
         else model.predict_many(test.X)
-        for algo in algos
-    ]
-
-
-def _ensemble_decisions(
-    model: ensemble.EnsembleModel, algos: list[AlgorithmSpec], test: CostedDataset
-) -> list[np.ndarray]:
-    """Each member's test-set decisions from one routing pass of the ensemble's
-    trees: the combined votes, or BMR on the mean leaf probability."""
-    votes = np.empty((model.T, test.n), dtype=np.int64)
-    proba = np.zeros(test.n)
-    for j, (tree, leaves) in enumerate(model.leaves(csdt.as_features(test.X, model.k))):
-        votes[j] = tree.predicted_class[leaves]
-        proba += csdt.leaf_proba(tree, leaves)
-    proba /= model.T
-    return [
-        baselines.bmr_predict_dataset(proba, test) if algo.family == "bmr"
-        else model.combine(votes)
         for algo in algos
     ]
 
@@ -330,8 +318,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
         for group in _fit_groups(spec.algorithms)
         for d_idx, (_, bundle) in enumerate(spec.datasets)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool starts all its workers at the first task: no more than there are tasks
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     else:
         outcomes = [_run_cell(task) for task in tasks]

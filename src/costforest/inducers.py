@@ -43,6 +43,8 @@ class InducerConfig:
             raise ConfigError(f"ensembles need T >= 3 base classifiers, got T={self.T}")
         for name in ("n_examples", "n_features"):
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ConfigError(f"{name} must be a count or fraction, got a bool")
             if isinstance(value, float) and not 0.0 < value <= 1.0:
                 raise ConfigError(f"fractional {name} must be in (0, 1], got {value}")
             if isinstance(value, int) and value < 1:

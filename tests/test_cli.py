@@ -245,9 +245,14 @@ class TestPredictInputChecks:
          "betas must hold numbers only"),
         ("wv", lambda d: d["base_models"][0]["threshold"].__setitem__(0, "0.5"),
          "threshold must hold numbers only"),
+        ("wv", lambda d: d["config"].update(combiner="wv-acc"),
+         "combiner 'wv' but config.combiner 'wv-acc'"),
+        ("wv", lambda d: d["config"]["inducer"].update(T=50),
+         "3 base models but config.inducer.T 50"),
     ], ids=["feature-v2", "feature-v1", "rule-without-children-v1", "oob-length",
             "tree-config", "threshold-nan", "threshold-minus-infinity", "weight-nan",
-            "k-fractional", "k-true", "betas-text", "tree-threshold-text"])
+            "k-fractional", "k-true", "betas-text", "tree-threshold-text",
+            "combiner-differs-from-config", "config-T-differs-from-base-models"])
     def test_malformed_model_exit_2(self, tmp_path, capsys, version, corrupt, message):
         combiner = {"kind": "wv"} if version == "wv" else {
             "kind": "stacking", "ga": {"generations": 2, "population": 8}}

@@ -186,10 +186,24 @@ class TestPredict:
         unread = sorted(set(range(ds.k)) - read)
         X = ds.X.copy()
         X[3, unread[0]] = np.nan
-        for method in (model.predict_many, model.predict_proba, model.base_votes):
+        for method in (model.predict_many, model.predict_proba, model.base_votes,
+                       model.votes_and_proba):
             with pytest.raises(ValidationError, match="non-finite"):
                 method(X)
         assert all(set(tree.feature.tolist()) <= read | {-1} for tree in model.trees)
+
+    @pytest.mark.parametrize("kind", ["random_forest", "random_patches"])
+    def test_votes_and_proba_route_each_tree_once(self, monkeypatch, kind):
+        ds = strict_random_dataset(np.random.default_rng(23), 80, 4)
+        model = train(ds, small_config("mv", kind=kind, T=5, seed=24))
+        X = np.random.default_rng(25).normal(size=(37, 4))
+        votes, proba = model.votes_and_proba(X)
+        assert votes.tobytes() == model.base_votes(X).tobytes()
+        assert proba.tobytes() == model.predict_proba(X).tobytes()
+        original, routed = csdt.route, []
+        monkeypatch.setattr(csdt, "route", lambda tree, X: routed.append(tree) or original(tree, X))
+        model.votes_and_proba(X)
+        assert list(map(id, routed)) == list(map(id, model.trees))
 
     def test_dimension_mismatch(self):
         ds = strict_random_dataset(np.random.default_rng(7), 40, 3)
@@ -339,6 +353,10 @@ class TestSerialization:
         (lambda d: d["weights"].append(0.0), "weights"),
         (lambda d: d.update(weights=None), "combiner"),
         (lambda d: d.update(combiner="stacking"), "combiner"),
+        (lambda d: d.update(combiner="mv", weights=None), "combiner 'mv' but config.combiner 'wv'"),
+        (lambda d: d["config"].update(combiner="wv-acc"),
+         "combiner 'wv' but config.combiner 'wv-acc'"),
+        (lambda d: d["config"]["inducer"].update(T=50), "3 base models but config.inducer.T 50"),
         (lambda d: d["base_models"][0]["feature"].__setitem__(0, 99), "outside"),
         (lambda d: d["base_models"][0]["right"].__setitem__(0, 0), "not a preorder tree"),
         (lambda d: d.pop("k"), "KeyError"),

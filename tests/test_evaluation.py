@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -196,6 +197,44 @@ class TestRunExperiment:
         parallel = run_experiment(spec, jobs=2)
         assert not any(cell.failed for cell in sequential.cells.values())
         assert sequential.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize("datasets, jobs, pools", [(1, 3, []), (2, 8, [2])])
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, datasets, jobs, pools):
+        # one fit group per dataset here, so one task per dataset
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr("costforest.evaluation.ProcessPoolExecutor", RecordingPool)
+        spec = ExperimentSpec(tiny_algorithms()[:1], tiny_bundles()[:datasets],
+                              repetitions=1, seed=9)
+        report = run_experiment(spec, jobs=jobs)
+        assert started == pools
+        assert report.to_json() == run_experiment(spec, jobs=1).to_json()
+
+    def test_pool_size_capped_for_a_large_jobs(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("costforest.evaluation.ProcessPoolExecutor", InlinePool)
+        spec = ExperimentSpec(tiny_algorithms(), tiny_bundles(), repetitions=1, seed=9)
+        run_experiment(spec, jobs=10**6)
+        assert started == [6]
 
     def test_invalid_specs(self):
         with pytest.raises(ConfigError):

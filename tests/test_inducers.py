@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be >= 1, got {value}"):
             InducerConfig(kind="random_patches", **{field: value}).validate()
 
+    @pytest.mark.parametrize("field", ["n_examples", "n_features"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_rejected_without_n(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a count or fraction, got a bool"):
+            InducerConfig(kind="random_patches", **{field: value}).validate()
+
     def test_fraction_and_count(self):
         cfg = InducerConfig(kind="pasting", n_examples=0.5)
         assert cfg.resolved_n_examples(100) == 50
