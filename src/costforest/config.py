@@ -3,6 +3,7 @@ parameter files and the configs stored in model files."""
 
 from __future__ import annotations
 
+import numbers
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -25,6 +26,15 @@ def from_json(cls, obj, key: str = "", complete: bool = False):
     nested objects). Any failure is one ConfigError naming the dotted key.
     """
     return _build(cls, obj, key, complete, validate=True)
+
+
+def check_integers(config, *names: str) -> None:
+    """A ConfigError unless each named field of ``config`` is an integer: a
+    Python or numpy integer, not a bool, as the JSON reader requires."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _build(cls, obj, key: str, complete: bool, validate: bool = False):

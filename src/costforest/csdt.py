@@ -15,10 +15,13 @@ prediction.
 An ensemble's trees grow together (:func:`grow_forest`; :func:`grow` is a
 forest of one): level by level, at most WAVE_TREES trees at a time, with
 the open nodes of every growing tree bucketed together and each bucket
-scored in blocks of at most BLOCK_CELLS cells, one split-search call per
-block. A node's rows index one table of the training set in increasing
-order, so every sort, gathered cost and sum is the one its tree makes
-alone: each tree is the one its :class:`TreeSpec` gives on its rows' subset.
+scored in blocks, one split-search call per block. In quantile mode a node
+of more than ``n_quantiles`` rows is scored from histograms over global bins
+of the training set's columns (:func:`quantile_bins`,
+:func:`_histogram_split`), and every other node by sorting its rows
+(:func:`_best_split`). A node's rows index one table of the training set in
+increasing order, so every sort, gathered cost and sum is the one its tree
+makes alone on that training set.
 
 Setting ``impurity="gini"`` swaps the money columns for unit costs
 (tp = tn = 0, fp = fn = 1) in every internal computation, which turns the
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import from_json
+from .config import check_integers, from_json
 from .cost_model import CostedDataset
 from .errors import ConfigError, ValidationError
 from .rng import feature_subsets, mix64_array
@@ -44,15 +47,25 @@ FORMAT_VERSION = "2"  # of csdt and ensemble model files; version "1" files are 
 THRESHOLD_MODES = ("exact_midpoints", "quantiles")
 IMPURITY_MODES = ("cost", "gini")
 
-# Forest growth cuts a bucket into blocks of at most this many cells (nodes x
-# features x padded rows), with at least one node per block. The cap trades
-# kernel calls for the kernel's temporaries, about 80 bytes a cell. On seed
-# 1 of perfbench's data a grid operation made 1119 kernel calls with
-# per-tree blocks, 456 at 2**14 and 554 at 2**13, and the tracemalloc peak
-# of one of its random-forest fits went from 1.26 MB (per-tree blocks) to
-# 2.25 MB at 2**14 and 1.56 MB at 2**13. Uncapped blocks made fit-stacking
-# (60 calls of up to 2.4M cells) slower than capped ones.
+# Forest growth cuts a bucket of sorted nodes (exact mode, and quantile
+# mode's nodes of at most n_quantiles rows) into blocks of at most this many
+# cells (nodes x features x padded rows), with at least one node per block.
+# The cap trades kernel calls for the kernel's temporaries, about 80 bytes a
+# cell. Measured when every node was sorted, on seed 1 of perfbench's data:
+# a grid operation made 1119 kernel calls with per-tree blocks, 456 at 2**14
+# and 554 at 2**13, and the tracemalloc peak of one of its random-forest fits
+# went from 1.26 MB (per-tree blocks) to 2.25 MB at 2**14 and 1.56 MB at
+# 2**13. Uncapped blocks made fit-stacking (60 calls of up to 2.4M cells)
+# slower than capped ones.
 BLOCK_CELLS = 2**13
+# Quantile-mode forest growth cuts a bucket of nodes of more than n_quantiles
+# rows into blocks of at most this many cells (features x rows, unpadded),
+# at least one node each, each scored from histograms. On seed 1 of
+# perfbench's data, growing fit-stacking's 100 trees took a median of 199,
+# 159, 148, 148 and 169 ms at 2**14 to 2**18 cells, with tracemalloc peaks of
+# 1.24, 1.51, 2.05, 3.23 and 5.16 MB (2.04 MB when every node was sorted);
+# fit-patches' 20 trees peaked at 2.3-2.9 MB at every cap (2.12 MB sorted).
+HISTOGRAM_CELLS = 2**16
 # Forest growth grows at most this many trees at once, as the open nodes of
 # every growing tree are alive together: growing fit-stacking's 100 depth-3
 # trees peaked at 2.7 MB (tracemalloc) 10 trees at a time, 6.2 MB all at once.
@@ -79,14 +92,18 @@ class CsdtConfig:
 
     A node searches all its candidate features in one pass.
     candidate_thresholds "exact_midpoints" tries every midpoint of
-    consecutive distinct values; "quantiles" caps per-node work at
-    ``n_quantiles`` - 1 cuts per feature: quantile j of a node of n rows
-    lies at the exact index (n - 1) j / n_quantiles, and its cut sends the
-    run of equal values holding that index's integer part left. Its
-    threshold is numpy's "linear" interpolation there; a zero threshold
-    is always +0.0, even where the column holds -0.0. A threshold always
-    puts the cut exactly where it was scored: one that rounds or
-    overflows out of the cut's two values is replaced by the lower value.
+    consecutive distinct values. "quantiles" cuts each column of the
+    training set once into at most ``n_quantiles`` global bins (see
+    :func:`quantile_bins`): a node of more than ``n_quantiles`` rows tries
+    every bin boundary, scored from per-bin sums, with the midpoint of the
+    boundary's two values as threshold. A smaller node tries every run end
+    of its sorted rows; its threshold is numpy's "linear" interpolation at
+    the node's first quantile in the winning run, quantile j lying at the
+    exact index (n - 1) j / n_quantiles. A zero threshold is always +0.0,
+    even where the column holds -0.0. A threshold always puts the cut
+    exactly where it was scored: one that rounds or overflows out of the
+    cut's two values is replaced by the lower value. The counts are
+    integers; JSON and the Python API reject a bool or a fraction.
     """
 
     max_depth: int = 10
@@ -98,6 +115,7 @@ class CsdtConfig:
     impurity: str = "cost"
 
     def validate(self) -> None:
+        check_integers(self, "max_depth", "min_samples_split", "n_quantiles")
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
         if not np.isfinite(self.min_gain):
@@ -247,6 +265,17 @@ def column_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _gains(parent, size, total0, total1, left0, left1, n_left) -> np.ndarray:
+    """Each cut's decrease in impurity: the node's impurity ``parent`` less
+    the impurities of the two sides, weighted by their shares of the node's
+    ``size`` rows. ``total0`` and ``total1`` are the node's costs of
+    predicting 0 and 1; ``left0``, ``left1`` and ``n_left`` those of the
+    left side and its row count."""
+    i_left = np.minimum(left0, left1)
+    i_right = np.minimum(total0 - left0, total1 - left1)
+    return parent - (n_left / size) * i_left - ((size - n_left) / size) * i_right
+
+
 def _best_split(
     columns: np.ndarray,
     keys: np.ndarray,
@@ -269,25 +298,24 @@ def _best_split(
 
     A cut at position p sends the first p + 1 examples of a column's sort
     left, so only the last of a run of equal values is a cut, and a node's
-    last position is none. With ``q`` None every run end is a candidate,
-    with the midpoint as threshold. Otherwise quantile j (0 < j < q) of a
-    node of s examples lies at the exact index (s - 1) j / q, computed in
-    integers as ``lo, rem = divmod((s - 1) * j, q)``, and the candidates
-    are the run ends of the runs that hold some ``lo``. A block with no
-    more positions than quantiles (``width - 1 < q``) computes the gain
-    once per position, as exact mode does; a larger block computes it once
-    per quantile. Only each node's winning cut gets a threshold: the
-    midpoint, or the first quantile in the winning run interpolated as
-    numpy's "linear" quantiles are, at weight w = ``rem / q``: lower +
-    diff * w, or upper - diff * (1 - w) if w >= 0.5 (the run's value
-    unless that ``lo`` is the run end), plus 0.0 so that a zero
-    threshold is +0.0. A threshold that is not at least the run's value
-    and below the next value (a rounded or overflowing one) is the run's
-    value, so every threshold sends exactly the examples it was scored
-    with to the left. Ties go to the first column, then the first
-    candidate. Pads add zero to the running sums and lie past every cut,
-    so each node gets the answer it would get alone in an unpadded block:
-    its (gain, column, threshold), or None if no column has a cut.
+    last position is none. Every cut is a candidate, scored once. With
+    ``q`` None its threshold is the midpoint. Otherwise every node has at
+    most ``q`` rows (larger ones are scored by :func:`_histogram_split`),
+    so quantile j (0 < j < q) of a node of s rows, at the exact index
+    (s - 1) j / q, computed in integers as ``lo, rem = divmod((s - 1) * j,
+    q)``, has its ``lo`` in every run of equal values but the last. Only
+    each node's winning cut gets a threshold: the midpoint, or the first
+    quantile in the winning run interpolated as numpy's "linear" quantiles
+    are, at weight w = ``rem / q``: lower + diff * w, or upper - diff * (1 -
+    w) if w >= 0.5 (the run's value unless that ``lo`` is the run end),
+    plus 0.0 so that a zero threshold is +0.0. A threshold that is not at
+    least the run's value and below the next value (a rounded or
+    overflowing one) is the run's value, so every threshold sends exactly
+    the examples it was scored with to the left. Ties go to the first
+    column, then the first cut. Pads add zero to the running sums and lie
+    past every cut, so each node gets the answer it would get alone in an
+    unpadded block: its (gain, column, threshold), or None if no column
+    has a cut.
     """
     rows, width = columns.shape
     n_nodes = parent.size
@@ -299,63 +327,36 @@ def _best_split(
     cum0 = cost0.take(order).cumsum(axis=1)
     cum1 = cost1.take(order).cumsum(axis=1)
     top = (n - 1)[:, None]  # each row's last position
-    last = offset + top
-    # gains have (node, column, candidate) axes, so node sizes broadcast
+    # gains have (node, column, cut) axes, so node sizes broadcast
     by_node = (n_nodes, n_cols, -1)
-    total0, total1 = cum0.take(last).reshape(by_node), cum1.take(last).reshape(by_node)
-    size, parent = n[::n_cols, None, None], parent[:, None, None]
-
-    def gains_at(left0, left1, n_left):
-        i_left = np.minimum(left0, left1)
-        i_right = np.minimum(total0 - left0, total1 - left1)
-        return parent - (n_left / size) * i_left - ((size - n_left) / size) * i_right
-
-    by_position = q is None or width - 1 < q
-    if by_position:
-        gains = gains_at(
-            cum0[:, :-1].reshape(by_node), cum1[:, :-1].reshape(by_node), np.arange(1, width)
-        )
-        # Sorted values never decrease, so < finds the ends of runs of equal
-        # values; a node's last example is followed by -inf pads, if any.
-        cut = sv[:, :-1] < sv[:, 1:]
-        if q is not None:
-            # lo >= start iff (s - 1) j >= start q, so the first quantile at
-            # or after a run's start is max(1, ceil(start q / (s - 1))), and
-            # the run's end is a candidate if that quantile's lo is in the run
-            positions = np.arange(width - 1)
-            start = np.zeros(cut.shape, dtype=np.intp)
-            np.maximum.accumulate(cut[:, :-1] * positions[1:], axis=1, out=start[:, 1:])
-            first = np.maximum(-(-start * q // top), 1)
-            cut &= first * top // q <= positions
-        gains[~cut.reshape(by_node)] = -np.inf
-    else:
-        # each quantile's lo moves to the end of its run: the first run end
-        # at or after it, searched among the flat indices of every row's run
-        # ends (a node's last example ends a run, as its pads differ from it)
-        lo = (n[::n_cols, None] - 1) * np.arange(1, q) // q
-        ends = _run_ends(sv)
-        at = ends.take(ends.searchsorted(lo.repeat(n_cols, axis=0) + offset))
-        gains = gains_at(
-            cum0.take(at).reshape(by_node), cum1.take(at).reshape(by_node),
-            (at - offset + 1).reshape(by_node),
-        )
-        gains[(at == last).reshape(by_node)] = -np.inf
-    # Each node's winner: its first largest gain, which is at the first
-    # column and, as the cut positions never decrease with the quantile, at
-    # the first quantile in the winning run.
+    last = offset + top
+    gains = _gains(
+        parent[:, None, None], n[::n_cols, None, None],
+        cum0.take(last).reshape(by_node), cum1.take(last).reshape(by_node),
+        cum0[:, :-1].reshape(by_node), cum1[:, :-1].reshape(by_node), np.arange(1, width),
+    )
+    # Sorted values never decrease, so < finds the ends of runs of equal
+    # values; a node's last example is followed by -inf pads, if any.
+    cut = sv[:, :-1] < sv[:, 1:]
+    gains[~cut.reshape(by_node)] = -np.inf
+    # Each node's winner: its first largest gain, at the first column.
     flat = gains.reshape(n_nodes, -1)
     best, gain = flat.argmax(axis=1), flat.max(axis=1)
     won = np.flatnonzero(gain > -np.inf)
-    col, pick = np.divmod(best[won], gains.shape[2])
+    col, e = np.divmod(best[won], gains.shape[2])
     r = won * n_cols + col
-    e = pick if by_position else at[r, pick] - r * width
     lower, upper = sv[r, e], sv[r, e + 1]
     with np.errstate(over="ignore", invalid="ignore"):  # differences may overflow
         if q is None:
             cuts = 0.5 * (lower + upper)
         else:
-            j = first[r, e] if by_position else pick + 1
-            lo, rem = np.divmod((n[r] - 1) * j, q)
+            # the first quantile at or after the winning run's start, the
+            # count of smaller values up to the cut: lo >= start iff (s - 1) j
+            # >= start q, so it is max(1, ceil(start q / (s - 1)))
+            start = ((sv[r] < lower[:, None]) & (np.arange(width) <= e[:, None])).sum(axis=1)
+            s = n[r] - 1
+            j = np.maximum(-(-start * q // s), 1)
+            lo, rem = np.divmod(s * j, q)
             gamma = np.where(lo == e, rem / q, 0.0)
             diff = upper - lower
             cuts = np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
@@ -366,12 +367,85 @@ def _best_split(
     return found
 
 
-def _run_ends(sv: np.ndarray) -> np.ndarray:
-    """Flat indices of the last value of each run of equal values in each row."""
-    run_end = np.empty(sv.shape, dtype=bool)
-    run_end[:, -1] = True
-    np.not_equal(sv[:, :-1], sv[:, 1:], out=run_end[:, :-1])
-    return run_end.ravel().nonzero()[0]
+def quantile_bins(X: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of ``X`` cut into at most ``q`` global bins.
+
+    Quantile j (0 < j < q) of a column of n values lies at index (n - 1) j
+    // q of its sort, and a bin boundary follows the run of equal values
+    that holds it, unless that run is the column's last. A run holds some
+    quantile iff its first quantile at or after its start, max(1, ceil(start
+    q / (n - 1))), lies in it, so the runs are tested and the quantiles are
+    never listed; with q >= n every run but the last ends a bin. Returns
+    every row's bin in each column, as a (k, n) table of the narrowest
+    unsigned dtype, and each boundary's threshold, as a (k, B - 1) table
+    for the largest bin count B (at least 2), padded with zeros. A
+    threshold is the midpoint of the lower bin's largest value and the
+    upper bin's smallest; one that rounds or overflows out of [lower, upper)
+    is the lower value, and a zero threshold is +0.0. So ``value <=
+    threshold`` holds for a row exactly when its bin is at or below the
+    boundary.
+    """
+    n, n_cols = X.shape
+    lowers, uppers = [], []
+    for column in np.sort(X, axis=0).T:
+        ends = np.flatnonzero(column[:-1] != column[1:])  # run ends but the last
+        if q < n:
+            starts = np.concatenate([[0], ends[:-1] + 1])
+            ends = ends[np.maximum(-(-starts * q // (n - 1)), 1) * (n - 1) // q <= ends]
+        lowers.append(column[ends])
+        uppers.append(column[ends + 1])
+    n_bins = max(2, 1 + max(lower.size for lower in lowers))
+    bins = np.empty((n_cols, n), dtype=np.min_scalar_type(n_bins - 1))
+    cuts = np.zeros((n_cols, n_bins - 1))
+    for f, (lower, upper) in enumerate(zip(lowers, uppers)):
+        bins[f] = lower.searchsorted(X[:, f])  # the count of boundaries below each value
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lower + upper)
+        cuts[f, :lower.size] = np.where((lower <= mid) & (mid < upper), mid, lower) + 0.0
+    return bins, cuts
+
+
+def _histogram_split(
+    bins: np.ndarray,
+    sizes: np.ndarray,
+    cost0: np.ndarray,
+    cost1: np.ndarray,
+    n_bins: int,
+    parent: np.ndarray,
+) -> list[tuple[float, int, int] | None]:
+    """Max-gain (gain, column, boundary) of each node of a block, from histograms.
+
+    The block holds B nodes of F candidate features each, their rows
+    concatenated, unpadded: node b's rows are the next ``sizes[b]`` entries
+    of ``cost0``, ``cost1`` and each row of ``bins``, whose row f holds
+    feature f's global bin (below ``n_bins``; see :func:`quantile_bins`) at
+    each of the rows. ``parent[b]`` is node b's impurity. Per node, feature
+    and bin, one ``np.bincount`` pass each sums the costs of predicting 0
+    and 1 and counts the rows (in row order); a boundary's left side is the
+    cumulative sum over the bins at or below it. Its gain is
+    :func:`_gains`' over those sums, and a boundary that leaves either side
+    empty is none. Ties go to the first column, then the first boundary.
+    """
+    n_nodes, n_cols = sizes.size, bins.shape[0]
+    cells = n_nodes * n_bins
+    at = np.repeat(np.arange(0, cells, n_bins), sizes)  # each row's node's first cell
+    hist = np.empty((3, n_cols, cells))
+    for f in range(n_cols):
+        index = at + bins[f]
+        hist[0, f] = np.bincount(index, cost0, cells)
+        hist[1, f] = np.bincount(index, cost1, cells)
+        hist[2, f] = np.bincount(index, minlength=cells)
+    # (sum, node, feature, bin) axes, so each node's candidates are contiguous
+    cum = hist.reshape(3, n_cols, n_nodes, n_bins).swapaxes(1, 2).cumsum(axis=3)
+    (left0, left1, n_left), (total0, total1, size) = cum[..., :-1], cum[..., -1:]
+    gains = _gains(parent[:, None, None], size, total0, total1, left0, left1, n_left)
+    gains[(n_left == 0) | (n_left == size)] = -np.inf
+    flat = gains.reshape(n_nodes, -1)
+    best, gain = flat.argmax(axis=1), flat.max(axis=1)
+    found: list[tuple[float, int, int] | None] = [None] * n_nodes
+    for b in np.flatnonzero(gain > -np.inf).tolist():
+        found[b] = (float(gain[b]), *divmod(int(best[b]), n_bins - 1))
+    return found
 
 
 @dataclass(frozen=True)
@@ -457,27 +531,33 @@ def grow_forest(
 ) -> list[CsdtModel]:
     """Grow (and by default prune) one tree per spec, each on its rows of ``train``.
 
-    Each tree is the one its spec gives alone on ``train.subset(spec.rows)``.
     The trees grow together, at most WAVE_TREES at a time, level by level.
     Each step takes the open nodes of every growing tree and groups them
-    into buckets by their tree's per-node feature count and by row count: in
-    quantile mode, every node with no more rows than ``n_quantiles`` in one
-    bucket, which ``_best_split`` scores per position; every other node by
-    the ``floor(log2 n)`` of its row count. Each bucket is cut into blocks of
-    at most BLOCK_CELLS cells (and at least one node), and each block is
-    scored with one ``_best_split`` call. A node's rows are indices into one
-    table of ``train``'s columns and their ``column_ranks``, in increasing
-    order with repeats kept, so every sort, gathered cost and sum is the one
-    its tree would make alone. After growth each tree is put in preorder and
-    pruned through :func:`prune` on its rows, one tree at a time.
+    into buckets by their tree's searched-column count and per-node feature
+    count, and by row count. In quantile mode every node with more rows
+    than ``n_quantiles`` is scored from histograms over the global bins of
+    ``train``'s columns (:func:`quantile_bins`, made once per call): a
+    bucket's large nodes are cut into blocks of at most HISTOGRAM_CELLS
+    cells (features x rows), at least one node each, and each block is one
+    ``_histogram_split`` call. Every other node is sorted: in quantile mode
+    the nodes with at most ``n_quantiles`` rows share one bucket, scored per
+    position; in exact mode nodes share a bucket by the ``floor(log2 n)`` of
+    their row count. Such a bucket is cut into padded blocks of at most
+    BLOCK_CELLS cells (and at least one node), each scored with one
+    ``_best_split`` call. A node's rows are indices into one table of
+    ``train``'s columns, their ``column_ranks`` and their bins, in
+    increasing order with repeats kept, so every sort, gathered cost and
+    sum is the one its tree would make alone: each tree is the one that
+    ``grow_forest(train, config, [spec])`` gives, and in exact mode the one
+    its spec gives on ``train.subset(spec.rows)``. After growth each tree is
+    put in preorder and pruned through :func:`prune` on its rows, one tree
+    at a time.
     """
     config = config or CsdtConfig()
     config.validate()
     ranks = column_ranks(train.X)
     trees = [_Growth(spec, train.n, train.k) for spec in specs]
     q = config.n_quantiles if config.candidate_thresholds == "quantiles" else None
-    # nodes that _best_split scores by position share one bucket
-    small = q or 0
     # One row per column, and a pad column past the last example: value
     # -inf, the largest key and zero costs, so pads sort after every example
     # and add nothing.
@@ -488,6 +568,11 @@ def grow_forest(
     key_table = np.empty((train.k, width), dtype=ranks.dtype)
     key_table[:, :pad] = ranks.T
     key_table[:, pad] = np.iinfo(ranks.dtype).max if ranks.dtype.kind in "ui" else np.inf
+    if q is not None:
+        bins, cuts = quantile_bins(train.X, q)
+        n_bins = cuts.shape[1] + 1
+        bin_table = np.zeros((train.k, width), dtype=bins.dtype)
+        bin_table[:, :pad] = bins
     # each example's cost of predicting 0 and 1, and its label, so that one
     # gather and one sum give a node's statistics; row-wise sums are the
     # pairwise sums of each row alone, and the label sum is exact
@@ -508,17 +593,13 @@ def grow_forest(
             frontier.append((tree, len(tree.nodes) - 1, idx, depth, key))
         return len(tree.nodes) - 1
 
-    def search(block: list[tuple], n_cols: int, node_features: int | None) -> None:
+    def search(block: list[tuple], n_cols: int, node_features: int | None,
+               histogram: bool) -> None:
         """Score a block's nodes with one kernel call, then split them."""
         sizes = np.array([node[2].size for node in block])
-        n_max = int(sizes.max())
-        rows = np.full((len(block), n_max), pad)
-        rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[2] for node in block])
         if node_features is None and n_cols == train.k:
-            # every column in order: (features, nodes, n_max), swapped to nodes of features
-            table_rows = None
+            table_rows = None  # every column in order
             children = [[None, None]] * len(block)
-            values, keys = (t.take(rows, axis=1).swapaxes(0, 1) for t in (table, key_table))
         else:
             table_rows = np.array([node[0].searched for node in block])
             if node_features is None:
@@ -528,28 +609,46 @@ def grow_forest(
                 subsets = feature_subsets(node_keys, n_cols, node_features)
                 table_rows = np.take_along_axis(table_rows, subsets, axis=1)
                 children = mix64_array(node_keys[:, None], sides).tolist()
-            # each node's features at its rows: (nodes, features, n_max)
-            cells = (table_rows * width)[:, :, None] + rows[:, None, :]
-            values, keys = table.take(cells), key_table.take(cells)
         per_node = n_cols if node_features is None else node_features
-        values, keys = values.reshape(-1, n_max), keys.reshape(-1, n_max)
-        cost0, cost1 = stats[:2].take(rows, axis=1)
-        found = _best_split(
-            values,
-            keys,
-            cost0,
-            cost1,
-            sizes.repeat(per_node),
-            q,
-            np.array([min(tree.nodes[i][4:6]) for tree, i, *_ in block]),
-        )
+        parents = np.array([min(tree.nodes[i][4:6]) for tree, i, *_ in block])
+        if histogram:
+            # each node's features at its rows, concatenated: (features, rows)
+            rows = np.concatenate([node[2] for node in block])
+            if table_rows is None:
+                columns = bin_table.take(rows, axis=1)
+            else:
+                columns = np.concatenate([bin_table[np.ix_(features, node[2])]
+                                          for features, node in zip(table_rows, block)], axis=1)
+            found = _histogram_split(columns, sizes, *stats[:2].take(rows, axis=1), n_bins,
+                                     parents)
+            starts = (np.cumsum(sizes) - sizes).tolist()
+        else:
+            n_max = int(sizes.max())
+            rows = np.full((len(block), n_max), pad)
+            rows[np.arange(n_max) < sizes[:, None]] = np.concatenate([node[2] for node in block])
+            if table_rows is None:
+                # (features, nodes, n_max), swapped to nodes of features
+                values, keys = (t.take(rows, axis=1).swapaxes(0, 1) for t in (table, key_table))
+            else:
+                # each node's features at its rows: (nodes, features, n_max)
+                cells = (table_rows * width)[:, :, None] + rows[:, None, :]
+                values, keys = table.take(cells), key_table.take(cells)
+            columns = values.reshape(-1, n_max)
+            found = _best_split(columns, keys.reshape(-1, n_max), *stats[:2].take(rows, axis=1),
+                                sizes.repeat(per_node), q, parents)
         for b, ((tree, i, idx, depth, _), best) in enumerate(zip(block, found)):
             if best is None or best[0] <= config.min_gain:
                 continue
             _, col, cut = best
+            column = col if table_rows is None else int(table_rows[b, col])
             node = tree.nodes[i]
-            node[:2] = col if table_rows is None else int(table_rows[b, col]), cut
-            goes_left = values[b * per_node + col, :idx.size] <= cut
+            if histogram:
+                # a row goes left iff its bin is at or below the boundary
+                node[:2] = column, float(cuts[column, cut])
+                goes_left = columns[col, starts[b]:starts[b] + idx.size] <= cut
+            else:
+                node[:2] = column, cut
+                goes_left = columns[b * per_node + col, :idx.size] <= cut
             left, right = idx[goes_left], idx[~goes_left]
             key_left, key_right = children[b]
             tree.left_of[i] = open_node(tree, left, depth + 1, key_left)
@@ -564,21 +663,27 @@ def grow_forest(
             buckets: dict[tuple, list] = {}
             for node in frontier:
                 tree, size = node[0], node[2].size
-                key = (0 if size <= small else size.bit_length(), tree.searched.size,
-                       tree.node_features)
+                # in quantile mode -1 is scored from histograms, 0 by position
+                size_class = size.bit_length() if q is None else (-1 if size > q else 0)
+                key = (size_class, tree.searched.size, tree.node_features)
                 buckets.setdefault(key, []).append(node)
             frontier = []
-            for (_, n_cols, node_features), bucket in buckets.items():
+            for (size_class, n_cols, node_features), bucket in buckets.items():
                 per_node = n_cols if node_features is None else node_features
-                block, n_max = [], 0
+                histogram = size_class < 0
+                block, n_max, n_rows = [], 0, 0
                 for node in bucket:
-                    wider = max(n_max, node[2].size)
-                    if block and (len(block) + 1) * per_node * wider > BLOCK_CELLS:
-                        search(block, n_cols, node_features)
-                        block, wider = [], node[2].size
+                    size = node[2].size
+                    if histogram:
+                        full = per_node * (n_rows + size) > HISTOGRAM_CELLS
+                    else:
+                        full = (len(block) + 1) * per_node * max(n_max, size) > BLOCK_CELLS
+                    if block and full:
+                        search(block, n_cols, node_features, histogram)
+                        block, n_max, n_rows = [], 0, 0
                     block.append(node)
-                    n_max = wider
-                search(block, n_cols, node_features)
+                    n_max, n_rows = max(n_max, size), n_rows + size
+                search(block, n_cols, node_features, histogram)
         for tree in wave:
             model = tree.model(config, train.k)
             if config.pruning:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_integers
 from .errors import ConfigError, ValidationError
 from .rng import STREAM_SAMPLES, make_rng
 
@@ -39,6 +40,7 @@ class InducerConfig:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"inducer kind must be one of {KINDS}, got {self.kind!r}")
+        check_integers(self, "T", "seed")
         if self.T < 3:
             raise ConfigError(f"ensembles need T >= 3 base classifiers, got T={self.T}")
         for name in ("n_examples", "n_features"):

@@ -388,18 +388,25 @@ def grow_oracle(
     seed: int | None = None,
     node_features: int | None = None,
     features: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> CsdtModel:
-    """``csdt.grow`` by depth-first recursion, one kernel call per node.
+    """``csdt.grow`` by depth-first recursion, one kernel call per node, on
+    ``train``'s ``rows`` (every row by default; repeats allowed).
 
     Each node's block holds exactly its rows, unpadded; the tree is built in
-    preorder and pruned as ``grow`` prunes it. A node searches ``features``
-    (every column by default); a sampling node draws its subset of them from
-    its key: ``seed`` at the root, ``mix64(key, side)`` below.
+    preorder and pruned as ``grow`` prunes it. In quantile mode a node of
+    more than ``n_quantiles`` rows is scored from histograms of the global
+    bins of ``train``'s columns, every other node by sorting. A node
+    searches ``features`` (every column by default); a sampling node draws
+    its subset of them from its key: ``seed`` at the root, ``mix64(key,
+    side)`` below.
     """
     config = config or CsdtConfig()
     cost0, cost1 = _oracle_costs(train, config.impurity)
     q = quantile_count(config)
     table, key_table = train.X.T, csdt.column_ranks(train.X).T
+    if q is not None:
+        bins, cuts = csdt.quantile_bins(train.X, q)
     nodes: list[list] = []  # one row of Tree's fields per node, in preorder
 
     def build(idx: np.ndarray, depth: int, key: int | None) -> None:
@@ -418,24 +425,33 @@ def grow_oracle(
         if node_features is not None and node_features < columns.size:
             columns = columns[feature_subsets(np.array([key], dtype=np.uint64), columns.size,
                                               node_features)[0]]
-        block = table[np.ix_(columns, idx)]
-        [found] = csdt._best_split(
-            block, key_table[np.ix_(columns, idx)], c0[None], c1[None],
-            np.full(columns.size, idx.size), q, np.array([min(s0, s1)]),
-        )
+        parent = np.array([min(s0, s1)])
+        histogram = q is not None and idx.size > q
+        if histogram:
+            block = bins[np.ix_(columns, idx)]
+            [found] = csdt._histogram_split(
+                block, np.array([idx.size]), c0, c1, cuts.shape[1] + 1, parent
+            )
+        else:
+            block = table[np.ix_(columns, idx)]
+            [found] = csdt._best_split(
+                block, key_table[np.ix_(columns, idx)], c0[None], c1[None],
+                np.full(columns.size, idx.size), q, parent,
+            )
         if found is None or found[0] <= config.min_gain:
             return
         _, col, cut = found
-        node[0], node[1] = int(columns[col]), cut
-        left_mask = block[col] <= cut
+        left_mask = block[col] <= cut  # a histogram's cut is a boundary between bins
+        node[0] = int(columns[col])
+        node[1] = float(cuts[node[0], cut]) if histogram else cut
         build(idx[left_mask], depth + 1, None if key is None else mix64(key, 0))
         node[2] = len(nodes)
         build(idx[~left_mask], depth + 1, None if key is None else mix64(key, 1))
 
-    build(np.arange(train.n), 0, seed)
+    build(np.arange(train.n) if rows is None else rows, 0, seed)
     model = CsdtModel(csdt.Tree(*zip(*nodes)), config, train.k)
     if config.pruning:
-        model.stats_of = train
-        model = csdt.prune(model, train)
+        model.stats_of = train if rows is None else train.subset(rows)
+        model = csdt.prune(model, model.stats_of)
         model.stats_of = None
     return model

@@ -2,9 +2,10 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from costforest import ConfigError, cli
+from costforest import ConfigError, CostedDataset, cli, csdt, ensemble
 from costforest.baselines import LrConfig
 from costforest.combiners import GaConfig
 from costforest.config import from_json
@@ -134,3 +135,37 @@ class TestRule:
     def test_type_checks_only(self):
         """No range check is added: an infinite learning rate fails at training time."""
         assert from_json(LrConfig, {"learning_rate": math.inf}).learning_rate == math.inf
+
+
+class TestIntegerCounts:
+    """Counts built through the Python API are checked as the JSON reader checks them."""
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (CsdtConfig, "n_quantiles", 10.5),
+        (CsdtConfig, "n_quantiles", np.float64(100.0)),
+        (CsdtConfig, "max_depth", True),
+        (CsdtConfig, "max_depth", 3.0),
+        (CsdtConfig, "min_samples_split", 2.5),
+        (InducerConfig, "T", 3.5),
+        (InducerConfig, "T", np.True_),
+        (InducerConfig, "seed", 1.5),
+        (InducerConfig, "seed", False),
+    ])
+    def test_non_integers_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
+            cls(**{field: value}).validate()
+
+    def test_numpy_integers_accepted(self):
+        CsdtConfig(max_depth=np.int64(3), min_samples_split=np.int32(2),
+                   n_quantiles=np.uint8(10)).validate()
+        InducerConfig(T=np.int64(5), seed=np.uint32(7)).validate()
+
+    def test_growth_and_training_reject_them_before_any_work(self):
+        rng = np.random.default_rng(3)
+        ds = CostedDataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40),
+                           np.tile([0.0, 1.0, 3.0, 0.0], (40, 1)))
+        with pytest.raises(ConfigError, match="n_quantiles must be an integer"):
+            csdt.grow(ds, CsdtConfig(n_quantiles=10.5))
+        for inducer in (InducerConfig(T=3.5), InducerConfig(T=3, seed=1.5)):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                ensemble.train(ds, EcsdtConfig(inducer=inducer))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -44,6 +45,7 @@ from costforest.csdt import (
 )
 from costforest.ensemble import EcsdtConfig
 from costforest.inducers import KINDS, InducerConfig, draw_samples
+from costforest.rng import feature_subsets, mix64
 
 EXACT = CsdtConfig(candidate_thresholds="exact_midpoints")
 
@@ -583,9 +585,66 @@ def _guard_fires(sorted_vals, q):
     return any(not lower <= cut < upper for _, lower, upper, cut in _quantile_cuts(sorted_vals, q))
 
 
+def _bin_boundaries(column, q):
+    """(lower, upper) of each global-bin boundary of one column, by listing
+    every quantile: quantile j lies at index (n - 1) j // q of the sorted
+    column, and a boundary follows the run of equal values that holds it,
+    unless that run is the last."""
+    values = np.sort(column).tolist()
+    n = len(values)
+    ends = []
+    for j in range(1, q):
+        end = (n - 1) * j // q
+        while end + 1 < n and values[end + 1] == values[end]:
+            end += 1
+        if end < n - 1 and end not in ends:
+            ends.append(end)
+    return [(values[e], values[e + 1]) for e in ends]
+
+
+def _bin_thresholds(column, q):
+    """Each global-bin boundary's threshold: the midpoint of its two values,
+    or the lower value if the midpoint is not in [lower, upper), plus 0.0."""
+    return [(midpoint if lower <= midpoint < upper else lower) + 0.0
+            for lower, upper in _bin_boundaries(column, q)
+            for midpoint in [0.5 * (lower + upper)]]
+
+
+def _midpoint_guard_fires(column, q):
+    """Whether some boundary's midpoint is not in [lower, upper)."""
+    return any(not lower <= 0.5 * (lower + upper) < upper
+               for lower, upper in _bin_boundaries(column, q))
+
+
+def reference_histogram_split(X, rows, cost0, cost1, features, q):
+    """Max-gain (gain, feature, threshold) of the node of ``X``'s ``rows``
+    (repeats allowed), whose costs ``cost0`` and ``cost1`` are, trying every
+    global-bin boundary of ``X``'s columns that leaves neither side empty,
+    with direct sums."""
+    n = rows.size
+    parent = min(cost0.sum(), cost1.sum())
+    best = None
+    for f in features:
+        values = X[rows, f]
+        for threshold in _bin_thresholds(X[:, f], q):
+            left = values <= threshold
+            n_left = int(left.sum())
+            if 0 < n_left < n:
+                i_left = min(cost0[left].sum(), cost1[left].sum())
+                i_right = min(cost0[~left].sum(), cost1[~left].sum())
+                gain = parent - (n_left / n) * i_left - ((n - n_left) / n) * i_right
+                if best is None or gain > best[0]:
+                    best = (float(gain), int(f), threshold)
+    return best
+
+
 def reference_best_split(X, cost0, cost1, features, q):
-    """Max-gain (gain, feature, threshold): one sort and scan per feature."""
+    """Max-gain (gain, feature, threshold) of a node that is its own training
+    set: one sort and scan per feature, or, in quantile mode for a node of
+    more than ``q`` rows, the global-bin boundaries of its columns."""
     n = X.shape[0]
+    if q is not None and n > q:
+        return reference_histogram_split(X, np.arange(n), cost0, cost1, features, q)
     parent = min(cost0.sum(), cost1.sum())
     best = None
     for f in features:
@@ -654,16 +713,41 @@ def _random_node(rng):
 
 
 def _kernel(X, cost0, cost1, features, q):
-    """The kernel on the features' block, answering as the reference does."""
+    """The kernel that growth runs at a root of X's rows, on the features'
+    block, answering as the reference does: in quantile mode, a node of
+    more than ``q`` rows is scored from histograms of X's global bins."""
+    parent = np.array([min(float(cost0.sum()), float(cost1.sum()))])
+    if q is not None and X.shape[0] > q:
+        bins, cuts = csdt.quantile_bins(X, q)
+        [found] = csdt._histogram_split(
+            bins[features], np.array([X.shape[0]]), cost0, cost1, cuts.shape[1] + 1, parent
+        )
+        if found is None:
+            return None
+        gain, col, boundary = found
+        return gain, int(features[col]), float(cuts[features[col], boundary])
     [found] = csdt._best_split(
         X[:, features].T, csdt.column_ranks(X)[:, features].T, cost0[None], cost1[None],
-        np.full(features.size, X.shape[0]), q,
-        np.array([min(float(cost0.sum()), float(cost1.sum()))]),
+        np.full(features.size, X.shape[0]), q, parent,
     )
     if found is None:
         return None
     gain, col, threshold = found
     return gain, int(features[col]), threshold
+
+
+def assert_same_split(got, expected, histogram, scale):
+    """A sorted search equals the reference exactly; a histogram search has
+    its column and threshold, and its gain to 1e-9 relative: its sums are
+    added per bin, then across bins. A gain near zero is a difference of
+    sums, so its rounding scales with ``scale``, the node's costs."""
+    if not histogram:
+        assert repr(got) == repr(expected)  # repr tells -0.0 from 0.0
+    elif expected is None:
+        assert got is None
+    else:
+        assert repr(got[1:]) == repr(expected[1:])
+        assert got[0] == pytest.approx(expected[0], rel=1e-9, abs=1e-12 * scale)
 
 
 def sample_kwargs(sample, j):
@@ -682,14 +766,20 @@ def grow_one(train, config=None, **spec):
 
 
 class TestSplitKernel:
-    def test_zero_quantile_cut_is_positive_zero(self):
-        # both quantiles lie in the run of signed zeros, whose first value
-        # is -0.0: the kernel writes +0.0, and both send the same rows left
-        zeros = [-0.0, -0.0, 0.0, -0.0, -0.0, -0.0]
-        X = np.array([-3.0, -2.0, -1.0, *zeros, 1.0, 2.0, 3.0])[:, None]
+    @pytest.mark.parametrize("values, n_quantiles", [
+        ([-3.0, -2.0, -1.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0, 1.0, 2.0, 3.0], 12),
+        ([-1e-323] * 4 + [5e-324] * 4, 2),
+    ], ids=["by-position", "by-histogram"])
+    def test_zero_quantile_cut_is_positive_zero(self, values, n_quantiles):
+        # By position, the winning run is the signed zeros, the first
+        # quantile in it is not at its end, and its last value is -0.0. From
+        # histograms, the midpoint of -1e-323 and 5e-324 rounds to -0.0.
+        # Either way the kernel writes +0.0, and both zeros send the same
+        # rows left.
+        X = np.array(values)[:, None]
         y = (X[:, 0] <= 0).astype(int)
         ds = CostedDataset(X, y, np.tile([0.0, 1.0, 5.0, 0.0], (y.size, 1)))
-        model = grow(ds, CsdtConfig(n_quantiles=3, max_depth=1))
+        model = grow(ds, CsdtConfig(n_quantiles=n_quantiles, max_depth=1))
         assert nested(model).rule == SplitRule(0, 0.0)
         assert not np.signbit(nested(model).rule.threshold)
         assert json.dumps(model_to_dict(model)["tree"]["threshold"]).startswith("[0.0, ")
@@ -699,43 +789,46 @@ class TestSplitKernel:
         assert np.array_equal(predict_many(model, probes), predict_many(negative, probes))
 
     @pytest.mark.parametrize("values, q, threshold", [
-        (np.arange(19.0), 6, 15.0),
+        (np.arange(19.0), 6, 15.5),
         (np.arange(8.0), 14, 5.0),
         ([1e16 + 2, 1e16 + 2, 1e16 + 4, 1e16 + 4], 2, 1e16 + 2),
         ([1e16 + 2, 1e16 + 4], 2, 1e16 + 2),
-        ([-1.7e308, -1.7e308, 1.7e308, 1.7e308], 2, -1.7e308),
+        ([-1.7e308, -1.7e308, -1.6e308, -1.6e308], 2, -1.7e308),
         ([-1.7e308, 1.7e308], 3, -1.7e308),
         ([-1.7e308, -1.6e308], None, -1.7e308),
-    ], ids=["below-integer-by-quantile", "below-integer-by-position",
-            "rounds-up-by-quantile", "rounds-up-by-position",
-            "overflow-by-quantile", "overflow-by-position", "midpoint-overflow"])
+    ], ids=["below-integer-by-histogram", "below-integer-by-position",
+            "rounds-up-by-histogram", "rounds-up-by-position",
+            "overflow-by-histogram", "overflow-by-position", "midpoint-overflow"])
     def test_rounding_cases_cut_at_the_exact_index(self, values, q, threshold):
         # Rows above the threshold are positives, so the one perfect cut is
         # the run of the threshold's value. It is a candidate: for arange,
-        # (n - 1) j / q is the integer 15 (j = 5 of 6) or 5 (j = 10 of 14),
-        # where numpy's float index fl((n - 1) fl(j / q)) lies just below
-        # it; in the other columns the quantile's integer part is the lower
-        # value's run end, where the interpolation rounds up to the upper
-        # value or the difference overflows, and the threshold is the lower
-        # value. The last column's midpoint overflows to -inf.
+        # (n - 1) j / q is the integer 15 (j = 5 of 6, a bin boundary of the
+        # 19-row node) or 5 (j = 10 of 14), where numpy's float index
+        # fl((n - 1) fl(j / q)) lies just below it; in the other columns the
+        # quantile's integer part is the lower value's run end, where the
+        # midpoint or the interpolation rounds up to the upper value, or the
+        # sum or difference overflows, and the threshold is the lower value.
         X = np.array(values)[:, None]
-        pos = (X[:, 0] > threshold).astype(float)
+        pos = (X[:, 0] > np.floor(threshold)).astype(float)
         parent = min(pos.sum(), (1 - pos).sum())
         assert _kernel(X, pos, 1 - pos, np.array([0]), q) == (parent, 0, threshold)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_feature_loop(self, seed):
         rng = np.random.default_rng([seed, 2015])
-        found = 0
+        found = histograms = 0
         for _ in range(600):
             ds, features, q = _random_node(rng)
             cost0, cost1 = ds.costs_if_predicted()
             if rng.random() < 0.3:  # unit costs: many tied gains
                 cost0, cost1 = (ds.y == 1).astype(float), (ds.y == 0).astype(float)
             expected = reference_best_split(ds.X, cost0, cost1, features, q)
-            assert repr(_kernel(ds.X, cost0, cost1, features, q)) == repr(expected)
+            histogram = q is not None and ds.n > q
+            assert_same_split(_kernel(ds.X, cost0, cost1, features, q), expected, histogram,
+                              cost0.sum() + cost1.sum())
             found += expected is not None
-        assert found > 300
+            histograms += histogram
+        assert found > 300 and histograms > 50
 
     @pytest.mark.parametrize("seed", range(2))
     def test_gain_matches_split_gain(self, seed):
@@ -836,8 +929,9 @@ class TestRaggedKernel:
     @pytest.mark.parametrize("mode", csdt.THRESHOLD_MODES)
     @pytest.mark.parametrize("seed", range(3))
     def test_each_node_matches_the_reference_alone(self, seed, mode):
+        # the widest node has 300 rows, so in quantile mode every node is sorted
         rng = np.random.default_rng([seed, 1010])
-        q = quantile_count(CsdtConfig(candidate_thresholds=mode, n_quantiles=37))
+        q = quantile_count(CsdtConfig(candidate_thresholds=mode, n_quantiles=300))
         found = 0
         for _ in range(40):
             n_cols = int(rng.integers(1, 6))
@@ -866,17 +960,17 @@ class TestRaggedKernel:
 
     @pytest.mark.parametrize("n_quantiles", [2, 10, 62, 63, 64, 100])
     def test_merged_small_nodes_match_the_reference_alone(self, n_quantiles):
-        # the widest node has 63 rows, so n_quantiles 63 and above score
-        # positions, and 62 and below score quantiles
+        # the widest node has min(n_quantiles, 63) rows: every node is small
         rng = np.random.default_rng([n_quantiles, 1012])
         q = n_quantiles
+        widest = min(q, 63)
         found = guarded = 0
         for _ in range(40):
             n_cols = int(rng.integers(1, 6))
-            sizes = [2, 63] + rng.integers(2, 64, int(rng.integers(0, 8))).tolist()
+            sizes = [2, widest] + rng.integers(2, widest + 1, int(rng.integers(0, 8))).tolist()
             nodes = _bucket_of_small_nodes(rng, sizes, n_cols)
             columns, keys, cost0, cost1, node_sizes, parent = _padded_bucket(nodes)
-            assert (columns.shape[1] - 1 < q) == (q >= 63)
+            assert columns.shape[1] == widest
             results = csdt._best_split(
                 columns, keys, cost0, cost1, node_sizes.repeat(n_cols), q, parent
             )
@@ -887,6 +981,153 @@ class TestRaggedKernel:
                 guarded += any(_guard_fires(np.sort(x), q) for x in X.T)
         assert found > 100
         assert guarded > 1  # some cut rounds or overflows out of [lower, upper)
+
+
+def _binned_column(rng, n, y):
+    """A ``_random_column``, or one of signed zeros and the smallest
+    subnormals, whose midpoints round to -0.0 or to the upper value."""
+    if rng.random() < 0.2:
+        return rng.choice([-1e-323, -5e-324, -0.0, 0.0, 5e-324, 1.0], n)
+    return _random_column(rng, n, y, kinds=7)
+
+
+class TestHistogramKernel:
+    @pytest.mark.parametrize("q", [2, 3, 16, 100, 10**12])
+    def test_bins_match_every_listed_quantile(self, q):
+        # value <= threshold holds for a row exactly when its bin is at or
+        # below the boundary, and the boundaries are those listing every
+        # quantile finds (listed up to 1000: from n quantiles on, every run
+        # end but the last is a boundary)
+        rng = np.random.default_rng([q % 997, 1030])
+        for _ in range(30):
+            n = int(rng.integers(1, 400))
+            X = np.column_stack([_binned_column(rng, n, rng.integers(0, 2, n))
+                                 for _ in range(int(rng.integers(1, 5)))])
+            bins, cuts = csdt.quantile_bins(X, q)
+            listed = [_bin_thresholds(x, min(q, 1000)) for x in X.T]
+            n_bins = max(2, 1 + max(len(thresholds) for thresholds in listed))
+            assert cuts.shape == (X.shape[1], n_bins - 1)
+            assert bins.shape == X.T.shape and bins.dtype == np.min_scalar_type(n_bins - 1)
+            for f, (x, expected) in enumerate(zip(X.T, listed)):
+                assert repr(cuts[f, :len(expected)].tolist()) == repr(expected)
+                for b, threshold in enumerate(expected):
+                    assert np.array_equal(x <= threshold, bins[f] <= b)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_large_node_of_a_block_matches_the_reference(self, seed):
+        # Blocks of nodes of more than q rows, drawn with repeats from one
+        # training set, each with its own candidate features, as forest
+        # growth scores them: each node's (gain, column, threshold) is the
+        # brute-force reference's over the training set's global bins.
+        rng = np.random.default_rng([seed, 1020])
+        found = guarded = 0
+        for _ in range(25):
+            n, k = int(rng.integers(20, 300)), int(rng.integers(1, 6))
+            y = rng.integers(0, 2, n)
+            X = np.column_stack([_binned_column(rng, n, y) for _ in range(k)])
+            if rng.random() < 0.3:  # unit costs: many tied gains
+                cost0, cost1 = (y == 1).astype(float), (y == 0).astype(float)
+            else:
+                cost0, cost1 = rng.exponential(size=(2, n)) * (rng.random((2, n)) < 0.7)
+            q = int(rng.integers(2, 20))
+            bins, cuts = csdt.quantile_bins(X, q)
+            per_node = int(rng.integers(1, k + 1))
+            nodes = []
+            for _ in range(int(rng.integers(1, 6))):
+                rows = np.sort(rng.integers(0, n, int(rng.integers(q + 1, 2 * n))))
+                features = rng.choice(k, per_node, replace=False)
+                nodes.append((rows, features))
+            results = csdt._histogram_split(
+                np.concatenate([bins[np.ix_(f, rows)] for rows, f in nodes], axis=1),
+                np.array([rows.size for rows, _ in nodes]),
+                np.concatenate([cost0[rows] for rows, _ in nodes]),
+                np.concatenate([cost1[rows] for rows, _ in nodes]),
+                cuts.shape[1] + 1,
+                np.array([min(cost0[rows].sum(), cost1[rows].sum()) for rows, _ in nodes]),
+            )
+            assert len(results) == len(nodes)
+            for (rows, features), got in zip(nodes, results):
+                if got is not None:
+                    gain, col, boundary = got
+                    got = gain, int(features[col]), float(cuts[features[col], boundary])
+                c0, c1 = cost0[rows], cost1[rows]
+                expected = reference_histogram_split(X, rows, c0, c1, features, q)
+                assert_same_split(got, expected, True, c0.sum() + c1.sum())
+                found += expected is not None
+            guarded += any(_midpoint_guard_fires(x, q) for x in X.T)
+        assert found > 30
+        assert guarded > 1  # some midpoint rounds or overflows out of [lower, upper)
+
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_large_node_of_a_forest_matches_the_reference(self, kind, impurity):
+        # Each node of more than q rows splits on the reference's column and
+        # threshold for its rows and candidate features, and its children's
+        # statistics give the reference's gain; one that stays a leaf though
+        # it could split has no split of positive gain.
+        rng = np.random.default_rng([93, len(kind), len(impurity)])
+        ds = _signed_zero_dataset(rng, 300)  # a constant column, ties, signed zeros
+        q = 12
+        config = CsdtConfig(n_quantiles=q, max_depth=4, impurity=impurity, pruning=False)
+        samples = draw_samples(ds.n, ds.k, InducerConfig(kind=kind, T=4, seed=12))
+        specs = [csdt.TreeSpec(s.example_indices, **sample_kwargs(s, j))
+                 for j, s in enumerate(samples)]
+        cost0, cost1 = csdt._prediction_costs(ds, impurity)
+        split = 0
+        for spec, model in zip(specs, csdt.grow_forest(ds, config, specs)):
+            tree = model.tree
+            searched = np.arange(ds.k) if spec.features is None else spec.features
+            stack = [(0, spec.rows, spec.seed, 0)]
+            while stack:
+                i, rows, key, depth = stack.pop()
+                features = searched
+                if spec.node_features is not None and spec.node_features < searched.size:
+                    subset = feature_subsets(np.array([key], dtype=np.uint64), searched.size,
+                                             spec.node_features)
+                    features = searched[subset[0]]
+                c0, c1 = cost0[rows], cost1[rows]
+                scale = c0.sum() + c1.sum()
+                expected = reference_histogram_split(ds.X, rows, c0, c1, features, q)
+                f = int(tree.feature[i])
+                if f < 0:
+                    open_node = depth < config.max_depth and 0 < tree.n_pos[i] < rows.size
+                    if rows.size > q and open_node:
+                        assert expected is None or expected[0] <= 1e-12 * scale
+                    continue
+                if rows.size > q:
+                    assert (f, repr(float(tree.threshold[i]))) == (expected[1], repr(expected[2]))
+                    left, right = i + 1, int(tree.right[i])
+                    gain = min(tree.cost_f0[i], tree.cost_f1[i]) - sum(
+                        tree.n[c] / rows.size * min(tree.cost_f0[c], tree.cost_f1[c])
+                        for c in (left, right)
+                    )
+                    assert gain == pytest.approx(expected[0], rel=1e-9, abs=1e-12 * scale)
+                    split += 1
+                goes_left = ds.X[rows, f] <= tree.threshold[i]
+                keys = (None, None) if key is None else (mix64(key, 0), mix64(key, 1))
+                stack += [(int(tree.right[i]), rows[~goes_left], keys[1], depth + 1),
+                          (i + 1, rows[goes_left], keys[0], depth + 1)]
+        assert split > 8
+
+    def test_huge_n_quantiles_allocates_no_quantiles(self):
+        # n_quantiles = 10**12 bins every distinct value and scores every
+        # node by position, the root's 2N rows too; its peak stays within
+        # twice that of 100 quantiles
+        ds = strict_random_dataset(np.random.default_rng(94), 400, 3)
+        samples = draw_samples(ds.n, ds.k, InducerConfig(T=3, n_examples=2 * ds.n, seed=13))
+        specs = [csdt.TreeSpec(s.example_indices) for s in samples]
+        peaks = {}
+        for q in (100, 10**12):
+            config = CsdtConfig(n_quantiles=q, max_depth=4)
+            tracemalloc.start()
+            try:
+                forest = csdt.grow_forest(ds, config, specs)
+                peaks[q] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert [model.tree.n[0] for model in forest] == [2 * ds.n] * 3
+            assert all(model.n_nodes() > 1 for model in forest)
+        assert peaks[10**12] <= 2 * peaks[100]
 
 
 def _tied_dataset(rng, n):
@@ -1190,12 +1431,11 @@ class TestLevelWiseGrowth:
     @pytest.mark.parametrize("n_quantiles", [2, 10, 100])
     @pytest.mark.parametrize("kind", KINDS)
     def test_matches_oracle_at_n_quantiles(self, kind, n_quantiles, monkeypatch):
-        widths = []
-        best_split = csdt._best_split
-        monkeypatch.setattr(
-            csdt, "_best_split",
-            lambda columns, *args: widths.append(columns.shape[1]) or best_split(columns, *args),
-        )
+        kernels = set()
+        for name in ("_best_split", "_histogram_split"):
+            kernel = getattr(csdt, name)
+            monkeypatch.setattr(csdt, name, lambda *args, name=name, kernel=kernel: (
+                kernels.add(name) or kernel(*args)))
         rng = np.random.default_rng([n_quantiles, 81])
         ds = _tied_dataset(rng, 400)
         X = np.column_stack([ds.X, 1e16 + 2 * rng.integers(0, 3, ds.n)])
@@ -1207,7 +1447,8 @@ class TestLevelWiseGrowth:
             kwargs = sample_kwargs(sample, j)
             model = grow_one(sub, config, **kwargs)
             assert model_to_dict(model) == model_to_dict(grow_oracle(sub, config, **kwargs))
-        assert any(width - 1 < n_quantiles for width in widths)  # some block scored positions
+        # some node was scored from histograms; at 10 and 100 quantiles some by position
+        assert "_histogram_split" in kernels and (n_quantiles == 2 or "_best_split" in kernels)
 
 
 # --- a forest's trees grown together ----------------------------------------
@@ -1227,14 +1468,14 @@ class TestForestGrowth:
     ):
         if limit == "one node per block":
             monkeypatch.setattr(csdt, "BLOCK_CELLS", 1)
+            monkeypatch.setattr(csdt, "HISTOGRAM_CELLS", 1)
         elif limit == "one tree per wave":
             monkeypatch.setattr(csdt, "WAVE_TREES", 1)
-        calls = []
-        best_split = csdt._best_split
-        monkeypatch.setattr(
-            csdt, "_best_split",
-            lambda *args: calls.append(args[-1].size) or best_split(*args),
-        )
+        calls = []  # each kernel call's node count: its last argument holds a value per node
+        for name in ("_best_split", "_histogram_split"):
+            kernel = getattr(csdt, name)
+            monkeypatch.setattr(csdt, name, lambda *args, kernel=kernel: (
+                calls.append(args[-1].size) or kernel(*args)))
         rng = np.random.default_rng([86, len(kind), len(mode), pruning])
         ds = _tied_dataset(rng, 300)
         config = CsdtConfig(candidate_thresholds=mode, n_quantiles=20, max_depth=6,
@@ -1244,16 +1485,21 @@ class TestForestGrowth:
                  for j, s in enumerate(samples)]
         forest = csdt.grow_forest(ds, config, specs)
         forest_calls, calls[:] = calls[:], []
-        for j, (sample, model) in enumerate(zip(samples, forest)):
-            alone = grow_one(ds.subset(sample.example_indices), config, **sample_kwargs(sample, j))
+        # each tree alone on the same training set; in exact mode also on its rows' subset
+        alone = [csdt.grow_forest(ds, config, [spec])[0] for spec in specs]
+        alone_calls = calls[:]
+        for j, (spec, model) in enumerate(zip(specs, forest)):
             assert model.stats_of is None and model.k == ds.k
-            assert _tree_bytes(model) == _tree_bytes(alone), j
+            assert _tree_bytes(model) == _tree_bytes(alone[j]), j
+            if mode == "exact_midpoints":
+                on_subset = grow_one(ds.subset(spec.rows), config, **sample_kwargs(samples[j], j))
+                assert _tree_bytes(model) == _tree_bytes(on_subset), j
         assert sum(model.n_nodes() > 1 for model in forest) > len(forest) // 2
         # each call's node count, growing together and growing alone
         if limit == "one node per block":
             assert set(forest_calls) == {1}
         elif limit == "default":
-            assert len(forest_calls) < len(calls) and sum(forest_calls) == sum(calls)
+            assert len(forest_calls) < len(alone_calls) and sum(forest_calls) == sum(alone_calls)
 
     def test_trees_of_different_kinds_in_one_forest(self):
         rng = np.random.default_rng(87)
@@ -1269,9 +1515,8 @@ class TestForestGrowth:
             csdt.TreeSpec(rows[4], features=np.arange(ds.k)),
         ]
         for spec, model in zip(specs, csdt.grow_forest(ds, config, specs)):
-            sub = ds if spec.rows is None else ds.subset(spec.rows)
-            alone = grow_one(sub, config, seed=spec.seed, node_features=spec.node_features,
-                             features=spec.features)
+            alone = grow_oracle(ds, config, seed=spec.seed, node_features=spec.node_features,
+                                features=spec.features, rows=spec.rows)
             assert _tree_bytes(model) == _tree_bytes(alone)
 
     @pytest.mark.parametrize("rows", [
