@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combiners import _sigmoid
+from .config import check_integers
 from .cost_model import CostedDataset
 # grow and predict_proba_many are not called here; they stay importable as
 # baselines.grow and baselines.predict_proba_many, names that perfbench's
@@ -41,6 +42,7 @@ class LrConfig:
     standardize: bool = True
 
     def validate(self) -> None:
+        check_integers(self, "n_iter")
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.n_iter < 1:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_integers
 from .cost_model import CostedDataset, check_binary
 from .errors import ConfigError, ValidationError
 from .rng import STREAM_GA, make_rng
@@ -82,6 +83,7 @@ class GaConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_integers(self, "population", "generations", "elitism", "tournament", "seed")
         if self.population < 4:
             raise ConfigError(f"population must be >= 4, got {self.population}")
         if not all(np.isfinite(self.beta_bounds)) or self.beta_bounds[0] >= self.beta_bounds[1]:

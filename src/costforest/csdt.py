@@ -2,10 +2,10 @@
 
 Nodes are split to maximize the decrease in cost-based impurity, where the
 impurity of a subset is the cost of its cheapest constant prediction, and
-leaves predict that cheapest constant. After growth the tree is pruned
-greedily: the internal node whose constant replacement lowers the pruning-set
-cost the most (or leaves it equal) is collapsed, and the search repeats until
-every collapse would cost more.
+leaves predict that cheapest constant. After growth the tree is pruned in
+one pass, children first: a node collapses into its cheapest constant when
+that costs no more on the pruning set than its pruned subtree. This gives the
+cheapest pruning on the pruning set, and the smallest of the cheapest.
 
 A tree is stored as flat preorder arrays (:class:`Tree`). Growth records
 every node's cost statistics, so pruning on the training rows routes
@@ -223,24 +223,23 @@ class CsdtModel:
         return predict_proba_many(self, X)
 
     def depth(self) -> int:
-        return max(_layout(self.tree)[1])
+        return max(_layout(self.tree)[0])
 
     def n_nodes(self) -> int:
         return self.tree.size
 
 
-def _layout(tree: Tree) -> tuple[list[int], list[int], list[int]]:
-    """Each node's parent (-1 at the root), depth, and the end of its subtree range."""
+def _layout(tree: Tree) -> tuple[list[int], list[int]]:
+    """Each node's depth and the end of its subtree's preorder range."""
     size = tree.size
     right = tree.right.tolist()
     internal = np.flatnonzero(tree.feature >= 0).tolist()
-    parent, depth, end = [-1] * size, [0] * size, list(range(1, size + 1))
+    depth, end = [0] * size, list(range(1, size + 1))
     for i in internal:  # parents come before their children
-        parent[i + 1] = parent[right[i]] = i
         depth[i + 1] = depth[right[i]] = depth[i] + 1
     for i in reversed(internal):
         end[i] = end[right[i]]
-    return parent, depth, end
+    return depth, end
 
 
 def _prediction_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray, np.ndarray]:
@@ -302,13 +301,14 @@ def _best_split(
     ``q`` None its threshold is the midpoint. Otherwise every node has at
     most ``q`` rows (larger ones are scored by :func:`_histogram_split`),
     so quantile j (0 < j < q) of a node of s rows, at the exact index
-    (s - 1) j / q, computed in integers as ``lo, rem = divmod((s - 1) * j,
-    q)``, has its ``lo`` in every run of equal values but the last. Only
-    each node's winning cut gets a threshold: the midpoint, or the first
-    quantile in the winning run interpolated as numpy's "linear" quantiles
-    are, at weight w = ``rem / q``: lower + diff * w, or upper - diff * (1 -
-    w) if w >= 0.5 (the run's value unless that ``lo`` is the run end),
-    plus 0.0 so that a zero threshold is +0.0. A threshold that is not at
+    (s - 1) j / q, computed in Python integers (so no ``q`` overflows) as
+    ``lo, rem = divmod((s - 1) * j, q)``, has its ``lo`` in every run of
+    equal values but the last. Only each node's winning cut gets a
+    threshold: the midpoint, or the first quantile in the winning run
+    interpolated as numpy's "linear" quantiles are, at weight w = ``rem /
+    q``: lower + diff * w, or upper - diff * (1 - w) if w >= 0.5 (the run's
+    value unless that ``lo`` is the run end), plus 0.0 so that a zero
+    threshold is +0.0. A threshold that is not at
     least the run's value and below the next value (a rounded or
     overflowing one) is the run's value, so every threshold sends exactly
     the examples it was scored with to the left. Ties go to the first
@@ -354,10 +354,11 @@ def _best_split(
             # count of smaller values up to the cut: lo >= start iff (s - 1) j
             # >= start q, so it is max(1, ceil(start q / (s - 1)))
             start = ((sv[r] < lower[:, None]) & (np.arange(width) <= e[:, None])).sum(axis=1)
-            s = n[r] - 1
-            j = np.maximum(-(-start * q // s), 1)
-            lo, rem = np.divmod(s * j, q)
-            gamma = np.where(lo == e, rem / q, 0.0)
+            weights = []
+            for begin, s, end in zip(start.tolist(), (n[r] - 1).tolist(), e.tolist()):
+                lo, rem = divmod(s * max(-(-begin * q // s), 1), q)
+                weights.append(rem / q if lo == end else 0.0)
+            gamma = np.array(weights)
             diff = upper - lower
             cuts = np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
         cuts = np.where((lower <= cuts) & (cuts < upper), cuts, lower) + 0.0
@@ -747,8 +748,8 @@ def leaf_proba(tree: Tree, leaves: np.ndarray) -> np.ndarray:
 
 def _node_stats(
     tree: Tree, dataset: CostedDataset, impurity: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node all-0 cost, all-1 cost, count and positive count of ``dataset``'s rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node all-0 and all-1 cost of ``dataset``'s rows.
 
     :func:`route` finds each row's leaf. A node's rows are those whose leaf
     lies in its preorder range; it sums them in increasing row order, as
@@ -757,79 +758,58 @@ def _node_stats(
     cost0, cost1 = _prediction_costs(dataset, impurity)
     leaves = route(tree, dataset.X)
     by_leaf = leaves.argsort(kind="stable")
-    lo, hi = leaves[by_leaf].searchsorted([np.arange(tree.size), _layout(tree)[2]])
+    lo, hi = leaves[by_leaf].searchsorted([np.arange(tree.size), _layout(tree)[1]])
     s0, s1 = np.zeros(tree.size), np.zeros(tree.size)
-    n_pos = np.zeros(tree.size, dtype=np.int64)
     for i, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
         idx = np.sort(by_leaf[start:stop])
         s0[i], s1[i] = cost0.take(idx).sum(), cost1.take(idx).sum()
-        n_pos[i] = dataset.y.take(idx).sum()
-    return s0, s1, (hi - lo).astype(np.int64), n_pos
+    return s0, s1
 
 
 def prune(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
-    """Collapse subtrees whose constant replacement does not cost more.
+    """The smallest of the cheapest prunings of the tree on ``prune_set``.
 
-    Repeatedly replaces the internal node with the largest nonnegative
-    cost decrease by its cheapest constant leaf (costs taken on the
-    pruning set; ties go to the first node in post-order). Never increases
-    the pruning-set cost. The pruning set's statistics come from the model
-    when the pruning set is its ``stats_of``, else from one routing pass.
-    They decide which nodes collapse and each collapsed leaf's class, and
-    nothing else: every node keeps the statistics it had, which describe
-    the rows the tree grew on. So a grown tree pruned on any set still has
-    each internal node's n and n_pos equal to its children's sums, and its
-    leaf probabilities are frequencies among the growth rows.
+    A pruning collapses some internal nodes into leaves that predict their
+    cheapest constant on the pruning set; every other leaf keeps its class.
+    One pass over the internal nodes, children first, collapses a node when
+    its cheapest constant costs no more than its subtree as already pruned
+    (the costs of its two children, added as left + right). So no pruning
+    costs less on the pruning set, and none as cheap has fewer nodes: CART's
+    minimal cost-complexity pruning at zero complexity cost. The pruning
+    set's costs come from the model when the pruning set is its
+    ``stats_of``, else from one routing pass. They decide which nodes
+    collapse and each collapsed leaf's class, and nothing else: every node
+    keeps the statistics it had, which describe the rows the tree grew on.
+    So a grown tree pruned on any set still has each internal node's n and
+    n_pos equal to its children's sums, and its leaf probabilities are
+    frequencies among the growth rows.
     """
     if prune_set.k != model.k:
         raise ValidationError("prune set feature count does not match the model")
     tree = model.tree
     if prune_set is model.stats_of:
-        stats = tree.cost_f0, tree.cost_f1, tree.n, tree.n_pos
+        s0, s1 = tree.cost_f0, tree.cost_f1
     else:
-        stats = _node_stats(tree, prune_set, model.config.impurity)
-    s0, s1 = stats[0].tolist(), stats[1].tolist()
-    cheapest = [b if b < a else a for a, b in zip(s0, s1)]  # min(s0, s1) as Python takes it
-    parent, depth, end = _layout(tree)
-    right = tree.right.tolist()
-    internal = np.flatnonzero(tree.feature >= 0).tolist()
+        s0, s1 = _node_stats(tree, prune_set, model.config.impurity)
+    cheapest = [b if b < a else a for a, b in zip(s0.tolist(), s1.tolist())]  # as min() takes it
+    right, end = tree.right.tolist(), _layout(tree)[1]
     # A subtree's cost is that of its leaves' classes, added as left + right.
-    sub = np.where(tree.predicted_class == 1, stats[1], stats[0]).tolist()
-    for i in reversed(internal):
-        sub[i] = sub[i + 1] + sub[right[i]]
-    # Each node's cost decrease sits at its post-order position, where every
-    # subtree is a contiguous range ending at its root; -inf marks leaves and
-    # removed nodes, so argmax finds the first largest decrease in post-order.
-    post = [e - d - 1 for e, d in zip(end, depth)]
-    decrease = np.full(tree.size, -np.inf)
-    for i in internal:
-        decrease[post[i]] = sub[i] - cheapest[i]
-    node_at = np.empty(tree.size, dtype=np.intp)
-    node_at[post] = np.arange(tree.size)
+    sub = np.where(tree.predicted_class == 1, s1, s0).tolist()
     collapsed = np.zeros(tree.size, dtype=bool)
-    while True:
-        p = int(decrease.argmax())
-        if decrease[p] < 0:
-            break
-        v = int(node_at[p])
-        collapsed[v] = True
-        decrease[p - (end[v] - v) + 1:p + 1] = -np.inf
-        sub[v] = cheapest[v]
-        a = parent[v]
-        while a >= 0:
-            sub[a] = sub[a + 1] + sub[right[a]]
-            decrease[post[a]] = sub[a] - cheapest[a]
-            a = parent[a]
+    keep = np.ones(tree.size, dtype=bool)
+    for i in reversed(np.flatnonzero(tree.feature >= 0).tolist()):  # children first
+        sub[i] = sub[i + 1] + sub[right[i]]
+        if sub[i] - cheapest[i] >= 0:
+            sub[i] = cheapest[i]
+            collapsed[i] = True
+            keep[i + 1:end[i]] = False
     if not collapsed.any():
         return CsdtModel(tree, model.config, model.k)
-    keep = np.ones(tree.size, dtype=bool)
-    for v in np.flatnonzero(collapsed).tolist():
-        keep[v + 1:end[v]] = False
     leaf = collapsed & keep
     columns = [np.array(getattr(tree, f.name)) for f in fields(Tree)]
     feature, threshold, right_of, predicted_class = columns[:4]
     feature[leaf], threshold[leaf], right_of[leaf] = -1, 0.0, -1
-    predicted_class[leaf] = stats[0][leaf] > stats[1][leaf]
+    predicted_class[leaf] = s0[leaf] > s1[leaf]
     index = np.cumsum(keep) - 1
     right_of[right_of >= 0] = index[right_of[right_of >= 0]]
     return CsdtModel(Tree(*(column[keep] for column in columns)), model.config, model.k)

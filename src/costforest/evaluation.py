@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, csdt, ensemble, sampling
 from .combiners import GaConfig
-from .config import from_json
+from .config import check_integers, from_json
 from .cost_model import CostedDataset, savings
 from .csdt import CsdtConfig
 from .data import DatasetBundle
@@ -154,6 +154,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_integers(self, "repetitions", "seed")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if not self.algorithms or not self.datasets:

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import check_integers
 from .errors import ConfigError, ValidationError
 from .rng import STREAM_TRIALS, make_rng
 
@@ -51,6 +52,7 @@ class TheoryParams:
     cost_generator: CostGenerator = field(default_factory=CostGenerator)
 
     def validate(self) -> None:
+        check_integers(self, "T", "n_examples", "n_trials", "seed")
         if self.T < 3 or self.T % 2 == 0:
             raise ConfigError(f"simulation needs odd T >= 3, got {self.T}")
         if not 0.0 < self.rho <= 1.0:

@@ -301,7 +301,7 @@ def stacking_cost(
     return float(weights.scores(votes) @ (cost1 - cost0) + cost0.sum())
 
 
-def _oracle_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray, np.ndarray]:
+def oracle_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-row cost of predicting 0 and 1: money, or unit costs in gini mode."""
     if impurity == "gini":
         pos = (dataset.y == 1).astype(np.float64)
@@ -309,54 +309,32 @@ def _oracle_costs(dataset: CostedDataset, impurity: str) -> tuple[np.ndarray, np
     return dataset.costs_if_predicted()
 
 
-def _oracle_replace(node: TreeNode, target: TreeNode, replacement: Leaf) -> TreeNode:
-    if node is target:
-        return replacement
-    if isinstance(node, Leaf):
-        return node
-    return Internal(
-        node.rule,
-        _oracle_replace(node.left, target, replacement),
-        _oracle_replace(node.right, target, replacement),
-    )
-
-
 def prune_oracle(model: CsdtModel, prune_set: CostedDataset) -> CsdtModel:
-    """Greedy pruning on the nested tree, re-routing the pruning set after every collapse.
+    """Children-first pruning on the nested tree, routing the pruning set recursively.
 
-    Each pass walks the tree in post-order and lists every internal node's
-    cost decrease (its subtree's pruning-set cost minus its cheapest
-    constant's); the first largest nonnegative decrease is collapsed. The
-    leaf that replaces it predicts the pruning set's cheaper class there and
-    keeps the node's statistics from ``model``.
+    A node's pruned subtree costs its pruned children's pruning-set costs,
+    added as left + right; the node collapses when its cheapest constant
+    costs no more. The leaf that replaces it predicts the pruning set's
+    cheaper class there and keeps the node's statistics from ``model``.
     """
-    cost0, cost1 = _oracle_costs(prune_set, model.config.impurity)
-    root = nested(model)
+    cost0, cost1 = oracle_costs(prune_set, model.config.impurity)
     tree = model.tree
 
-    def stats(node: TreeNode, idx: np.ndarray, acc: list, i: int) -> float:
-        """The subtree's pruning-set cost; ``i`` is the node's index in ``tree``."""
-        c0, c1 = cost0[idx], cost1[idx]
+    def pruned(node: TreeNode, idx: np.ndarray, i: int) -> tuple[TreeNode, float]:
+        """The pruned subtree and its pruning-set cost; ``i`` is the node's index in ``tree``."""
+        c0, c1 = float(cost0[idx].sum()), float(cost1[idx].sum())
         if isinstance(node, Leaf):
-            return float((c1 if node.predicted_class == 1 else c0).sum())
+            return node, c1 if node.predicted_class == 1 else c0
         left = prune_set.X[idx, node.rule.feature_index] <= node.rule.threshold
-        sub = (stats(node.left, idx[left], acc, i + 1)
-               + stats(node.right, idx[~left], acc, int(tree.right[i])))
-        acc.append((sub - min(float(c0.sum()), float(c1.sum())), node, idx, i))
-        return sub
+        left_node, left_cost = pruned(node.left, idx[left], i + 1)
+        right_node, right_cost = pruned(node.right, idx[~left], int(tree.right[i]))
+        sub, cheapest = left_cost + right_cost, min(c0, c1)
+        if sub - cheapest >= 0:
+            return Leaf(int(c0 > c1), float(tree.cost_f0[i]), float(tree.cost_f1[i]),
+                        int(tree.n[i]), int(tree.n_pos[i])), cheapest
+        return Internal(node.rule, left_node, right_node), sub
 
-    while True:
-        candidates: list = []
-        stats(root, np.arange(prune_set.n), candidates, 0)
-        if not candidates:
-            break
-        decrease, target, idx, i = max(candidates, key=lambda item: item[0])
-        if decrease < 0:
-            break
-        cheaper = int(float(cost0[idx].sum()) > float(cost1[idx].sum()))
-        replacement = Leaf(cheaper, float(tree.cost_f0[i]), float(tree.cost_f1[i]),
-                           int(tree.n[i]), int(tree.n_pos[i]))
-        root = _oracle_replace(root, target, replacement)
+    root, _ = pruned(nested(model), np.arange(prune_set.n), 0)
     return CsdtModel(flatten(root), model.config, model.k)
 
 
@@ -402,7 +380,7 @@ def grow_oracle(
     side)`` below.
     """
     config = config or CsdtConfig()
-    cost0, cost1 = _oracle_costs(train, config.impurity)
+    cost0, cost1 = oracle_costs(train, config.impurity)
     q = quantile_count(config)
     table, key_table = train.X.T, csdt.column_ranks(train.X).T
     if q is not None:

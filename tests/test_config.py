@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from costforest import ConfigError, CostedDataset, cli, csdt, ensemble
-from costforest.baselines import LrConfig
+from costforest.baselines import LrConfig, train_logistic
 from costforest.combiners import GaConfig
 from costforest.config import from_json
 from costforest.cost_builders import (
@@ -16,10 +16,11 @@ from costforest.cost_builders import (
     MarketingCostParams,
 )
 from costforest.csdt import CsdtConfig
-from costforest.data import CsvSchema, SplitSpec
+from costforest.data import CsvSchema, DatasetBundle, SplitSpec
 from costforest.ensemble import EcsdtConfig
-from costforest.evaluation import AlgorithmConfig, AlgorithmSpec
+from costforest.evaluation import AlgorithmConfig, AlgorithmSpec, ExperimentSpec, run_experiment
 from costforest.inducers import InducerConfig
+from costforest.theory import TheoryParams, simulate_theorem1
 
 # one instance of every class that JSON is read into
 SERVED = [
@@ -150,10 +151,23 @@ class TestIntegerCounts:
         (InducerConfig, "T", np.True_),
         (InducerConfig, "seed", 1.5),
         (InducerConfig, "seed", False),
+        (GaConfig, "population", 8.0),
+        (GaConfig, "generations", 2.5),
+        (GaConfig, "elitism", True),
+        (GaConfig, "tournament", 3.5),
+        (GaConfig, "seed", 1.5),
+        (LrConfig, "n_iter", 2.5),
+        (ExperimentSpec, "repetitions", 2.0),
+        (ExperimentSpec, "seed", 1.5),
+        (TheoryParams, "T", 11.0),
+        (TheoryParams, "n_examples", np.float64(500)),
+        (TheoryParams, "n_trials", True),
+        (TheoryParams, "seed", 0.5),
     ])
     def test_non_integers_rejected(self, cls, field, value):
+        required = {"algorithms": [], "datasets": []} if cls is ExperimentSpec else {}
         with pytest.raises(ConfigError, match=f"{field} must be an integer, got"):
-            cls(**{field: value}).validate()
+            cls(**required, **{field: value}).validate()
 
     def test_numpy_integers_accepted(self):
         CsdtConfig(max_depth=np.int64(3), min_samples_split=np.int32(2),
@@ -169,3 +183,16 @@ class TestIntegerCounts:
         for inducer in (InducerConfig(T=3.5), InducerConfig(T=3, seed=1.5)):
             with pytest.raises(ConfigError, match="must be an integer"):
                 ensemble.train(ds, EcsdtConfig(inducer=inducer))
+        with pytest.raises(ConfigError, match="generations must be an integer"):
+            ensemble.train(ds, EcsdtConfig(combiner="stacking", ga=GaConfig(generations=2.5)))
+        with pytest.raises(ConfigError, match="n_iter must be an integer"):
+            train_logistic(ds, LrConfig(n_iter=2.5))
+        with pytest.raises(ConfigError, match="T must be an integer"):
+            simulate_theorem1(TheoryParams(T=11.0))
+
+    def test_an_experiment_with_a_fractional_seed_runs_no_cell(self):
+        ds = CostedDataset(np.zeros((4, 1)), [0, 1, 0, 1], np.tile([0.0, 1.0, 3.0, 0.0], (4, 1)))
+        spec = ExperimentSpec([AlgorithmSpec("dt", "x", "dt", "u", {})],
+                              [("d", DatasetBundle(ds, ds, ds))], seed=1.5)
+        with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+            run_experiment(spec)

@@ -14,11 +14,13 @@ from conftest import (
     SplitRule,
     chain_tree,
     cost_impurity,
+    costed,
     deep_chain,
     flatten,
     four_example_set,
     grow_oracle,
     nested,
+    oracle_costs,
     prune_oracle,
     quantile_count,
     route_oracle,
@@ -268,6 +270,29 @@ class TestPrune:
             before = training_cost(model, ds)
             after = training_cost(prune(model, ds), ds)
             assert after <= before + 1e-9
+
+    @pytest.mark.parametrize("impurity", csdt.IMPURITY_MODES)
+    def test_cheapest_and_smallest_of_every_pruning(self, impurity):
+        """Against every pruning of small trees, on sets whose integer costs
+        make every sum exact: prune's pruning-set cost is the least, and its
+        node count the least among the prunings of that cost."""
+        rng = np.random.default_rng([77, len(impurity)])
+        for _ in range(100):
+            train, held_out = (_integer_cost_set(rng, int(rng.integers(5, 60)), 2)
+                               for _ in range(2))
+            config = CsdtConfig(max_depth=4, impurity=impurity, pruning=False,
+                                n_quantiles=int(rng.integers(2, 10)))
+            grown = grow(train, config)
+            recorded = CsdtModel(grown.tree, config, grown.k)
+            recorded.stats_of = train
+            built = CsdtModel(flatten(_random_nested(rng, 2, 4)), config, 2)
+            for model, prune_set in ((grown, held_out), (recorded, train), (built, held_out)):
+                cost0, cost1 = oracle_costs(prune_set, impurity)
+                pruned = prune(model, prune_set)
+                leaves = csdt.route(pruned.tree, prune_set.X)
+                cost = np.where(pruned.tree.predicted_class[leaves] == 1, cost1, cost0).sum()
+                least = min(_every_pruning(model.tree, prune_set.X, cost0, cost1))
+                assert (cost, pruned.n_nodes()) == least
 
     def test_heldout_benefit_monte_carlo(self):
         # Overgrown trees on noisy data: pruning on a validation set should
@@ -1109,6 +1134,20 @@ class TestHistogramKernel:
                           (i + 1, rows[goes_left], keys[0], depth + 1)]
         assert split > 8
 
+    @pytest.mark.parametrize("q, threshold", [
+        (100, 0.01), (2**61, 2.0**-60), (10**19, 1 / 10**19),
+    ])
+    def test_huge_n_quantiles_interpolate_exactly(self, q, threshold):
+        # Nine negatives at -8, ..., -1, 0 and one positive at 1: the cut
+        # after 0 (position e = 8) wins, its run starts at 8, and s - 1 = 9.
+        # The first quantile there is j = ceil(8 q / 9), and (lo, rem) =
+        # divmod(9 j, q) is (8, 1) for 100 and 10**19, (8, 2) for 2**61, so
+        # the threshold is rem / q. 8 q overflows int64 for the last two.
+        ds = costed([0] * 9 + [1], (0.0, 1.0, 1.0, 0.0), X=np.arange(-8.0, 2.0)[:, None])
+        tree = grow(ds, CsdtConfig(n_quantiles=q)).tree
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == threshold
+
     def test_huge_n_quantiles_allocates_no_quantiles(self):
         # n_quantiles = 10**12 bins every distinct value and scores every
         # node by position, the root's 2N rows too; its peak stays within
@@ -1231,6 +1270,34 @@ class TestFeaturePatch:
             grow_one(ds, features=np.array(features))
 
 
+# --- pruning against every pruning ----------------------------------------
+
+
+def _integer_cost_set(rng, n, k):
+    """A dataset with small integer costs, so that every cost sum is exact."""
+    X = np.round(rng.normal(size=(n, k)), 1)
+    c_tp, c_tn = rng.integers(0, 3, size=(2, n))
+    c_fn, c_fp = c_tp + rng.integers(1, 20, n), c_tn + rng.integers(1, 20, n)
+    return CostedDataset(X, rng.integers(0, 2, n), np.column_stack([c_tp, c_fp, c_fn, c_tn]))
+
+
+def _every_pruning(tree, X, cost0, cost1, i=0, rows=None):
+    """(pruning-set cost, node count) of every pruning of node i's subtree:
+    a leaf keeps its class, and an internal node either collapses into its
+    cheaper class on ``rows`` or keeps its split over any pruning of each
+    child."""
+    rows = np.arange(X.shape[0]) if rows is None else rows
+    c0, c1 = cost0[rows].sum(), cost1[rows].sum()
+    if tree.feature[i] < 0:
+        return [(c1 if tree.predicted_class[i] == 1 else c0, 1)]
+    left = X[rows, tree.feature[i]] <= tree.threshold[i]
+    return [(min(c0, c1), 1)] + [
+        (a + b, 1 + m + n)
+        for a, m in _every_pruning(tree, X, cost0, cost1, i + 1, rows[left])
+        for b, n in _every_pruning(tree, X, cost0, cost1, tree.right[i], rows[~left])
+    ]
+
+
 # --- flat node arrays against the nested-tree oracles ----------------------
 
 
@@ -1334,7 +1401,13 @@ class TestFlatTreesMatchOracles:
             sub = ds.subset(sample.example_indices)
             tree = grow_one(sub, config, **sample_kwargs(sample, j)).tree
             assert tree.size > 1
-            routed = csdt._node_stats(tree, sub, impurity)
+            # a node's rows are those whose leaf lies in its preorder range
+            leaves = csdt.route(tree, sub.X)
+            ends = csdt._layout(tree)[1]
+            reached = [(i <= leaves) & (leaves < end) for i, end in enumerate(ends)]
+            n = np.array([rows.sum() for rows in reached])
+            n_pos = np.array([sub.y[rows].sum() for rows in reached])
+            routed = (*csdt._node_stats(tree, sub, impurity), n, n_pos)
             recorded = (tree.cost_f0, tree.cost_f1, tree.n, tree.n_pos)
             assert [a.tobytes() for a in recorded] == [b.tobytes() for b in routed]
 
