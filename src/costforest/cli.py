@@ -327,7 +327,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument(
         "--jobs", type=int, default=os.cpu_count() or 1,
-        help="parallel cell workers (results are identical for any value)",
+        help="processes computing cells, the caller included "
+             "(results are identical for any value)",
     )
     p.set_defaults(func=_cmd_benchmark)
 

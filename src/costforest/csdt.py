@@ -259,8 +259,18 @@ def column_ranks(X: np.ndarray) -> np.ndarray:
     65536 rows, which numpy sorts by radix.
     """
     n, n_cols = X.shape
-    ranks = np.empty((n, n_cols), dtype=np.min_scalar_type(max(n - 1, 0)))
-    ranks[np.argsort(X, axis=0, kind="stable"), np.arange(n_cols)] = np.arange(n)[:, None]
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    columns = np.arange(n_cols)
+    order = np.argsort(X, axis=0)  # equal values in any order
+    values = np.take_along_axis(X, order, axis=0)
+    # every row's run of equal values, numbered in sorted order; a stable
+    # sort of the run numbers then orders each run's rows by row
+    runs = np.zeros((n, n_cols), dtype=dtype)
+    np.cumsum(values[1:] != values[:-1], axis=0, dtype=dtype, out=runs[1:])
+    run_of = np.empty_like(runs)
+    run_of[order, columns] = runs
+    ranks = np.empty_like(runs)
+    ranks[np.argsort(run_of, axis=0, kind="stable"), columns] = np.arange(n, dtype=dtype)[:, None]
     return ranks
 
 
@@ -368,7 +378,9 @@ def _best_split(
     return found
 
 
-def quantile_bins(X: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def quantile_bins(
+    X: np.ndarray, q: int, ranks: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Each column of ``X`` cut into at most ``q`` global bins.
 
     Quantile j (0 < j < q) of a column of n values lies at index (n - 1) j
@@ -384,26 +396,32 @@ def quantile_bins(X: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     upper bin's smallest; one that rounds or overflows out of [lower, upper)
     is the lower value, and a zero threshold is +0.0. So ``value <=
     threshold`` holds for a row exactly when its bin is at or below the
-    boundary.
+    boundary. ``ranks`` are ``column_ranks(X)``, made when not given: they
+    place every value in its column's sort.
     """
     n, n_cols = X.shape
-    lowers, uppers = [], []
-    for column in np.sort(X, axis=0).T:
+    positions = (column_ranks(X) if ranks is None else ranks).T
+    ordered = np.empty((n_cols, n))
+    np.put_along_axis(ordered, positions, X.T, axis=1)
+    run_ends = []
+    for column in ordered:
         ends = np.flatnonzero(column[:-1] != column[1:])  # run ends but the last
         if q < n:
             starts = np.concatenate([[0], ends[:-1] + 1])
             ends = ends[np.maximum(-(-starts * q // (n - 1)), 1) * (n - 1) // q <= ends]
-        lowers.append(column[ends])
-        uppers.append(column[ends + 1])
-    n_bins = max(2, 1 + max(lower.size for lower in lowers))
-    bins = np.empty((n_cols, n), dtype=np.min_scalar_type(n_bins - 1))
+        run_ends.append(ends)
+    n_bins = max(2, 1 + max(ends.size for ends in run_ends))
+    # each sorted position's bin: the count of boundaries before it
+    steps = np.zeros((n_cols, n), dtype=np.min_scalar_type(n_bins - 1))
     cuts = np.zeros((n_cols, n_bins - 1))
-    for f, (lower, upper) in enumerate(zip(lowers, uppers)):
-        bins[f] = lower.searchsorted(X[:, f])  # the count of boundaries below each value
+    for f, (column, ends) in enumerate(zip(ordered, run_ends)):
+        steps[f, ends + 1] = 1
+        lower, upper = column[ends], column[ends + 1]
         with np.errstate(over="ignore"):
             mid = 0.5 * (lower + upper)
-        cuts[f, :lower.size] = np.where((lower <= mid) & (mid < upper), mid, lower) + 0.0
-    return bins, cuts
+        cuts[f, :ends.size] = np.where((lower <= mid) & (mid < upper), mid, lower) + 0.0
+    np.cumsum(steps, axis=1, out=steps)
+    return np.take_along_axis(steps, positions, axis=1), cuts
 
 
 def _histogram_split(
@@ -570,7 +588,7 @@ def grow_forest(
     key_table[:, :pad] = ranks.T
     key_table[:, pad] = np.iinfo(ranks.dtype).max if ranks.dtype.kind in "ui" else np.inf
     if q is not None:
-        bins, cuts = quantile_bins(train.X, q)
+        bins, cuts = quantile_bins(train.X, q, ranks)
         n_bins = cuts.shape[1] + 1
         bin_table = np.zeros((train.k, width), dtype=bins.dtype)
         bin_table[:, :pad] = bins

@@ -308,8 +308,55 @@ def _run_cell(args) -> list[tuple[int, int, CellResult]]:
     ]
 
 
+_TASKS: list = []  # a pool worker's copy of run_experiment's task list
+
+
+def _adopt_tasks(tasks: list) -> None:
+    """Pool initializer: keep the task list that submitted indices refer to."""
+    global _TASKS
+    _TASKS = tasks
+
+
+def _run_task(index: int) -> list[tuple[int, int, CellResult]]:
+    return _run_cell(_TASKS[index])
+
+
+def _run_tasks(tasks: list, jobs: int) -> list[list[tuple[int, int, CellResult]]]:
+    """Every task's outcome, in task order, computed by ``jobs`` processes.
+
+    The caller is one of them: it starts ``min(jobs, len(tasks)) - 1`` pool
+    workers, which get the task list once through the pool initializer
+    (inherited under fork), so a submitted task is just its index. The
+    workers take tasks from the front; the caller runs tasks from the back
+    for as long as it can cancel their futures, which holds only while a
+    task is still pending, then collects the rest.
+    """
+    workers = min(jobs, len(tasks)) - 1
+    if workers == 0:
+        return [_run_cell(task) for task in tasks]
+    with ProcessPoolExecutor(workers, initializer=_adopt_tasks, initargs=(tasks,)) as pool:
+        try:
+            futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+            inline = {}
+            for i in reversed(range(len(tasks))):
+                if not futures[i].cancel():
+                    break
+                inline[i] = _run_cell(tasks[i])
+            return [inline[i] if i in inline else f.result() for i, f in enumerate(futures)]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
-    """Execute the full grid; deterministic for a fixed spec seed and any jobs."""
+    """Execute the full grid; deterministic for a fixed spec seed and any jobs.
+
+    One task is every repetition of one fit group on one dataset. ``jobs``
+    processes compute the tasks, the caller included: ``jobs=1`` runs them
+    all in the caller, and no more pool workers start than there are tasks
+    besides the caller's. A cell's seed depends only on its indices, so the
+    report is the same at any ``jobs``.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     spec.validate()
@@ -319,13 +366,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> EvaluationReport:
         for group in _fit_groups(spec.algorithms)
         for d_idx, (_, bundle) in enumerate(spec.datasets)
     ]
-    # a pool starts all its workers at the first task: no more than there are tasks
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, tasks))
-    else:
-        outcomes = [_run_cell(task) for task in tasks]
+    outcomes = _run_tasks(tasks, jobs)
 
     algo_names = [a.name for a in spec.algorithms]
     ds_names = [name for name, _ in spec.datasets]

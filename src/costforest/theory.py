@@ -59,6 +59,8 @@ class TheoryParams:
             raise ConfigError(f"rho must be in (0, 1], got {self.rho}")
         if self.n_examples < 1 or self.n_trials < 1:
             raise ConfigError("n_examples and n_trials must be positive")
+        if not 0.0 <= self.pos_fraction <= 1.0:  # NaN fails too
+            raise ConfigError(f"pos_fraction must be in [0, 1], got {self.pos_fraction}")
 
 
 # Above this T the binomial tail falls back to log-domain evaluation;

@@ -22,6 +22,7 @@ from conftest import (
     nested,
     oracle_costs,
     prune_oracle,
+    quantile_bins_oracle,
     quantile_count,
     route_oracle,
     split_gain,
@@ -1211,10 +1212,48 @@ class TestColumnRanks:
         ds = CostedDataset(X, (X[:, 1] + 0.5 * rng.normal(size=n) > 1).astype(int),
                            np.tile([0.0, 1.0, 4.0, 0.0], (n, 1)))
         config = CsdtConfig(candidate_thresholds=mode, max_depth=2)
-        assert csdt.column_ranks(X).dtype == np.uint32
+        ranks = csdt.column_ranks(X)
+        assert ranks.dtype == np.uint32
         ranked = model_to_dict(grow(ds, config))
         monkeypatch.setattr(csdt, "column_ranks", lambda X: X)  # sort on the values
+        bins = csdt.quantile_bins  # which still places values by their ranks
+        monkeypatch.setattr(csdt, "quantile_bins", lambda X, q, _: bins(X, q, ranks))
         assert model_to_dict(grow(ds, config)) == ranked
+
+    @staticmethod
+    def _tie_heavy_tables(rng):
+        """Tables of up to 300 rows whose columns are continuous, of few
+        levels, constant, or of signed zeros and subnormals."""
+        kinds = (
+            lambda n: rng.normal(size=n),
+            lambda n: rng.integers(0, 4, n).astype(float),
+            lambda n: np.full(n, rng.choice([-0.0, 0.0, 2.5])),
+            lambda n: rng.choice([-1e-323, -5e-324, -0.0, 0.0, 5e-324, 1.0], n),
+            lambda n: rng.choice([-1.7e308, -0.0, 0.0, 1.7e308], n),
+        )
+        for n in (1, 2, 3, 17, 256, 257, 300):
+            for _ in range(8):
+                k = int(rng.integers(1, 6))
+                yield np.column_stack([kinds[rng.integers(len(kinds))](n) for _ in range(k)])
+
+    def test_ranks_place_rows_as_a_stable_sort(self):
+        rng = np.random.default_rng(1180)
+        for X in self._tie_heavy_tables(rng):
+            ranks = csdt.column_ranks(X)
+            assert ranks.dtype == np.min_scalar_type(X.shape[0] - 1)
+            assert np.array_equal(np.argsort(ranks, axis=0),
+                                  np.argsort(X, axis=0, kind="stable"))
+
+    @pytest.mark.parametrize("q", [2, 7, 100, 10**12])
+    def test_bins_equal_the_sorting_oracle(self, q):
+        rng = np.random.default_rng([q % 997, 1181])
+        for X in self._tie_heavy_tables(rng):
+            expected_bins, expected_cuts = quantile_bins_oracle(X, q)
+            for bins, cuts in (csdt.quantile_bins(X, q),
+                               csdt.quantile_bins(X, q, csdt.column_ranks(X))):
+                assert bins.dtype == expected_bins.dtype
+                assert np.array_equal(bins, expected_bins)
+                assert repr(cuts.tolist()) == repr(expected_cuts.tolist())  # signed zeros too
 
 
 # --- a feature patch: the search limited to some columns -------------------

@@ -1,5 +1,7 @@
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 from conftest import gaussian_cost_dataset
-from costforest import ConfigError, ValidationError, baselines, csdt, ensemble, sampling, savings
+from costforest import (
+    ConfigError, ValidationError, baselines, csdt, ensemble, evaluation, sampling, savings,
+)
 from costforest.baselines import LrConfig, bmr_predict_dataset, train_logistic
 from costforest.csdt import CsdtConfig, grow, leaf_proba, predict_proba_many, route
 from costforest.data import SplitSpec, split
@@ -198,28 +202,38 @@ class TestRunExperiment:
         assert not any(cell.failed for cell in sequential.cells.values())
         assert sequential.to_json() == parallel.to_json()
 
-    @pytest.mark.parametrize("datasets, jobs, pools", [(1, 3, []), (2, 8, [2])])
+    @pytest.mark.parametrize("datasets, jobs, pools", [
+        (1, 3, []), (2, 8, [1]), (2, 1, []), (2, 2, [1]),
+    ])
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch, datasets, jobs, pools):
-        # one fit group per dataset here, so one task per dataset
-        started = []
+        # one fit group per dataset here, so one task per dataset; the
+        # caller computes too, so a pool has one worker fewer than the jobs
+        started, submitted = [], []
 
         class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 started.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))
+                super().__init__(max_workers, **kwargs)
+
+            def submit(self, fn, *args):
+                submitted.extend(args)
+                return super().submit(fn, *args)
 
         monkeypatch.setattr("costforest.evaluation.ProcessPoolExecutor", RecordingPool)
         spec = ExperimentSpec(tiny_algorithms()[:1], tiny_bundles()[:datasets],
                               repetitions=1, seed=9)
         report = run_experiment(spec, jobs=jobs)
         assert started == pools
+        assert submitted == (list(range(datasets)) if pools else [])  # indices, not tasks
         assert report.to_json() == run_experiment(spec, jobs=1).to_json()
 
     def test_pool_size_capped_for_a_large_jobs(self, monkeypatch):
         started = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
+        class PendingPool:
+            """A pool that never starts a task, so the caller runs them all."""
+
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -228,13 +242,57 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, *args):
+                return Future()
 
-        monkeypatch.setattr("costforest.evaluation.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("costforest.evaluation.ProcessPoolExecutor", PendingPool)
         spec = ExperimentSpec(tiny_algorithms(), tiny_bundles(), repetitions=1, seed=9)
-        run_experiment(spec, jobs=10**6)
-        assert started == [6]
+        report = run_experiment(spec, jobs=10**6)
+        assert started == [5]  # six tasks, one of them the caller's
+        assert report.to_json() == run_experiment(spec, jobs=1).to_json()
+
+    def test_every_task_runs_once_and_the_caller_computes(self, monkeypatch, tmp_path):
+        # a forked worker inherits the patched _run_cell: each run appends
+        # its process id and task to one log
+        log = tmp_path / "runs.log"
+        run_cell = evaluation._run_cell
+
+        def logged(task):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {task[0]} {task[2]}\n")
+            return run_cell(task)
+
+        monkeypatch.setattr(evaluation, "_run_cell", logged)
+        spec = ExperimentSpec(tiny_algorithms(), tiny_bundles(), repetitions=1, seed=9)
+        report = run_experiment(spec, jobs=2)
+        runs = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        tasks = sorted(task for _, task in runs)
+        assert len(tasks) == 6 and len(set(tasks)) == 6
+        assert str(os.getpid()) in {pid for pid, _ in runs}
+        log.unlink()
+        assert report.to_json() == run_experiment(spec, jobs=1).to_json()
+
+    def test_no_process_left_after_a_pool(self):
+        spec = ExperimentSpec(tiny_algorithms()[:2], tiny_bundles(), repetitions=1, seed=9)
+        run_experiment(spec, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_left_after_the_caller_is_interrupted(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        caller, run_cell = os.getpid(), evaluation._run_cell
+
+        def interrupted_in_caller(task):
+            if os.getpid() == caller:
+                raise Interrupt
+            return run_cell(task)
+
+        monkeypatch.setattr(evaluation, "_run_cell", interrupted_in_caller)
+        spec = ExperimentSpec(tiny_algorithms(), tiny_bundles(), repetitions=1, seed=9)
+        with pytest.raises(Interrupt):
+            run_experiment(spec, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_invalid_specs(self):
         with pytest.raises(ConfigError):

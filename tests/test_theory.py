@@ -141,6 +141,15 @@ class TestTheorem1:
         assert report.mean_diff == 0.0
         assert report.frac_held == 1.0
 
+    @pytest.mark.parametrize("pos_fraction", [2.0, -0.5, math.nan])
+    def test_pos_fraction_outside_unit_interval_rejected(self, pos_fraction):
+        with pytest.raises(ConfigError, match="pos_fraction"):
+            simulate_theorem1(TheoryParams(n_examples=20, n_trials=5, pos_fraction=pos_fraction))
+
+    @pytest.mark.parametrize("pos_fraction", [0.0, 1.0])
+    def test_pos_fraction_bounds_accepted(self, pos_fraction):
+        TheoryParams(pos_fraction=pos_fraction).validate()
+
 
 def test_cost_generator_strictly_reasonable():
     rng = np.random.default_rng(0)
